@@ -12,6 +12,14 @@ before its status is determined; the member-forcing rules then drive the
 counters toward that value, and a determined status that contradicts a
 committed value is a conflict. All choices are deterministic (lowest id
 wins ties), so identical inputs yield identical statistics.
+
+Branch scores are kept along the trail rather than recomputed per
+decision: every trail entry that makes a literal true bumps its clause's
+count of true literals, and a clause whose count leaves or returns to
+zero moves the score of each atom it mentions. The count reads a card's
+committed value, not its status, so the scores are exact at a
+propagation fixpoint, where every card with a determined status has that
+value committed.
 """
 
 from __future__ import annotations
@@ -56,11 +64,34 @@ class Solver:
         self.stats = SolveStats()
         self.queue: deque[int] = deque()
         self.dirty_cards: deque[int] = deque()
-        # occ maps an id to the clauses mentioning it with either sign
-        self.occ: dict[int, list[int]] = {}
+        n_ids = n + len(theory.cards)
+        # occ[ref]: clauses mentioning ref with either sign.
+        # sat_by[ref][value]: clauses whose literal on ref that value makes
+        # true. branch_atoms[ci]: the atoms clause ci mentions, card
+        # literals expanded into their members, repeats kept.
+        # sat_count[ci]: true literals of clause ci on the trail.
+        # score[aid]: occurrences of aid in branch_atoms of the clauses
+        # with sat_count 0.
+        self.occ: list[list[int]] = [[] for _ in range(n_ids + 1)]
+        self.sat_by: list[tuple[list[int], list[int]]] = [
+            ([], []) for _ in range(n_ids + 1)
+        ]
+        self.branch_atoms: list[list[int]] = []
+        self.sat_count = [0] * len(theory.clauses)
+        self.score = [0] * (n + 1)
         for ci, cl in enumerate(theory.clauses):
+            atoms: list[int] = []
             for lit in cl.literals:
-                self.occ.setdefault(abs(lit), []).append(ci)
+                ref = abs(lit)
+                self.occ[ref].append(ci)
+                self.sat_by[ref][lit > 0].append(ci)
+                if ref <= n:
+                    atoms.append(ref)
+                else:
+                    atoms.extend(theory.cards[ref - n - 1].members)
+            for aid in atoms:
+                self.score[aid] += 1
+            self.branch_atoms.append(atoms)
         self.member_of: dict[int, list[int]] = {}
         for c in theory.cards:
             for m in c.members:
@@ -103,6 +134,9 @@ class Solver:
         else:
             self.stats.propagations += 1
         self.queue.append(aid)
+        sat = self.sat_by[aid][value]
+        if sat:
+            self._satisfy(sat)
         for cid in self.member_of.get(aid, ()):
             c = self.counters[self._card_index(cid)]
             c[1] -= 1
@@ -119,10 +153,32 @@ class Solver:
         self.card_value[idx] = value
         self.trail.append(("c", cid, False, False))
         self.queue.append(cid)
+        sat = self.sat_by[cid][value]
+        if sat:
+            self._satisfy(sat)
         st = self.card_status(cid)
         if st is not None:
             return None if st == value else Conflict("card", cid)
         return self._enforce_members(cid, value)
+
+    def _satisfy(self, clauses: list[int]) -> None:
+        """One more true literal in each clause; a clause leaving zero
+        takes its atoms' occurrences out of the branch scores."""
+        sat_count, score = self.sat_count, self.score
+        for ci in clauses:
+            sat_count[ci] += 1
+            if sat_count[ci] == 1:
+                for aid in self.branch_atoms[ci]:
+                    score[aid] -= 1
+
+    def _unsatisfy(self, clauses: list[int]) -> None:
+        """Undo _satisfy for the same clauses."""
+        sat_count, score = self.sat_count, self.score
+        for ci in clauses:
+            sat_count[ci] -= 1
+            if sat_count[ci] == 0:
+                for aid in self.branch_atoms[ci]:
+                    score[aid] += 1
 
     def _enforce_members(self, cid: int, value: bool) -> Conflict | None:
         """Push undetermined members toward a committed card value.
@@ -191,7 +247,7 @@ class Solver:
             elif self.queue:
                 qid = self.queue.popleft()
                 conf = None
-                for ci in self.occ.get(qid, ()):
+                for ci in self.occ[qid]:
                     conf = self._check_clause(ci)
                     if conf is not None:
                         break
@@ -217,39 +273,36 @@ class Solver:
         """Undetermined atom occurring in the most unsatisfied clauses,
         counting cardinality literals through their members; lowest id
         breaks ties. With every clause satisfied, the lowest undetermined
-        atom; None once the assignment is total."""
-        score: dict[int, int] = {}
-        for cl in self.theory.clauses:
-            if any(self.lit_value(l) is True for l in cl.literals):
-                continue
-            for lit in cl.literals:
-                ref = abs(lit)
-                if ref <= self.n_atoms:
-                    if self.assignment[ref] is None:
-                        score[ref] = score.get(ref, 0) + 1
-                else:
-                    for m in self.theory.cards[self._card_index(ref)].members:
-                        if self.assignment[m] is None:
-                            score[m] = score.get(m, 0) + 1
-        if score:
-            return min(score.items(), key=lambda kv: (-kv[1], kv[0]))[0]
+        atom; None once the assignment is total.
+
+        Reads the scores kept along the trail, so it is exact only at a
+        propagation fixpoint (where run calls it): there every card with
+        a determined status has that value committed."""
+        best, best_score = None, -1
+        assignment, score = self.assignment, self.score
         for aid in range(1, self.n_atoms + 1):
-            if self.assignment[aid] is None:
-                return aid
-        return None
+            if assignment[aid] is None and score[aid] > best_score:
+                best, best_score = aid, score[aid]
+        return best
 
     def _backtrack_flip(self) -> bool:
         """Undo through the most recent unflipped decision and assert its
         opposite. False when the search space is exhausted."""
         self.queue.clear()
         self.dirty_cards.clear()
-        while self.trail:
-            kind, ref, decision, flipped = self.trail.pop()
+        trail, assignment, sat_by = self.trail, self.assignment, self.sat_by
+        member_of, counters = self.member_of, self.counters
+        first_card = self.n_atoms + 1
+        while trail:
+            kind, ref, decision, flipped = trail.pop()
             if kind == "a":
-                value = self.assignment[ref]
-                self.assignment[ref] = None
-                for cid in self.member_of.get(ref, ()):
-                    c = self.counters[self._card_index(cid)]
+                value = assignment[ref]
+                assignment[ref] = None
+                sat = sat_by[ref][value]
+                if sat:
+                    self._unsatisfy(sat)
+                for cid in member_of.get(ref, ()):
+                    c = counters[cid - first_card]
                     c[1] += 1
                     if value:
                         c[0] -= 1
@@ -257,7 +310,11 @@ class Solver:
                     self.assign(ref, not value, role="flip")
                     return True
             else:
-                self.card_value[self._card_index(ref)] = None
+                idx = ref - first_card
+                sat = sat_by[ref][self.card_value[idx]]
+                if sat:
+                    self._unsatisfy(sat)
+                self.card_value[idx] = None
         return False
 
     def _model(self) -> dict[int, bool]:

@@ -342,3 +342,34 @@ def count_queens(n: int) -> int:
 
     place(0)
     return count
+
+
+# ---------------------------------------------------------------------------
+# Branch selection by full rescan.
+
+
+def reference_branch(solver) -> int | None:
+    """Undetermined atom occurring in the most unsatisfied clauses,
+    counting cardinality literals through their members; lowest id
+    breaks ties. With every clause satisfied, the lowest undetermined
+    atom; None once the assignment is total. Recomputed from scratch by
+    walking every clause under the solver's current assignment."""
+    score: dict[int, int] = {}
+    for cl in solver.theory.clauses:
+        if any(solver.lit_value(l) is True for l in cl.literals):
+            continue
+        for lit in cl.literals:
+            ref = abs(lit)
+            if ref <= solver.n_atoms:
+                if solver.assignment[ref] is None:
+                    score[ref] = score.get(ref, 0) + 1
+            else:
+                for m in solver.theory.cards[solver._card_index(ref)].members:
+                    if solver.assignment[m] is None:
+                        score[m] = score.get(m, 0) + 1
+    if score:
+        return min(score.items(), key=lambda kv: (-kv[1], kv[0]))[0]
+    for aid in range(1, solver.n_atoms + 1):
+        if solver.assignment[aid] is None:
+            return aid
+    return None

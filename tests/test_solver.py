@@ -9,7 +9,7 @@ from aspps.tdc import check_model
 from aspps.theory import CardConstruct, GroundAtom, GroundClause, GroundTheory
 
 from generators import random_ground_theory
-from oracles import enumerate_models
+from oracles import enumerate_models, reference_branch
 
 
 def _atoms(n):
@@ -181,3 +181,30 @@ def test_first_model_valid_and_counted(seed):
     else:
         assert res.models == []
         assert not enumerate_models(t)
+
+
+class _CheckedSolver(Solver):
+    """Checks the trail-kept scores against a full rescan at every branch."""
+
+    def choose_branch(self):
+        for ci, cl in enumerate(self.theory.clauses):
+            true_lits = 0
+            for lit in cl.literals:
+                ref = abs(lit)
+                if ref <= self.n_atoms:
+                    v = self.assignment[ref]
+                else:
+                    v = self.card_value[self._card_index(ref)]
+                true_lits += v is not None and v == (lit > 0)
+            assert self.sat_count[ci] == true_lits
+        aid = super().choose_branch()
+        assert aid == reference_branch(self)
+        return aid
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10**6))
+def test_incremental_branch_matches_rescan(seed):
+    t = random_ground_theory(random.Random(seed), max_atoms=10, max_cards=4)
+    for max_models in (None, 1):
+        _CheckedSolver(t).run(max_models)
