@@ -2,8 +2,9 @@
 """Randomized differential stress of the grounder and the solver.
 
 Grounds random typed programs and compares against the brute-force
-substitution oracle; solves random ground theories and compares against
-model enumeration over all assignments:
+substitution oracle and, byte for byte, against grounding by full
+substitution; solves random ground theories and compares against model
+enumeration over all assignments:
 
     python3 scripts/stress_random.py -n 2000 --seed 7
 """
@@ -23,7 +24,7 @@ from aspps.solver import solve
 from aspps.tdc import check_model, read_tdc, write_tdc
 
 from generators import random_ground_theory, random_program
-from oracles import enumerate_models, naive_ground, normalize_theory
+from oracles import enumerate_models, naive_ground, normalize_theory, reference_ground
 
 
 def stress_grounder(n, rng):
@@ -40,6 +41,11 @@ def stress_grounder(n, rng):
         theory = ground_theory(prog, db)
         if normalize_theory(theory) != naive_ground(prog, db):
             print(f"[grounder {i}] mismatch with the substitution oracle")
+            print(rules)
+            print(data)
+            return False
+        if write_tdc(theory) != write_tdc(reference_ground(prog, db)):
+            print(f"[grounder {i}] .tdc differs from grounding by full substitution")
             print(rules)
             print(data)
             return False

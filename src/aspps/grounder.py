@@ -12,20 +12,34 @@ Variables occurring in a cardinality schema's conditions and nowhere
 else in the clause are local to the schema and enumerate its members;
 all other variables (including ones occurring only in the member atom)
 are global to the clause. The binder of an e-atom is local to it.
+
+A clause is compiled once into a plan: its terms become closures over a
+flat list of variable values, and its bindings are walked as nested
+loops in global-variable order, so instances come out in the order of
+the full cross product. A data or predefined atom is tested at the
+first loop level where its variables are bound, and when it already
+satisfies the instance the loops below it are skipped. Skipping is
+allowed only where the skipped bindings could have no effect at all:
+an interval check over the clause's domains shows that no evaluation
+in the clause can raise, and every other atom is a program atom whose
+instances are all interned already. Under the same condition a loop
+whose variable is the last unbound argument of a data atom in the body
+draws its values from an index of that atom's extension. Otherwise
+each binding is still visited, so the atoms and cardinality constructs
+of dropped instances are interned and errors surface at the same
+binding as a plain walk over the product.
 """
 
 from __future__ import annotations
 
-import itertools
+from itertools import product
+from math import prod
 from pathlib import PurePath
 
 from .database import DataDatabase
 from .errors import GroundError
 from .model import (
     COMPARISONS,
-    INT_MAX,
-    INT_MIN,
-    ArithExpr,
     CAtomList,
     CAtomSchema,
     Clause,
@@ -35,90 +49,22 @@ from .model import (
     Variable,
     term_variables,
 )
+from .terms import (  # eval_* are part of this module's interface
+    atom_cannot_raise,
+    compile_args,
+    compile_comparison,
+    domain_range,
+    eval_arith,
+    eval_ground_term,
+    eval_predefined,
+)
 from .theory import CardConstruct, GroundAtom, GroundClause, GroundTheory, ground_atom_text
 
+_EMPTY: frozenset = frozenset()
 
-def _trunc_div(a, b):
-    q = a // b
-    if q < 0 and q * b != a:
-        q += 1
-    return q
-
-
-def eval_arith(term, binding) -> int:
-    """Evaluate a term to an integer. Division truncates toward zero and
-    mod(a,b) = a - b*trunc(a/b); anything symbolic, unbound, overflowing
-    or divided by zero is an error."""
-    if isinstance(term, int) and not isinstance(term, bool):
-        return term
-    if isinstance(term, str):
-        raise GroundError(f"symbolic constant {term!r} in arithmetic")
-    if isinstance(term, Variable):
-        v = binding.get(term.name)
-        if v is None:
-            raise GroundError(f"variable {term.name} is not bound")
-        if isinstance(v, str):
-            raise GroundError(f"symbolic constant {v!r} in arithmetic")
-        return v
-    op = term.op
-    a = eval_arith(term.operands[0], binding)
-    if op == "abs":
-        r = -a if a < 0 else a
-    else:
-        b = eval_arith(term.operands[1], binding)
-        if op == "+":
-            r = a + b
-        elif op == "-":
-            r = a - b
-        elif op == "*":
-            r = a * b
-        elif op == "/":
-            if b == 0:
-                raise GroundError("division by zero")
-            r = _trunc_div(a, b)
-        elif op == "mod":
-            if b == 0:
-                raise GroundError("mod by zero")
-            r = a - b * _trunc_div(a, b)
-        elif op == "max":
-            r = a if a >= b else b
-        else:
-            r = a if a <= b else b
-    if not INT_MIN <= r <= INT_MAX:
-        raise GroundError("arithmetic overflow")
-    return r
-
-
-def eval_ground_term(term, binding):
-    """Reduce a term to a constant under a binding."""
-    if isinstance(term, Variable):
-        v = binding.get(term.name)
-        if v is None:
-            raise GroundError(f"variable {term.name} is not bound")
-        return v
-    if isinstance(term, ArithExpr):
-        return eval_arith(term, binding)
-    return term
-
-
-def eval_predefined(atom: PlainAtom, binding) -> bool:
-    """Evaluate a comparison atom. == works on any constants by
-    identity; the order comparisons require integers."""
-    if atom.pred not in COMPARISONS or len(atom.args) != 2:
-        raise GroundError(f"malformed predefined atom {atom.pred}/{len(atom.args)}")
-    a = eval_ground_term(atom.args[0], binding)
-    b = eval_ground_term(atom.args[1], binding)
-    if atom.pred == "==":
-        return a == b
-    if isinstance(a, str) or isinstance(b, str):
-        raise GroundError(f"order comparison {atom.pred} on symbolic constants")
-    if atom.pred == "<=":
-        return a <= b
-    if atom.pred == ">=":
-        return a >= b
-    if atom.pred == "<":
-        return a < b
-    return a > b
+# While grounding, a literal is a signed reference: an atom's id, or
+# _CARD plus a construct's index, renumbered once the atoms are counted.
+_CARD = 1 << 62
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +216,6 @@ def _atom_var_set(atom):
         out |= set(term_variables(t))
     return out
 
-
 # ---------------------------------------------------------------------------
 # Grounding proper.
 
@@ -292,101 +237,55 @@ class Grounder:
         self.card_ids: dict[tuple, int] = {}
         self.card_list: list[tuple] = []
         self.raw_clauses: list[tuple] = []
+        self.interned = dict.fromkeys(self.pred_decls, 0)  # atoms per predicate
+        self._sizes: dict[str, int] = {}
+        self._indexes: dict[tuple, dict] = {}
 
     # -- atoms ------------------------------------------------------------
 
     def resolve_program_atom(self, pred, args):
         """Intern a ground program atom, or None when an argument falls
         outside its declared type or the restriction."""
+        key = (pred, tuple(args))
+        aid = self.atom_ids.get(key)
+        if aid is not None:
+            return aid
         decl = self.pred_decls[pred]
         for a, ty in zip(args, decl.arg_types):
             if not self.db.contains(ty, (a,)):
                 return None
         if decl.restriction is not None and not self.db.contains(decl.restriction, args):
             return None
-        key = (pred, tuple(args))
-        aid = self.atom_ids.get(key)
-        if aid is None:
-            aid = len(self.atom_keys) + 1
-            self.atom_ids[key] = aid
-            self.atom_keys.append(key)
+        aid = len(self.atom_keys) + 1
+        self.atom_ids[key] = aid
+        self.atom_keys.append(key)
+        self.interned[pred] += 1
         return aid
 
-    def instantiate_eatom(self, atom: EAtom, binding):
-        """An e-atom becomes a 1{...} construct over the instances drawn
-        from the domain predicate; with no instances it is plain false."""
-        if atom.pred not in self.pred_decls:
-            raise GroundError(f"e-atom predicate {atom.pred} is not declared")
-        prefix = tuple(eval_ground_term(t, binding) for t in atom.args[:-1])
+    def _size(self, pred) -> int:
+        """How many instances of pred its argument types and restriction
+        allow; pred is saturated once that many are interned."""
+        size = self._sizes.get(pred)
+        if size is None:
+            decl = self.pred_decls[pred]
+            types = [self.db.extensions.get((ty, 1), _EMPTY) for ty in decl.arg_types]
+            if decl.restriction is None:
+                size = prod(len(t) for t in types)
+            else:
+                rows = self.db.extensions.get((decl.restriction, len(types)), _EMPTY)
+                size = sum(all((a,) in t for a, t in zip(row, types)) for row in rows)
+            self._sizes[pred] = size
+        return size
+
+    def _members(self, instances):
+        """Distinct ids of the (pred, args) instances that resolve."""
         members, seen = [], set()
-        for y in self.db.unary_domain(atom.domain_pred):
-            aid = self.resolve_program_atom(atom.pred, prefix + (y,))
+        for pred, args in instances:
+            aid = self.resolve_program_atom(pred, args)
             if aid is not None and aid not in seen:
                 seen.add(aid)
                 members.append(aid)
-        if not members:
-            return False
-        return self._make_card(1, None, members)
-
-    def instantiate_catom(self, atom, binding):
-        """Build the member set of a cardinality atom under a binding and
-        fold constant cases. Local variables of a schema are the
-        condition variables absent from the binding."""
-        if isinstance(atom, CAtomList):
-            args = tuple(eval_ground_term(t, binding) for t in atom.args)
-            members, seen = [], set()
-            for p in atom.preds:
-                if p not in self.pred_decls:
-                    raise GroundError(f"cardinality member {p} is not declared")
-                aid = self.resolve_program_atom(p, args)
-                if aid is not None and aid not in seen:
-                    seen.add(aid)
-                    members.append(aid)
-            return self._make_card(atom.lo, atom.hi, members)
-        if atom.member.pred not in self.pred_decls:
-            raise GroundError(f"cardinality member {atom.member.pred} is not declared")
-        var_order: list[str] = []
-        seen_vars = set()
-        for t in atom.member.args:
-            for v in term_variables(t):
-                if v not in seen_vars:
-                    seen_vars.add(v)
-                    var_order.append(v)
-        cond_vars = set()
-        for c in atom.conds:
-            for t in c.args:
-                for v in term_variables(t):
-                    cond_vars.add(v)
-                    if v not in seen_vars:
-                        seen_vars.add(v)
-                        var_order.append(v)
-        locals_ = [v for v in var_order if v in cond_vars and v not in binding]
-        domains = []
-        for v in locals_:
-            ty = self.var_types.get(v)
-            if ty is None:
-                raise GroundError(f"local variable {v} has no declared type")
-            domains.append(self.db.unary_domain(ty))
-        members, seen = [], set()
-        for combo in itertools.product(*domains):
-            b = dict(binding)
-            b.update(zip(locals_, combo))
-            if not all(self._condition_holds(c, b) for c in atom.conds):
-                continue
-            args = tuple(eval_ground_term(t, b) for t in atom.member.args)
-            aid = self.resolve_program_atom(atom.member.pred, args)
-            if aid is not None and aid not in seen:
-                seen.add(aid)
-                members.append(aid)
-        return self._make_card(atom.lo, atom.hi, members)
-
-    def _condition_holds(self, cond, binding):
-        if cond.pred in COMPARISONS:
-            return eval_predefined(cond, binding)
-        if cond.pred in self.pred_decls:
-            raise GroundError(f"condition {cond.pred} must use a data or predefined predicate")
-        args = tuple(eval_ground_term(t, binding) for t in cond.args)
-        return self.db.contains(cond.pred, args)
+        return members
 
     def _make_card(self, lo, hi, members):
         """Fold a member set with bounds into True, False or an interned
@@ -408,47 +307,102 @@ class Grounder:
             idx = len(self.card_list)
             self.card_ids[key] = idx
             self.card_list.append((lo, hi, tuple(sorted(members))))
-        return ("c", idx)
+        return _CARD + idx
 
-    def _atom_value(self, atom, binding):
-        """True/False for constant atoms, otherwise an ('a', id) or
-        ('c', index) reference."""
+    # -- compiled atoms -----------------------------------------------------
+    # Each closure takes the flat value list and returns True/False for a
+    # constant atom, otherwise a reference.
+
+    def _compile_atom(self, atom, slots, bound):
         if isinstance(atom, PlainAtom):
-            if atom.pred in self.pred_decls:
-                args = tuple(eval_ground_term(t, binding) for t in atom.args)
-                aid = self.resolve_program_atom(atom.pred, args)
-                return False if aid is None else ("a", aid)
-            if atom.pred in COMPARISONS:
-                return eval_predefined(atom, binding)
-            args = tuple(eval_ground_term(t, binding) for t in atom.args)
-            return self.db.contains(atom.pred, args)
+            if atom.pred not in self.pred_decls:
+                return self._compile_test(atom, slots)
+            pred, args = atom.pred, compile_args(atom.args, slots)
+            resolve = self.resolve_program_atom
+
+            def program(vals):
+                aid = resolve(pred, args(vals))
+                return False if aid is None else aid
+
+            return program
         if isinstance(atom, EAtom):
-            return self.instantiate_eatom(atom, binding)
-        return self.instantiate_catom(atom, binding)
+            return self._compile_eatom(atom, slots)
+        if isinstance(atom, CAtomList):
+            return self._compile_list(atom, slots)
+        return self._compile_schema(atom, slots, _schema_locals(atom, bound))
+
+    def _compile_test(self, atom: PlainAtom, slots):
+        """A data or predefined atom."""
+        if atom.pred in COMPARISONS:
+            return compile_comparison(atom, slots)
+        args = compile_args(atom.args, slots)
+        ext = self.db.extensions.get((atom.pred, len(atom.args)), _EMPTY)
+        return lambda vals: args(vals) in ext
+
+    def _compile_eatom(self, atom: EAtom, slots):
+        """An e-atom becomes a 1{...} construct over the instances drawn
+        from the domain predicate; with no instances it is plain false."""
+        prefix = compile_args(atom.args[:-1], slots)
+
+        def value(vals):
+            pre = prefix(vals)
+            domain = self.db.unary_domain(atom.domain_pred)
+            members = self._members((atom.pred, pre + (y,)) for y in domain)
+            return self._make_card(1, None, members) if members else False
+
+        return value
+
+    def _compile_list(self, atom: CAtomList, slots):
+        args = compile_args(atom.args, slots)
+
+        def value(vals):
+            a = args(vals)
+            return self._make_card(atom.lo, atom.hi, self._members((p, a) for p in atom.preds))
+
+        return value
+
+    def _compile_schema(self, atom: CAtomSchema, slots, locals_):
+        """Members range over the local variables' domains, filtered by
+        the conditions; locals take the slots after the globals."""
+        pred = atom.member.pred
+        member = compile_args(atom.member.args, slots)
+        conds = [self._compile_test(c, slots) for c in atom.conds]
+        local_slots = [slots[v] for v in locals_]
+
+        def value(vals):
+            domains = [self.db.unary_domain(self.var_types[v]) for v in locals_]
+
+            def instances():
+                for combo in product(*domains):
+                    for s, c in zip(local_slots, combo):
+                        vals[s] = c
+                    if all(cond(vals) for cond in conds):
+                        yield pred, member(vals)
+
+            return self._make_card(atom.lo, atom.hi, self._members(instances()))
+
+        return value
+
+    def _candidates(self, atom: PlainAtom, var, domain, slots):
+        """For a data atom whose last unbound variable is var: a closure
+        from the bound values to the values of var, in domain order, that
+        occur in the atom's extension beside them."""
+        var_pos = atom.args.index(Variable(var))
+        key_pos = tuple(p for p, t in enumerate(atom.args) if var not in term_variables(t))
+        cache_key = (atom.pred, len(atom.args), key_pos, var_pos, self.var_types[var])
+        table = self._indexes.get(cache_key)
+        if table is None:
+            rank = {v: r for r, v in enumerate(domain)}
+            groups: dict[tuple, set] = {}
+            for row in self.db.extensions.get((atom.pred, len(atom.args)), _EMPTY):
+                if row[var_pos] in rank:
+                    groups.setdefault(tuple(row[p] for p in key_pos), set()).add(row[var_pos])
+            table = {k: sorted(vs, key=rank.__getitem__) for k, vs in groups.items()}
+            self._indexes[cache_key] = table
+        key = compile_args(tuple(atom.args[p] for p in key_pos), slots)
+        return lambda vals: table.get(key(vals), ())
 
     # -- clauses ----------------------------------------------------------
-
-    def ground_clause(self, clause: Clause, binding):
-        """One ground instance: body atoms contribute negated literals,
-        head atoms positive ones. Returns None for satisfied (dropped)
-        instances, otherwise the literal tuple; () is the empty clause."""
-        lits, seen = [], set()
-        sat = False
-        nbody = len(clause.body)
-        for pos, atom in enumerate(clause.body + clause.head):
-            positive = pos >= nbody
-            val = self._atom_value(atom, binding)
-            if isinstance(val, bool):
-                if val is positive:
-                    sat = True
-                continue
-            lit = (val[0], val[1], positive)
-            if (val[0], val[1], not positive) in seen:
-                sat = True
-            if lit not in seen:
-                seen.add(lit)
-                lits.append(lit)
-        return None if sat else tuple(lits)
 
     def global_vars(self, clause: Clause) -> list[str]:
         """Clause variables in first-occurrence order, minus e-atom
@@ -499,19 +453,110 @@ class Grounder:
         return [v for v in order if v not in ebound and v not in local]
 
     def ground(self) -> GroundTheory:
+        """Ground a program that passes check_program."""
         for clause in self.prog.clauses:
             gvars = self.global_vars(clause)
-            domains = []
-            for v in gvars:
-                ty = self.var_types.get(v)
-                if ty is None:
-                    raise GroundError(f"variable {v} is not declared")
-                domains.append(self.db.unary_domain(ty))
-            for combo in itertools.product(*domains):
-                result = self.ground_clause(clause, dict(zip(gvars, combo)))
-                if result is not None:
-                    self.raw_clauses.append(result)
+            domains = [self.db.unary_domain(self.var_types[v]) for v in gvars]
+            if all(domains):
+                self._ground_clause(clause, gvars, domains)
         return self._assemble()
+
+    def _ground_clause(self, clause: Clause, gvars, domains):
+        """Walk the bindings of one clause and keep its unsatisfied
+        instances: body atoms contribute negated literals, head atoms
+        positive ones, and () is the empty clause."""
+        atoms = clause.body + clause.head
+        nbody = len(clause.body)
+        n = len(gvars)
+        bound = set(gvars)
+        slots = {v: i for i, v in enumerate(gvars)}
+        ranges = {v: domain_range(d) for v, d in zip(gvars, domains)}
+        for atom in atoms:
+            if isinstance(atom, CAtomSchema):
+                for v in _schema_locals(atom, bound):
+                    slots.setdefault(v, len(slots))
+                    ranges[v] = domain_range(self.db.unary_domain(self.var_types[v]))
+        safe = all(atom_cannot_raise(atom, ranges) for atom in atoms)
+        vals = [None] * len(slots)
+
+        # A data or predefined atom is tested after binding its last
+        # variable (tests[0]: before the loops) when the clause cannot
+        # raise; every other atom is evaluated per binding, in order.
+        tests: list[list] = [[] for _ in range(n + 1)]
+        rest = []
+        for pos, atom in enumerate(atoms):
+            positive = pos >= nbody
+            if safe and isinstance(atom, PlainAtom) and atom.pred not in self.pred_decls:
+                level = max((slots[v] + 1 for t in atom.args for v in term_variables(t)), default=0)
+                tests[level].append((self._compile_test(atom, slots), positive, atom))
+            else:
+                rest.append((positive, self._compile_atom(atom, slots, bound)))
+
+        prunable = safe and all(isinstance(a, PlainAtom) for a in atoms)
+        preds = {a.pred for a in atoms if a.pred in self.pred_decls} if prunable else set()
+        candidates = [None] * n
+        if prunable:
+            for i, v in enumerate(gvars):
+                for _test, positive, atom in tests[i + 1]:
+                    if not positive and atom.pred not in COMPARISONS and Variable(v) in atom.args:
+                        candidates[i] = self._candidates(atom, v, domains[i], slots)
+                        break
+        tests = [[(test, positive) for test, positive, _atom in level] for level in tests]
+
+        atom_keys, raw = self.atom_keys, self.raw_clauses
+        saturated, checked_at = False, -1
+
+        def can_prune():
+            """Skipping bindings is safe: nothing in them can raise or
+            intern a new atom."""
+            nonlocal saturated, checked_at
+            if saturated or not prunable:
+                return saturated
+            if checked_at != len(atom_keys):
+                checked_at = len(atom_keys)
+                saturated = all(self.interned[p] == self._size(p) for p in preds)
+            return saturated
+
+        def emit(sat):
+            lits, seen = [], set()
+            for positive, value in rest:
+                val = value(vals)
+                if val is True or val is False:
+                    if val is positive:
+                        sat = True
+                    continue
+                lit = val if positive else -val
+                if -lit in seen:
+                    sat = True
+                if lit not in seen:
+                    seen.add(lit)
+                    lits.append(lit)
+            if not sat:
+                raw.append(tuple(lits))
+
+        def walk(i, sat):
+            if i == n:
+                emit(sat)
+                return
+            pick = candidates[i]
+            values = pick(vals) if pick is not None and can_prune() else domains[i]
+            level_tests = tests[i + 1]
+            for v in values:
+                vals[i] = v
+                s = sat
+                if not s:
+                    for test, positive in level_tests:
+                        if test(vals) is positive:
+                            s = True
+                            break
+                if s and can_prune():
+                    continue
+                walk(i + 1, s)
+
+        sat = any(test(vals) is positive for test, positive in tests[0])
+        if not (sat and can_prune()):
+            walk(0, sat)
+        walk = None  # it refers to itself; free the plan now, not at the next collection
 
     def _assemble(self) -> GroundTheory:
         n = len(self.atom_keys)
@@ -524,19 +569,38 @@ class Grounder:
             for i, (lo, hi, members) in enumerate(self.card_list)
         )
 
-        def to_int(lit):
-            kind, idx, positive = lit
-            value = idx if kind == "a" else n + 1 + idx
-            return value if positive else -value
+        shift = n + 1 - _CARD
+
+        def renumber(lit):
+            return lit + shift if lit >= _CARD else lit - shift if lit <= -_CARD else lit
 
         clauses = tuple(
-            GroundClause(tuple(to_int(l) for l in lits)) for lits in self.raw_clauses
+            GroundClause(
+                tuple(map(renumber, lits)) if any(abs(l) >= _CARD for l in lits) else lits
+            )
+            for lits in self.raw_clauses
         )
         return GroundTheory(atoms, cards, clauses)
 
 
+def _schema_locals(atom: CAtomSchema, bound) -> list[str]:
+    """Condition variables of a schema that are not bound globally, in
+    first-occurrence order over the member and then the conditions."""
+    order: list[str] = []
+    for t in atom.member.args + tuple(t for c in atom.conds for t in c.args):
+        for v in term_variables(t):
+            if v not in order:
+                order.append(v)
+    cond_vars = {v for c in atom.conds for t in c.args for v in term_variables(t)}
+    return [v for v in order if v in cond_vars and v not in bound]
+
+
 def ground_theory(prog: Program, db: DataDatabase) -> GroundTheory:
-    """Ground a program that already passed check_program."""
+    """Ground a program; one that fails check_program raises its first
+    diagnostic."""
+    diags = check_program(prog, db)
+    if diags:
+        raise GroundError(diags[0])
     return Grounder(prog, db).ground()
 
 

@@ -17,7 +17,7 @@ from typing import Iterator, Mapping, Union
 Const = Union[int, str]
 
 # Arity of each arithmetic operator. Division truncates toward zero and
-# mod is the matching remainder; both are evaluated in grounder.eval_arith.
+# mod is the matching remainder; both are evaluated in terms.compile_term.
 ARITH_OPS = {"+": 2, "-": 2, "*": 2, "/": 2, "abs": 1, "mod": 2, "max": 2, "min": 2}
 
 COMPARISONS = ("==", "<=", ">=", "<", ">")

@@ -49,6 +49,7 @@ from .model import (
 
 KEYWORDS = frozenset({"pred", "var"})
 FUNC_NAMES = frozenset({"abs", "mod", "max", "min"})
+MAX_TERM_DEPTH = 100
 RESERVED_PRED = KEYWORDS | FUNC_NAMES
 
 _IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
@@ -595,63 +596,85 @@ class _ClauseParser(_Cursor):
             self.fail(f"lower bound {lo} exceeds upper bound {hi}", tok)
 
     # -- terms -------------------------------------------------------------
+    # Each parser below takes the number of parentheses and calls open
+    # around it and returns the term with its operator depth. Their sum
+    # may not exceed MAX_TERM_DEPTH anywhere in a term, which keeps
+    # parsing and evaluating it far below the interpreter's recursion
+    # limit.
 
     def parse_term(self):
-        t = self.parse_product()
+        return self._sum(0)[0]
+
+    def _sum(self, open_):
+        t, depth = self._product(open_)
         while self.at_punct("+", "-"):
-            op = self.take().value
-            t = ArithExpr(op, (t, self.parse_product()))
-        return t
+            op = self.take()
+            right, rdepth = self._product(open_)
+            depth = 1 + max(depth, rdepth)
+            self._check_nesting(op, open_ + depth)
+            t = ArithExpr(op.value, (t, right))
+        return t, depth
 
-    def parse_product(self):
-        t = self.parse_primary()
+    def _product(self, open_):
+        t, depth = self._primary(open_)
         while self.at_punct("*", "/"):
-            op = self.take().value
-            t = ArithExpr(op, (t, self.parse_primary()))
-        return t
+            op = self.take()
+            right, rdepth = self._primary(open_)
+            depth = 1 + max(depth, rdepth)
+            self._check_nesting(op, open_ + depth)
+            t = ArithExpr(op.value, (t, right))
+        return t, depth
 
-    def parse_primary(self):
+    def _check_nesting(self, tok, levels):
+        if levels > MAX_TERM_DEPTH:
+            self.fail(f"term nested more than {MAX_TERM_DEPTH} levels deep", tok)
+
+    def _primary(self, open_):
         t = self.peek()
         if t is None:
             self.fail("expected term")
         if t.kind == "int":
             self.take()
-            return t.value
+            return t.value, 0
         if self.at_punct("-"):
             self.take()
             v = self.peek()
             if v is None or v.kind != "int":
                 self.fail("expected integer after '-'")
             self.take()
-            return _check_int_range(-v.value, self.file, t.line, t.col)
+            return _check_int_range(-v.value, self.file, t.line, t.col), 0
         if self.at_punct("("):
+            self._check_nesting(t, open_ + 1)
             self.take()
-            inner = self.parse_term()
+            inner = self._sum(open_ + 1)
             self.expect_punct(")")
             return inner
         if t.kind == "ident":
             name = t.value
             if name in FUNC_NAMES and self.at_punct("(", ahead=1):
+                self._check_nesting(t, open_ + 1)
                 self.take()
                 self.take()
-                args = [self.parse_term()]
+                args = [self._sum(open_ + 1)]
                 while self.at_punct(","):
                     self.take()
-                    args.append(self.parse_term())
+                    args.append(self._sum(open_ + 1))
                 self.expect_punct(")")
                 if len(args) != ARITH_OPS[name]:
                     self.fail(f"{name} takes {ARITH_OPS[name]} operand(s)", t)
-                return ArithExpr(name, tuple(args))
+                depth = 1 + max(d for _, d in args)
+                self._check_nesting(t, open_ + depth)
+                return ArithExpr(name, tuple(a for a, _ in args)), depth
             if self.at_punct("(", ahead=1):
                 self.fail(f"predicate {name} cannot appear inside a term", t)
             self.take()
             if name in self.var_types:
-                return Variable(name)
+                return Variable(name), 0
             if name[0].isupper():
                 self.fail(f"variable {name} not declared", t)
             if name in KEYWORDS:
                 self.fail(f"reserved word {name!r} cannot be a constant", t)
-            return name
+            return name, 0
         self.fail("expected term")
 
 

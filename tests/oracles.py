@@ -1,8 +1,12 @@
 """Independent reference implementations the test suite checks against.
 
-Nothing here shares logic with the package beyond the AST/theory data
-types: instantiation, model enumeration and status computation are
-re-derived from the definitions, the slow and obvious way.
+The naive grounder, model enumeration and status computation share no
+logic with the package beyond the AST/theory data types: they are
+re-derived from the definitions, the slow and obvious way. Two further
+references keep the package's own earlier, plainer algorithm next to
+the optimized one and reuse its primitives: branch selection by full
+rescan (reference_branch) and grounding over the full product of the
+variable domains (reference_ground).
 """
 
 from __future__ import annotations
@@ -10,14 +14,19 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 
+from aspps.errors import GroundError
+from aspps.grounder import Grounder
 from aspps.model import (
+    COMPARISONS,
     ArithExpr,
     CAtomList,
     CAtomSchema,
     EAtom,
     PlainAtom,
     Variable,
+    term_variables,
 )
+from aspps.terms import eval_ground_term, eval_predefined
 
 # ---------------------------------------------------------------------------
 # Naive grounder.
@@ -373,3 +382,140 @@ def reference_branch(solver) -> int | None:
         if solver.assignment[aid] is None:
             return aid
     return None
+
+
+# ---------------------------------------------------------------------------
+# Grounding over the full product of the global variables' domains.
+
+
+class ReferenceGrounder(Grounder):
+    """The grounder with neither plans nor pruning: every binding of a
+    clause's global variables is substituted, and every atom of every
+    instance is evaluated in clause order from a dict binding. Interning,
+    card folding and output assembly are the package's own, so its
+    output must equal the real grounder's byte for byte, and so must the
+    first error it raises."""
+
+    def instantiate_eatom(self, atom: EAtom, binding):
+        if atom.pred not in self.pred_decls:
+            raise GroundError(f"e-atom predicate {atom.pred} is not declared")
+        prefix = tuple(eval_ground_term(t, binding) for t in atom.args[:-1])
+        members, seen = [], set()
+        for y in self.db.unary_domain(atom.domain_pred):
+            aid = self.resolve_program_atom(atom.pred, prefix + (y,))
+            if aid is not None and aid not in seen:
+                seen.add(aid)
+                members.append(aid)
+        if not members:
+            return False
+        return self._make_card(1, None, members)
+
+    def instantiate_catom(self, atom, binding):
+        if isinstance(atom, CAtomList):
+            args = tuple(eval_ground_term(t, binding) for t in atom.args)
+            members, seen = [], set()
+            for p in atom.preds:
+                if p not in self.pred_decls:
+                    raise GroundError(f"cardinality member {p} is not declared")
+                aid = self.resolve_program_atom(p, args)
+                if aid is not None and aid not in seen:
+                    seen.add(aid)
+                    members.append(aid)
+            return self._make_card(atom.lo, atom.hi, members)
+        if atom.member.pred not in self.pred_decls:
+            raise GroundError(f"cardinality member {atom.member.pred} is not declared")
+        var_order: list[str] = []
+        seen_vars = set()
+        for t in atom.member.args:
+            for v in term_variables(t):
+                if v not in seen_vars:
+                    seen_vars.add(v)
+                    var_order.append(v)
+        cond_vars = set()
+        for c in atom.conds:
+            for t in c.args:
+                for v in term_variables(t):
+                    cond_vars.add(v)
+                    if v not in seen_vars:
+                        seen_vars.add(v)
+                        var_order.append(v)
+        locals_ = [v for v in var_order if v in cond_vars and v not in binding]
+        domains = []
+        for v in locals_:
+            ty = self.var_types.get(v)
+            if ty is None:
+                raise GroundError(f"local variable {v} has no declared type")
+            domains.append(self.db.unary_domain(ty))
+        members, seen = [], set()
+        for combo in itertools.product(*domains):
+            b = dict(binding)
+            b.update(zip(locals_, combo))
+            if not all(self._condition_holds(c, b) for c in atom.conds):
+                continue
+            args = tuple(eval_ground_term(t, b) for t in atom.member.args)
+            aid = self.resolve_program_atom(atom.member.pred, args)
+            if aid is not None and aid not in seen:
+                seen.add(aid)
+                members.append(aid)
+        return self._make_card(atom.lo, atom.hi, members)
+
+    def _condition_holds(self, cond, binding):
+        if cond.pred in COMPARISONS:
+            return eval_predefined(cond, binding)
+        if cond.pred in self.pred_decls:
+            raise GroundError(f"condition {cond.pred} must use a data or predefined predicate")
+        args = tuple(eval_ground_term(t, binding) for t in cond.args)
+        return self.db.contains(cond.pred, args)
+
+    def _atom_value(self, atom, binding):
+        if isinstance(atom, PlainAtom):
+            if atom.pred in self.pred_decls:
+                args = tuple(eval_ground_term(t, binding) for t in atom.args)
+                aid = self.resolve_program_atom(atom.pred, args)
+                return False if aid is None else aid
+            if atom.pred in COMPARISONS:
+                return eval_predefined(atom, binding)
+            args = tuple(eval_ground_term(t, binding) for t in atom.args)
+            return self.db.contains(atom.pred, args)
+        if isinstance(atom, EAtom):
+            return self.instantiate_eatom(atom, binding)
+        return self.instantiate_catom(atom, binding)
+
+    def ground_clause(self, clause, binding):
+        lits, seen = [], set()
+        sat = False
+        nbody = len(clause.body)
+        for pos, atom in enumerate(clause.body + clause.head):
+            positive = pos >= nbody
+            val = self._atom_value(atom, binding)
+            if isinstance(val, bool):
+                if val is positive:
+                    sat = True
+                continue
+            lit = val if positive else -val
+            if -lit in seen:
+                sat = True
+            if lit not in seen:
+                seen.add(lit)
+                lits.append(lit)
+        return None if sat else tuple(lits)
+
+    def ground(self):
+        for clause in self.prog.clauses:
+            gvars = self.global_vars(clause)
+            domains = []
+            for v in gvars:
+                ty = self.var_types.get(v)
+                if ty is None:
+                    raise GroundError(f"variable {v} is not declared")
+                domains.append(self.db.unary_domain(ty))
+            for combo in itertools.product(*domains):
+                result = self.ground_clause(clause, dict(zip(gvars, combo)))
+                if result is not None:
+                    self.raw_clauses.append(result)
+        return self._assemble()
+
+
+def reference_ground(prog, db):
+    """Ground a checked program by full substitution; see ReferenceGrounder."""
+    return ReferenceGrounder(prog, db).ground()

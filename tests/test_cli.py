@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from aspps.cli import STAT_FILE, aspps_main, psgrnd_main
+from aspps.parser import MAX_TERM_DEPTH
 
 from problems import COLOR_RULES, PIGEON_DATA, PIGEON_RULES, TRIANGLE_DATA
 
@@ -94,6 +95,29 @@ def test_psgrnd_ground_error_exit_2(workdir, capsys):
     assert psgrnd_main(["-r", rl, "-d", dt]) == 2
     assert "division by zero" in capsys.readouterr().err
     assert not list(workdir.glob("*.tdc"))
+
+
+@pytest.mark.parametrize(
+    "term",
+    ["(" * 3000 + "X" + ")" * 3000, "X" + "+1" * 3000, "abs(" * 3000 + "X" + ")" * 3000],
+    ids=["parentheses", "operator-chain", "calls"],
+)
+def test_psgrnd_deep_nesting_exit_2(workdir, capsys, term):
+    rl = _write(workdir, "deep.rl", f"pred q(d).\nvar d X.\nq({term}) ->.\n")
+    dt = _write(workdir, "g.dt", "d(1).\n")
+    assert psgrnd_main(["-r", rl, "-d", dt]) == 2
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"deep\.rl:3:\d+: term nested more than \d+ levels deep\n", err)
+    assert not list(workdir.glob("*.tdc"))
+
+
+def test_psgrnd_grounds_terms_at_the_nesting_limit(workdir):
+    half = MAX_TERM_DEPTH // 2
+    term = "(" * half + "X" + " + 0" * (MAX_TERM_DEPTH - half) + ")" * half
+    rl = _write(workdir, "deep.rl", f"pred q(d).\nvar d X.\nq({term}) ->.\n")
+    dt = _write(workdir, "g.dt", "d(1).\n")
+    assert psgrnd_main(["-r", rl, "-d", dt]) == 0
+    assert (workdir / "deep-g.tdc").read_text().endswith("clauses 1\n1 -1\n")
 
 
 def test_aspps_requires_theory_file(workdir, capsys):

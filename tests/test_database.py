@@ -29,6 +29,15 @@ def test_unary_domain_sorted_ints_then_symbols():
     assert db.unary_domain("d") == [-1, 0, 3, "a", "b"]
 
 
+def test_unary_domain_callers_cannot_change_it():
+    db = build_database({("d", (2,)), ("d", (1,))})
+    domain = db.unary_domain("d")
+    domain.append(7)
+    domain.sort(reverse=True)
+    assert db.unary_domain("d") == [1, 2]
+    assert db.unary_domain("d") is not db.unary_domain("d")
+
+
 def test_unary_domain_requires_unary_extension():
     db = build_database({("edge", (1, 2))})
     with pytest.raises(GroundError, match="no unary extension"):

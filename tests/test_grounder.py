@@ -1,5 +1,7 @@
 """Arithmetic evaluation, program checking and grounding."""
 
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -16,6 +18,10 @@ from aspps.grounder import (
 from aspps.model import ArithExpr, PlainAtom, Variable
 from aspps.parser import parse_data_file, parse_rule_file
 from aspps.tdc import write_tdc
+from aspps.terms import arith_range
+
+from generators import random_program
+from oracles import reference_ground
 
 X, Y = Variable("X"), Variable("Y")
 
@@ -368,6 +374,133 @@ def test_atom_ids_dense_and_cards_after():
 def test_empty_program_grounds_to_empty_theory():
     t = _ground("pred p(t).", "t[1..2].")
     assert t.n_atoms == 0 and not t.cards and not t.clauses
+
+
+# ---------------------------------------------------------------------------
+# Instances dropped as satisfied keep their side effects: the atoms and
+# cards they mention are interned, and their evaluation errors surface.
+
+
+def test_dropped_instances_intern_their_atoms():
+    t = _ground("pred p(t).\nvar t X.\np(X), X > 5 ->.", "t[1..2].")
+    assert [a.text for a in t.atoms] == ["p(1)", "p(2)"]
+    assert not t.clauses
+
+
+def test_dropped_instances_intern_their_cards():
+    t = _ground("pred p(t).\nvar t X, L.\n-> 1 {p(L) : t(L)} 1 | X > 0.", "t[1..2].")
+    assert write_tdc(t).endswith("cards 1\n3 1 1 2 1 2\nclauses 0\n")
+
+
+def test_dropped_instances_still_raise():
+    prog = parse_rule_file("pred p(t).\nvar t X, Y.\np(X), X < 0, p(mod(Y, Y - 1)) ->.")
+    db = build_database(parse_data_file("t[1..2]."))
+    assert check_program(prog, db) == []
+    with pytest.raises(GroundError, match="mod by zero"):
+        ground_theory(prog, db)
+
+
+# ---------------------------------------------------------------------------
+# Differential: the grounder against full substitution (reference_ground).
+
+REFERENCE_CASES = [
+    # pruning atoms next to atoms that raise for some skipped binding
+    ("pred p(t).\nvar t X, Y.\np(X), X < 0, p(mod(Y, Y - 1)) ->.", "t[1..2]."),
+    ("pred p(t).\nvar t X, Y.\n-> p(X).\np(X), X > 5, Y / (X - 1) > 0 ->.", "t[1..3]."),
+    ("pred p(t).\nvar t X.\n-> p(X).\np(X), X > 1, X * 4611686018427387904 > 0 ->.", "t[1..3]."),
+    ("pred p(t).\nvar t X.\n-> p(X).\np(X), X + 1 > 2 ->.", "t(1). t(a)."),
+    ("pred p(t).\nvar t X.\n-> p(X).\np(X), X < 3 ->.", "t(red). t(1)."),
+    ("pred p(t).\nvar t X, Y.\n-> p(X).\nX > 9 -> p(Y) | 0 < abs(red).", "t[1..2]."),
+    ("pred p(t).\nvar t X, Y.\n-> p(X).\np(X), X > 9, Y / (mod(Y, 3) - 2) > 0 ->.", "t[1..5]."),
+    # dropped instances intern atoms and cards
+    ("pred p(t).\nvar t X.\np(X), X > 5 ->.", "t[1..2]."),
+    ("pred p(t).\nvar t X, L.\n-> 1 {p(L) : t(L)} 1 | X > 0.", "t[1..2]."),
+    ("pred p(t, t).\nvar t X, Y.\n-> p(X, Y):t(Y) | X > 1.", "t[1..3]."),
+    ("pred p(t).\nvar t X, Y.\np(Y), X < 2, Y > X -> p(X).", "t[1..3]."),
+    # index-driven candidates, saturated and not
+    (
+        "pred c(v, k).\nvar v X, Y.\nvar k C.\n"
+        "-> 1 {c(X, C) : k(C)} 1.\nc(X, C), c(Y, C), e(X, Y) ->.",
+        "v[1..4]. k[1..2]. e(1,2). e(2,3). e(3,1). e(3,4). e(4,9).",
+    ),
+    (
+        "pred c(v, k).\nvar v X, Y.\nvar k C.\nc(X, C), c(Y, C), e(X, Y) ->.",
+        "v[1..3]. k[1..2]. e(1,2). e(2,3). e(3,1).",
+    ),
+    ("pred p(t).\nvar t X.\n-> p(X).\np(X), e(X, X) ->.", "t[1..3]. e(1,1). e(2,3). e(3,3)."),
+    (
+        "pred p(t).\nvar t X, Y.\n-> p(X).\np(X), p(Y), e(Y + 1, Y), e(X, Y) ->.",
+        "t[1..3]. e(2,1). e(4,3). e(1,1). e(3,3). e(2,3).",
+    ),
+    ("pred p(t).\nvar t X, Y.\n-> p(X).\np(X), p(Y), e(Y, X) ->.", "t[1..3]. e(1,2). e(3,2). e(2,1)."),
+    (
+        "pred p(t).\nvar t X, Y, Z.\n-> p(X).\np(X), p(Z), f(X, Z, Y), f(Y, X, Z) ->.",
+        "t[1..3]. f(1,2,3). f(3,1,2). f(2,3,1). f(1,3,2). f(2,1,3). f(1,1,1).",
+    ),
+    # restriction and constant atoms before the loops
+    (
+        "pred p(t, t): r.\nvar t X, Y.\n-> p(X, Y).\np(X, Y), X < Y ->.",
+        "t[1..3]. r(1,2). r(2,1). r(3,3). r(3,7).",
+    ),
+    ("pred p(t).\nvar t X.\n-> p(X).\nflag, p(X) ->.\n1 > 2 -> p(X).", "t[1..2]. flag."),
+]
+
+
+def _small_terms():
+    leaves = st.one_of(st.integers(min_value=-3, max_value=3), st.sampled_from([X, Y]))
+
+    def compound(children):
+        binary = st.sampled_from(["+", "-", "*", "/", "mod", "max", "min"])
+        return st.one_of(
+            st.tuples(binary, children, children).map(lambda t: ArithExpr(t[0], (t[1], t[2]))),
+            children.map(lambda a: ArithExpr("abs", (a,))),
+        )
+
+    return st.recursive(leaves, compound, max_leaves=6)
+
+
+@given(
+    _small_terms(),
+    st.integers(min_value=-4, max_value=4),
+    st.integers(min_value=0, max_value=4),
+    st.integers(min_value=-4, max_value=4),
+    st.integers(min_value=0, max_value=4),
+)
+def test_arith_range_bounds_every_evaluation(term, xlo, xspan, ylo, yspan):
+    # the interval check behind pruning: a range means no binding in the
+    # domains raises and every value lies within it
+    xs, ys = range(xlo, xlo + xspan + 1), range(ylo, ylo + yspan + 1)
+    bounds = arith_range(term, {"X": (xs[0], xs[-1]), "Y": (ys[0], ys[-1])})
+    if bounds is None:
+        return
+    for x in xs:
+        for y in ys:
+            assert bounds[0] <= eval_arith(term, {"X": x, "Y": y}) <= bounds[1]
+
+
+def _tdc_or_error(ground, prog, db):
+    try:
+        return write_tdc(ground(prog, db))
+    except GroundError as exc:
+        return f"GroundError: {exc}"
+
+
+def _assert_matches_reference(rules, data):
+    prog = parse_rule_file(rules)
+    db = build_database(parse_data_file(data))
+    assert check_program(prog, db) == []
+    assert _tdc_or_error(ground_theory, prog, db) == _tdc_or_error(reference_ground, prog, db)
+
+
+@pytest.mark.parametrize("rules, data", REFERENCE_CASES)
+def test_ground_matches_reference_on_hand_cases(rules, data):
+    _assert_matches_reference(rules, data)
+
+
+def test_ground_matches_reference_on_random_programs():
+    for seed in range(1200):
+        rules, data, _ = random_program(random.Random(seed))
+        _assert_matches_reference(rules, data)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from aspps.model import (
     Variable,
     program_text,
 )
-from aspps.parser import parse_data_file, parse_rule_file, tokenize
+from aspps.parser import MAX_TERM_DEPTH, parse_data_file, parse_rule_file, tokenize
 
 X, Y, C = Variable("X"), Variable("Y"), Variable("C")
 
@@ -275,6 +275,22 @@ def test_term_errors():
         _clause("p(q(X) + 1) ->.")
     with pytest.raises(ParseError, match="reserved word"):
         _clause("p(var) ->.")
+
+
+@pytest.mark.parametrize(
+    "nest",
+    [
+        lambda k: "(" * k + "X" + ")" * k,
+        lambda k: "X" + " + 1" * k,
+        lambda k: "abs(" * k + "X" + ")" * k,
+        lambda k: "(" * (k // 2) + "X" + " * 2" * (k - k // 2) + ")" * (k // 2),
+    ],
+    ids=["parentheses", "operator-chain", "calls", "mixed"],
+)
+def test_term_nesting_limit(nest):
+    _clause(f"p({nest(MAX_TERM_DEPTH)}) ->.")
+    with pytest.raises(ParseError, match=f"term nested more than {MAX_TERM_DEPTH} levels deep"):
+        _clause(f"p({nest(MAX_TERM_DEPTH + 1)}) ->.")
 
 
 def test_comparison_requires_operator():
