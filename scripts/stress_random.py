@@ -4,7 +4,8 @@
 Grounds random typed programs and compares against the brute-force
 substitution oracle and, byte for byte, against grounding by full
 substitution; solves random ground theories and compares against model
-enumeration over all assignments:
+enumeration over all assignments and, model order and search counters
+included, against propagation over every occurrence of an id:
 
     python3 scripts/stress_random.py -n 2000 --seed 7
 """
@@ -24,7 +25,13 @@ from aspps.solver import solve
 from aspps.tdc import check_model, read_tdc, write_tdc
 
 from generators import random_ground_theory, random_program
-from oracles import enumerate_models, naive_ground, normalize_theory, reference_ground
+from oracles import (
+    ReferenceSolver,
+    enumerate_models,
+    naive_ground,
+    normalize_theory,
+    reference_ground,
+)
 
 
 def stress_grounder(n, rng):
@@ -69,6 +76,12 @@ def stress_solver(n, rng, max_atoms):
             return False
         if not all(check_model(theory, m) for m in res.models):
             print(f"[solver {i}] returned a non-model")
+            return False
+        ref = ReferenceSolver(theory).run(None)
+        if res.models != ref.models or res.stats != ref.stats:
+            print(f"[solver {i}] models, model order or counters differ from"
+                  f" full-occurrence propagation: {res.stats} vs {ref.stats}")
+            print(write_tdc(theory))
             return False
     print(f"solver: {n} theories agree ({time.perf_counter() - t0:.2f}s)")
     return True

@@ -17,7 +17,7 @@ from .database import build_database
 from .errors import GroundError, ParseError, TdcError
 from .grounder import check_program, ground_theory, output_name
 from .parser import parse_data_file, parse_rule_file
-from .solver import model_lines, now_ms, record_stats, solve, stat_line
+from .solver import Solver, model_lines, now_ms, record_stats, stat_line
 from .tdc import print_theory, read_tdc, write_tdc
 
 STAT_FILE = "aspps.stat"
@@ -170,24 +170,29 @@ def aspps_main(argv: list[str]) -> int:
         sys.stdout.write(print_theory(theory))
         return 0
 
+    unknown_pred = args.S is not None and not any(a.pred == args.S for a in theory.atoms)
+    show = (args.A or args.S is not None) and not unknown_pred
+    found = 0
+    writing = 0.0
     start = now_ms()
-    result = solve(theory, max_models)
-    elapsed = int(now_ms() - start)
+    solver = Solver(theory)
+    for model in solver.models(max_models):
+        if show:
+            t = now_ms()
+            lines = model_lines(theory, model, args.S)
+            sys.stdout.write(("\n" if found else "") + "".join(line + "\n" for line in lines))
+            writing += now_ms() - t
+        found += 1
+    elapsed = int(now_ms() - start - writing)
 
-    if not result.sat:
+    if not found:
         print("UNSAT")
-    elif args.S is not None and not any(a.pred == args.S for a in theory.atoms):
+    elif unknown_pred:
         print(f"aspps: warning: predicate {args.S} names no atom in the theory", file=sys.stderr)
-    elif args.A or args.S is not None:
-        for i, model in enumerate(result.models):
-            if i:
-                print()
-            for line in model_lines(theory, model, args.S):
-                print(line)
-    else:
+    elif not show:
         print("SAT")
 
-    line = stat_line(args.f, result.sat, len(result.models), result.stats, elapsed)
+    line = stat_line(args.f, found > 0, found, solver.stats, elapsed)
     try:
         record_stats(STAT_FILE, line)
     except OSError as exc:

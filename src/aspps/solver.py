@@ -19,13 +19,16 @@ count of true literals, and a clause whose count leaves or returns to
 zero moves the score of each atom it mentions. The count reads a card's
 committed value, not its status, so the scores are exact at a
 propagation fixpoint, where every card with a determined status has that
-value committed.
+value committed. Propagation reads the same counts: an id whose value
+was just set visits only the clauses it made false that are still
+unsatisfied.
 """
 
 from __future__ import annotations
 
 import time
 from collections import deque
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 from .theory import GroundTheory
@@ -57,24 +60,34 @@ class Solver:
         n = theory.n_atoms
         self.n_atoms = n
         self.assignment: list[bool | None] = [None] * (n + 1)
+        # Per card index i (card id n + 1 + i): bounds (an unbounded hi is
+        # the member count, which no count exceeds), members, committed
+        # value, and the counts of true and undetermined members.
+        self.card_lo = [c.lo for c in theory.cards]
+        self.card_hi = [len(c.members) if c.hi == -1 else c.hi for c in theory.cards]
+        self.card_members = [c.members for c in theory.cards]
         self.card_value: list[bool | None] = [None] * len(theory.cards)
-        # counters[i] = [true members, undetermined members] of card i
-        self.counters = [[0, len(c.members)] for c in theory.cards]
+        self.card_true = [0] * len(theory.cards)
+        self.card_undec = [len(c.members) for c in theory.cards]
+        # member_of[aid]: indices of the cards with aid as a member.
+        self.member_of: list[list[int]] = [[] for _ in range(n + 1)]
+        for i, c in enumerate(theory.cards):
+            for m in c.members:
+                self.member_of[m].append(i)
         self.trail: list[tuple[str, int, bool, bool]] = []
         self.stats = SolveStats()
+        # queue: ids whose value was just set; dirty_cards: card indices.
         self.queue: deque[int] = deque()
         self.dirty_cards: deque[int] = deque()
-        n_ids = n + len(theory.cards)
-        # occ[ref]: clauses mentioning ref with either sign.
         # sat_by[ref][value]: clauses whose literal on ref that value makes
-        # true. branch_atoms[ci]: the atoms clause ci mentions, card
-        # literals expanded into their members, repeats kept.
+        # true; sat_by[ref][not value] are those it makes false.
+        # branch_atoms[ci]: the atoms clause ci mentions, card literals
+        # expanded into their members, repeats kept.
         # sat_count[ci]: true literals of clause ci on the trail.
         # score[aid]: occurrences of aid in branch_atoms of the clauses
         # with sat_count 0.
-        self.occ: list[list[int]] = [[] for _ in range(n_ids + 1)]
         self.sat_by: list[tuple[list[int], list[int]]] = [
-            ([], []) for _ in range(n_ids + 1)
+            ([], []) for _ in range(n + len(theory.cards) + 1)
         ]
         self.branch_atoms: list[list[int]] = []
         self.sat_count = [0] * len(theory.clauses)
@@ -83,31 +96,24 @@ class Solver:
             atoms: list[int] = []
             for lit in cl.literals:
                 ref = abs(lit)
-                self.occ[ref].append(ci)
                 self.sat_by[ref][lit > 0].append(ci)
                 if ref <= n:
                     atoms.append(ref)
                 else:
-                    atoms.extend(theory.cards[ref - n - 1].members)
+                    atoms.extend(self.card_members[ref - n - 1])
             for aid in atoms:
                 self.score[aid] += 1
             self.branch_atoms.append(atoms)
-        self.member_of: dict[int, list[int]] = {}
-        for c in theory.cards:
-            for m in c.members:
-                self.member_of.setdefault(m, []).append(c.id)
 
     # -- plumbing ---------------------------------------------------------
 
-    def _card_index(self, cid: int) -> int:
-        return cid - self.n_atoms - 1
-
-    def card_status(self, cid: int) -> bool | None:
-        card = self.theory.cards[self._card_index(cid)]
-        tc, uc = self.counters[self._card_index(cid)]
-        if tc >= card.lo and (card.hi == -1 or tc + uc <= card.hi):
+    def card_status(self, i: int) -> bool | None:
+        """Status of card index i read off its counts."""
+        tc, lo, hi = self.card_true[i], self.card_lo[i], self.card_hi[i]
+        tu = tc + self.card_undec[i]
+        if tc >= lo and tu <= hi:
             return True
-        if tc + uc < card.lo or (card.hi != -1 and tc > card.hi):
+        if tu < lo or tc > hi:
             return False
         return None
 
@@ -116,9 +122,10 @@ class Solver:
         if ref <= self.n_atoms:
             v = self.assignment[ref]
         else:
-            v = self.card_value[self._card_index(ref)]
+            i = ref - self.n_atoms - 1
+            v = self.card_value[i]
             if v is None:
-                v = self.card_status(ref)
+                v = self.card_status(i)
         if v is None:
             return None
         return v if lit > 0 else not v
@@ -137,29 +144,30 @@ class Solver:
         sat = self.sat_by[aid][value]
         if sat:
             self._satisfy(sat)
-        for cid in self.member_of.get(aid, ()):
-            c = self.counters[self._card_index(cid)]
-            c[1] -= 1
+        cards = self.member_of[aid]
+        card_true, card_undec = self.card_true, self.card_undec
+        for i in cards:
+            card_undec[i] -= 1
             if value:
-                c[0] += 1
-            self.dirty_cards.append(cid)
+                card_true[i] += 1
+        self.dirty_cards.extend(cards)
         return None
 
-    def _set_card_value(self, cid: int, value: bool) -> Conflict | None:
-        idx = self._card_index(cid)
-        cur = self.card_value[idx]
+    def _set_card_value(self, i: int, value: bool) -> Conflict | None:
+        cid = self.n_atoms + 1 + i
+        cur = self.card_value[i]
         if cur is not None:
             return None if cur == value else Conflict("card", cid)
-        self.card_value[idx] = value
+        self.card_value[i] = value
         self.trail.append(("c", cid, False, False))
         self.queue.append(cid)
         sat = self.sat_by[cid][value]
         if sat:
             self._satisfy(sat)
-        st = self.card_status(cid)
+        st = self.card_status(i)
         if st is not None:
             return None if st == value else Conflict("card", cid)
-        return self._enforce_members(cid, value)
+        return self._enforce_members(i, value)
 
     def _satisfy(self, clauses: list[int]) -> None:
         """One more true literal in each clause; a clause leaving zero
@@ -180,51 +188,48 @@ class Solver:
                 for aid in self.branch_atoms[ci]:
                     score[aid] += 1
 
-    def _enforce_members(self, cid: int, value: bool) -> Conflict | None:
-        """Push undetermined members toward a committed card value.
+    def _enforce_members(self, i: int, value: bool) -> Conflict | None:
+        """Push undetermined members of card i toward a committed value.
         Callers guarantee the status is still undetermined."""
-        idx = self._card_index(cid)
-        card = self.theory.cards[idx]
-        tc, uc = self.counters[idx]
-        undec = [m for m in card.members if self.assignment[m] is None]
+        tc, uc = self.card_true[i], self.card_undec[i]
+        lo, hi = self.card_lo[i], self.card_hi[i]
         force: bool | None = None
         if value:
-            if card.hi != -1 and tc == card.hi:
+            if tc == hi:
                 force = False
-            elif tc + uc == card.lo:
+            elif tc + uc == lo:
                 force = True
         else:
-            down = tc < card.lo
-            up = card.hi != -1 and tc + uc > card.hi
+            down = tc < lo
+            up = tc + uc > hi
             if not down and not up:
-                return Conflict("card", cid)
-            if up and not down and tc + uc == card.hi + 1:
+                return Conflict("card", self.n_atoms + 1 + i)
+            if up and not down and tc + uc == hi + 1:
                 force = True
-            elif down and not up and tc == card.lo - 1:
+            elif down and not up and tc == lo - 1:
                 force = False
         if force is not None:
-            for m in undec:
+            for m in [m for m in self.card_members[i] if self.assignment[m] is None]:
                 conf = self.assign(m, force)
                 if conf is not None:
                     return conf
         return None
 
-    def _update_card(self, cid: int) -> Conflict | None:
-        st = self.card_status(cid)
-        v = self.card_value[self._card_index(cid)]
+    def _update_card(self, i: int) -> Conflict | None:
+        st = self.card_status(i)
+        v = self.card_value[i]
         if v is None:
             if st is not None:
-                return self._set_card_value(cid, st)
+                return self._set_card_value(i, st)
             return None
         if st is not None:
-            return None if st == v else Conflict("card", cid)
-        return self._enforce_members(cid, v)
+            return None if st == v else Conflict("card", self.n_atoms + 1 + i)
+        return self._enforce_members(i, v)
 
     def _check_clause(self, ci: int) -> Conflict | None:
-        lits = self.theory.clauses[ci].literals
         unit = None
         open_count = 0
-        for lit in lits:
+        for lit in self.theory.clauses[ci].literals:
             v = self.lit_value(lit)
             if v is True:
                 return None
@@ -238,26 +243,32 @@ class Solver:
         ref = abs(unit)
         if ref <= self.n_atoms:
             return self.assign(ref, unit > 0)
-        return self._set_card_value(ref, unit > 0)
+        return self._set_card_value(ref - self.n_atoms - 1, unit > 0)
 
     def propagate(self) -> Conflict | None:
+        """Run the queues to a fixpoint. A queued id visits only the
+        clauses its value made false and that no true literal already
+        satisfies: every other clause would check as not unit."""
+        n = self.n_atoms
         while True:
             if self.dirty_cards:
                 conf = self._update_card(self.dirty_cards.popleft())
             elif self.queue:
-                qid = self.queue.popleft()
+                ref = self.queue.popleft()
+                value = self.assignment[ref] if ref <= n else self.card_value[ref - n - 1]
                 conf = None
-                for ci in self.occ[qid]:
-                    conf = self._check_clause(ci)
-                    if conf is not None:
-                        break
+                for ci in self.sat_by[ref][not value]:
+                    if not self.sat_count[ci]:
+                        conf = self._check_clause(ci)
+                        if conf is not None:
+                            break
             else:
                 return None
             if conf is not None:
                 return conf
 
     def _initial_propagate(self) -> Conflict | None:
-        self.dirty_cards.extend(c.id for c in self.theory.cards)
+        self.dirty_cards.extend(range(len(self.card_lo)))
         conf = self.propagate()
         if conf is not None:
             return conf
@@ -276,8 +287,8 @@ class Solver:
         atom; None once the assignment is total.
 
         Reads the scores kept along the trail, so it is exact only at a
-        propagation fixpoint (where run calls it): there every card with
-        a determined status has that value committed."""
+        propagation fixpoint (where models calls it): there every card
+        with a determined status has that value committed."""
         best, best_score = None, -1
         assignment, score = self.assignment, self.score
         for aid in range(1, self.n_atoms + 1):
@@ -291,7 +302,7 @@ class Solver:
         self.queue.clear()
         self.dirty_cards.clear()
         trail, assignment, sat_by = self.trail, self.assignment, self.sat_by
-        member_of, counters = self.member_of, self.counters
+        member_of, card_true, card_undec = self.member_of, self.card_true, self.card_undec
         first_card = self.n_atoms + 1
         while trail:
             kind, ref, decision, flipped = trail.pop()
@@ -301,46 +312,53 @@ class Solver:
                 sat = sat_by[ref][value]
                 if sat:
                     self._unsatisfy(sat)
-                for cid in member_of.get(ref, ()):
-                    c = counters[cid - first_card]
-                    c[1] += 1
+                for i in member_of[ref]:
+                    card_undec[i] += 1
                     if value:
-                        c[0] -= 1
+                        card_true[i] -= 1
                 if decision and not flipped:
                     self.assign(ref, not value, role="flip")
                     return True
             else:
-                idx = ref - first_card
-                sat = sat_by[ref][self.card_value[idx]]
+                i = ref - first_card
+                sat = sat_by[ref][self.card_value[i]]
                 if sat:
                     self._unsatisfy(sat)
-                self.card_value[idx] = None
+                self.card_value[i] = None
         return False
 
     def _model(self) -> dict[int, bool]:
         return {aid: self.assignment[aid] for aid in range(1, self.n_atoms + 1)}
 
-    def run(self, max_models: int | None = 1) -> SolveResult:
-        models: list[dict[int, bool]] = []
+    def models(self, max_models: int | None = 1) -> Iterator[dict[int, bool]]:
+        """Yield models as the search finds them, stopping after
+        max_models (None: all of them). Only the current assignment is
+        kept, so a caller that drops each model runs in memory bounded by
+        the theory."""
+        found = 0
         conflict = self._initial_propagate()
         while True:
             if conflict is not None:
                 self.stats.conflicts += 1
                 if not self._backtrack_flip():
-                    break
+                    return
                 conflict = self.propagate()
                 continue
             aid = self.choose_branch()
             if aid is None:
-                models.append(self._model())
-                if max_models is not None and len(models) >= max_models:
-                    break
+                yield self._model()
+                found += 1
+                if max_models is not None and found >= max_models:
+                    return
                 if not self._backtrack_flip():
-                    break
+                    return
                 conflict = self.propagate()
                 continue
             self.assign(aid, True, role="decision")
             conflict = self.propagate()
+
+    def run(self, max_models: int | None = 1) -> SolveResult:
+        models = list(self.models(max_models))
         return SolveResult(sat=bool(models), models=models, stats=self.stats)
 
 

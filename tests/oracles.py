@@ -2,11 +2,12 @@
 
 The naive grounder, model enumeration and status computation share no
 logic with the package beyond the AST/theory data types: they are
-re-derived from the definitions, the slow and obvious way. Two further
+re-derived from the definitions, the slow and obvious way. Three further
 references keep the package's own earlier, plainer algorithm next to
 the optimized one and reuse its primitives: branch selection by full
-rescan (reference_branch) and grounding over the full product of the
-variable domains (reference_ground).
+rescan (reference_branch), propagation over every occurrence of an id
+(ReferenceSolver) and grounding over the full product of the variable
+domains (reference_ground).
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from aspps.model import (
     Variable,
     term_variables,
 )
+from aspps.solver import Solver
 from aspps.terms import eval_ground_term, eval_predefined
 
 # ---------------------------------------------------------------------------
@@ -373,7 +375,7 @@ def reference_branch(solver) -> int | None:
                 if solver.assignment[ref] is None:
                     score[ref] = score.get(ref, 0) + 1
             else:
-                for m in solver.theory.cards[solver._card_index(ref)].members:
+                for m in solver.card_members[ref - solver.n_atoms - 1]:
                     if solver.assignment[m] is None:
                         score[m] = score.get(m, 0) + 1
     if score:
@@ -382,6 +384,37 @@ def reference_branch(solver) -> int | None:
         if solver.assignment[aid] is None:
             return aid
     return None
+
+
+class ReferenceSolver(Solver):
+    """The solver with full-occurrence propagation: a queued id checks
+    every clause that mentions it with either sign, satisfied or not.
+    Clauses its value made true, or that are already satisfied, check as
+    not unit, so models, model order and every counter must equal the
+    solver's."""
+
+    def __init__(self, theory):
+        super().__init__(theory)
+        self.occ: list[list[int]] = [[] for _ in self.sat_by]
+        for ci, cl in enumerate(theory.clauses):
+            for lit in cl.literals:
+                self.occ[abs(lit)].append(ci)
+
+    def propagate(self):
+        while True:
+            if self.dirty_cards:
+                conf = self._update_card(self.dirty_cards.popleft())
+            elif self.queue:
+                qid = self.queue.popleft()
+                conf = None
+                for ci in self.occ[qid]:
+                    conf = self._check_clause(ci)
+                    if conf is not None:
+                        break
+            else:
+                return None
+            if conf is not None:
+                return conf
 
 
 # ---------------------------------------------------------------------------

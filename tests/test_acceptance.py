@@ -298,8 +298,9 @@ def test_acceptance_8_propagation_and_status_invariants(capsys):
         for card in theory.cards:
             values = [s.assignment[m] for m in card.members]
             want = status_by_completion(card.lo, card.hi, values)
-            tc, uc = s.counters[s._card_index(card.id)]
-            if s.card_status(card.id) is not want:
+            i = card.id - theory.n_atoms - 1
+            tc, uc = s.card_true[i], s.card_undec[i]
+            if s.card_status(i) is not want:
                 status_bad += 1
             elif tc != sum(v is True for v in values) or uc != sum(v is None for v in values):
                 status_bad += 1

@@ -1,6 +1,7 @@
 """DPLL search over ground clausal theories with cardinality constructs."""
 
 import random
+import tracemalloc
 
 from hypothesis import given, settings, strategies as st
 
@@ -9,7 +10,7 @@ from aspps.tdc import check_model
 from aspps.theory import CardConstruct, GroundAtom, GroundClause, GroundTheory
 
 from generators import random_ground_theory
-from oracles import enumerate_models, reference_branch
+from oracles import ReferenceSolver, enumerate_models, reference_branch
 
 
 def _atoms(n):
@@ -130,6 +131,24 @@ def test_branching_prefers_frequent_atom():
     assert s3.choose_branch() == 1
 
 
+def _peak_bytes_drawing(theory, count):
+    tracemalloc.start()
+    try:
+        drawn = sum(1 for _ in Solver(theory).models(count))
+        return drawn, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_streamed_models_run_in_flat_memory():
+    # 2**30 models; keeping the 2 000 drawn first alone would take ~2 MB
+    t = _theory(30)
+    drawn_few, few = _peak_bytes_drawing(t, 2_000)
+    drawn_many, many = _peak_bytes_drawing(t, 20_000)
+    assert (drawn_few, drawn_many) == (2_000, 20_000)
+    assert abs(many - few) < 32 * 1024, (few, many)
+
+
 def test_model_lines_ascending_and_filtered():
     t = GroundTheory(
         (
@@ -184,7 +203,8 @@ def test_first_model_valid_and_counted(seed):
 
 
 class _CheckedSolver(Solver):
-    """Checks the trail-kept scores against a full rescan at every branch."""
+    """Checks the trail-kept scores against a full rescan at every branch,
+    and that propagation left no clause unit or falsified."""
 
     def choose_branch(self):
         for ci, cl in enumerate(self.theory.clauses):
@@ -194,9 +214,11 @@ class _CheckedSolver(Solver):
                 if ref <= self.n_atoms:
                     v = self.assignment[ref]
                 else:
-                    v = self.card_value[self._card_index(ref)]
+                    v = self.card_value[ref - self.n_atoms - 1]
                 true_lits += v is not None and v == (lit > 0)
             assert self.sat_count[ci] == true_lits
+            values = [self.lit_value(lit) for lit in cl.literals]
+            assert True in values or values.count(None) >= 2, (ci, cl.literals, values)
         aid = super().choose_branch()
         assert aid == reference_branch(self)
         return aid
@@ -207,4 +229,7 @@ class _CheckedSolver(Solver):
 def test_incremental_branch_matches_rescan(seed):
     t = random_ground_theory(random.Random(seed), max_atoms=10, max_cards=4)
     for max_models in (None, 1):
-        _CheckedSolver(t).run(max_models)
+        got = _CheckedSolver(t).run(max_models)
+        want = ReferenceSolver(t).run(max_models)
+        assert got.models == want.models
+        assert got.stats == want.stats
