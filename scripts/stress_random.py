@@ -5,7 +5,9 @@ Grounds random typed programs and compares against the brute-force
 substitution oracle and, byte for byte, against grounding by full
 substitution; solves random ground theories and compares against model
 enumeration over all assignments and, model order and search counters
-included, against propagation over every occurrence of an id:
+included, against propagation over every occurrence of an id; and
+checks that what aspps prints under -A -C, -S <pred> -C and -A -C 3
+equals those models rendered through model_lines:
 
     python3 scripts/stress_random.py -n 2000 --seed 7
 """
@@ -13,6 +15,7 @@ included, against propagation over every occurrence of an id:
 import argparse
 import random
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -23,10 +26,12 @@ from aspps.grounder import check_program, ground_theory
 from aspps.parser import parse_data_file, parse_rule_file
 from aspps.solver import solve
 from aspps.tdc import check_model, read_tdc, write_tdc
+from aspps.theory import GroundAtom, GroundClause, GroundTheory
 
 from generators import random_ground_theory, random_program
 from oracles import (
     ReferenceSolver,
+    aspps_stdout_mismatch,
     enumerate_models,
     naive_ground,
     normalize_theory,
@@ -87,6 +92,27 @@ def stress_solver(n, rng, max_atoms):
     return True
 
 
+# Two atoms, -a1 | a2: its first model has no true atom.
+EMPTY_MODEL_THEORY = GroundTheory(
+    tuple(GroundAtom(i, f"a{i}", (), f"a{i}") for i in (1, 2)), (), (GroundClause((-1, 2)),)
+)
+
+
+def stress_cli(n, rng, max_atoms):
+    t0 = time.perf_counter()
+    with tempfile.TemporaryDirectory() as workdir:
+        for i in range(n + 1):
+            theory = EMPTY_MODEL_THEORY if i == 0 else random_ground_theory(rng, max_atoms=max_atoms)
+            pred = f"a{rng.randint(1, theory.n_atoms)}"
+            problem = aspps_stdout_mismatch(theory, workdir, pred)
+            if problem:
+                print(f"[cli {i}] {problem}")
+                print(write_tdc(theory))
+                return False
+    print(f"cli: {n + 1} theories print their reference models ({time.perf_counter() - t0:.2f}s)")
+    return True
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("-n", type=int, default=500, help="instances per component")
@@ -97,6 +123,7 @@ def main():
     rng = random.Random(args.seed)
     ok = stress_grounder(args.n, rng)
     ok = stress_solver(args.n, rng, args.max_atoms) and ok
+    ok = stress_cli(args.n, rng, args.max_atoms) and ok
     sys.exit(0 if ok else 1)
 
 

@@ -6,38 +6,46 @@ the solving side. The psgrnd and aspps console scripts wrap the two
 halves.
 """
 
-from .database import DataDatabase, build_database
-from .errors import GroundError, ParseError, TdcError, ToolchainError
-from .grounder import check_program, ground_theory, output_name
-from .parser import parse_data_file, parse_rule_file
-from .solver import SolveResult, SolveStats, Solver, solve
-from .tdc import check_model, print_theory, read_tdc, write_tdc
-from .theory import CardConstruct, GroundAtom, GroundClause, GroundTheory
+from importlib import import_module
 
-__all__ = [
-    "CardConstruct",
-    "DataDatabase",
-    "GroundAtom",
-    "GroundClause",
-    "GroundError",
-    "GroundTheory",
-    "ParseError",
-    "SolveResult",
-    "SolveStats",
-    "Solver",
-    "TdcError",
-    "ToolchainError",
-    "build_database",
-    "check_model",
-    "check_program",
-    "ground_theory",
-    "output_name",
-    "parse_data_file",
-    "parse_rule_file",
-    "print_theory",
-    "read_tdc",
-    "solve",
-    "write_tdc",
-]
+# Public name -> the module defining it. Names load on first use (PEP 562),
+# so each console script imports only the modules its half needs.
+_EXPORTS = {
+    "CardConstruct": "theory",
+    "DataDatabase": "database",
+    "GroundAtom": "theory",
+    "GroundClause": "theory",
+    "GroundError": "errors",
+    "GroundTheory": "theory",
+    "ParseError": "errors",
+    "SolveResult": "solver",
+    "SolveStats": "solver",
+    "Solver": "solver",
+    "TdcError": "errors",
+    "ToolchainError": "errors",
+    "build_database": "database",
+    "check_model": "tdc",
+    "check_program": "grounder",
+    "ground_theory": "grounder",
+    "output_name": "grounder",
+    "parse_data_file": "parser",
+    "parse_rule_file": "parser",
+    "print_theory": "tdc",
+    "read_tdc": "tdc",
+    "solve": "solver",
+    "write_tdc": "tdc",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
 
 __version__ = "0.1.0"

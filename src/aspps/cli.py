@@ -9,16 +9,7 @@ unwritable output file.
 
 from __future__ import annotations
 
-import argparse
 import sys
-from pathlib import Path
-
-from .database import build_database
-from .errors import GroundError, ParseError, TdcError
-from .grounder import check_program, ground_theory, output_name
-from .parser import parse_data_file, parse_rule_file
-from .solver import Solver, model_lines, now_ms, record_stats, stat_line
-from .tdc import print_theory, read_tdc, write_tdc
 
 STAT_FILE = "aspps.stat"
 
@@ -29,14 +20,23 @@ class _UsageError(Exception):
     pass
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        raise _UsageError(message)
+def _arg_parser(prog: str, description: str):
+    """An argparse parser that raises _UsageError instead of exiting.
+    Each tool imports its own modules before calling this, so they are
+    compiled before argparse is loaded."""
+    import argparse
+
+    class Parser(argparse.ArgumentParser):
+        def error(self, message):
+            raise _UsageError(message)
+
+    return Parser(prog=prog, description=description)
 
 
 def _read_text(path: str, prog: str) -> str | None:
     try:
-        return Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
     except OSError as exc:
         reason = exc.strerror or str(exc)
         print(f"{prog}: cannot read {path}: {reason}", file=sys.stderr)
@@ -48,9 +48,14 @@ def _valid_const_name(name: str) -> bool:
 
 
 def psgrnd_main(argv: list[str]) -> int:
-    parser = _Parser(
-        prog="psgrnd",
-        description="Ground a typed rule file against data files into a .tdc theory.",
+    from .database import build_database
+    from .errors import GroundError, ParseError
+    from .grounder import check_program, ground_theory, output_name
+    from .parser import parse_data_file, parse_rule_file
+    from .tdc import write_tdc
+
+    parser = _arg_parser(
+        "psgrnd", "Ground a typed rule file against data files into a .tdc theory."
     )
     parser.add_argument("-r", metavar="rulefile", action="append", default=[])
     parser.add_argument("-d", metavar="datafile", action="append", default=[])
@@ -111,7 +116,8 @@ def psgrnd_main(argv: list[str]) -> int:
 
     name = output_name(consts, rule_file, args.d)
     try:
-        Path(name).write_text(write_tdc(theory), encoding="utf-8")
+        with open(name, "w", encoding="utf-8") as fh:
+            fh.write(write_tdc(theory))
     except OSError as exc:
         reason = exc.strerror or str(exc)
         print(f"psgrnd: cannot write {name}: {reason}", file=sys.stderr)
@@ -120,10 +126,13 @@ def psgrnd_main(argv: list[str]) -> int:
 
 
 def aspps_main(argv: list[str]) -> int:
-    parser = _Parser(
-        prog="aspps",
-        description="Search for models of a ground .tdc theory.",
-    )
+    from itertools import compress
+
+    from .errors import TdcError
+    from .solver import Solver, now_ms, record_stats, stat_line
+    from .tdc import print_theory, read_tdc
+
+    parser = _arg_parser("aspps", "Search for models of a ground .tdc theory.")
     parser.add_argument("-f", metavar="theoryfile", default=None)
     parser.add_argument("-A", action="store_true", help="print the positive atoms of each model")
     parser.add_argument("-P", action="store_true", help="print the theory and exit")
@@ -172,15 +181,18 @@ def aspps_main(argv: list[str]) -> int:
 
     unknown_pred = args.S is not None and not any(a.pred == args.S for a in theory.atoms)
     show = (args.A or args.S is not None) and not unknown_pred
+    # shown[aid]: what a model prints for atom aid when it is true.
+    shown = [""] + [
+        a.text + "\n" if args.S is None or a.pred == args.S else "" for a in theory.atoms
+    ]
     found = 0
     writing = 0.0
     start = now_ms()
     solver = Solver(theory)
-    for model in solver.models(max_models):
+    for assignment in solver.search(max_models):
         if show:
             t = now_ms()
-            lines = model_lines(theory, model, args.S)
-            sys.stdout.write(("\n" if found else "") + "".join(line + "\n" for line in lines))
+            sys.stdout.write(("\n" if found else "") + "".join(compress(shown, assignment)))
             writing += now_ms() - t
         found += 1
     elapsed = int(now_ms() - start - writing)

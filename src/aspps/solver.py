@@ -21,7 +21,12 @@ committed value, not its status, so the scores are exact at a
 propagation fixpoint, where every card with a determined status has that
 value committed. Propagation reads the same counts: an id whose value
 was just set visits only the clauses it made false that are still
-unsatisfied.
+unsatisfied. A count of the clauses with no true literal lets the branch
+pick skip the scan once every clause holds.
+
+The trail is a flat list of ids (atoms, then cards above n_atoms); the
+trail positions of the decisions not yet flipped are kept on a stack,
+so backtracking cuts the trail at the top position in one step.
 """
 
 from __future__ import annotations
@@ -74,7 +79,10 @@ class Solver:
         for i, c in enumerate(theory.cards):
             for m in c.members:
                 self.member_of[m].append(i)
-        self.trail: list[tuple[str, int, bool, bool]] = []
+        # trail: ids in the order their values were set; decision_pos:
+        # trail positions of the decisions not flipped yet.
+        self.trail: list[int] = []
+        self.decision_pos: list[int] = []
         self.stats = SolveStats()
         # queue: ids whose value was just set; dirty_cards: card indices.
         self.queue: deque[int] = deque()
@@ -83,18 +91,21 @@ class Solver:
         # true; sat_by[ref][not value] are those it makes false.
         # branch_atoms[ci]: the atoms clause ci mentions, card literals
         # expanded into their members, repeats kept.
-        # sat_count[ci]: true literals of clause ci on the trail.
+        # sat_count[ci]: true literals of clause ci on the trail;
+        # open_clauses: the clauses with sat_count 0.
         # score[aid]: occurrences of aid in branch_atoms of the clauses
         # with sat_count 0.
         self.sat_by: list[tuple[list[int], list[int]]] = [
             ([], []) for _ in range(n + len(theory.cards) + 1)
         ]
+        self.clause_lits = [cl.literals for cl in theory.clauses]
         self.branch_atoms: list[list[int]] = []
         self.sat_count = [0] * len(theory.clauses)
+        self.open_clauses = len(theory.clauses)
         self.score = [0] * (n + 1)
-        for ci, cl in enumerate(theory.clauses):
+        for ci, lits in enumerate(self.clause_lits):
             atoms: list[int] = []
-            for lit in cl.literals:
+            for lit in lits:
                 ref = abs(lit)
                 self.sat_by[ref][lit > 0].append(ci)
                 if ref <= n:
@@ -130,27 +141,31 @@ class Solver:
             return None
         return v if lit > 0 else not v
 
-    def assign(self, aid: int, value: bool, role: str = "propagate") -> Conflict | None:
-        cur = self.assignment[aid]
+    def assign(self, aid: int, value: bool, decision: bool = False) -> Conflict | None:
+        assignment = self.assignment
+        cur = assignment[aid]
         if cur is not None:
             return None if cur == value else Conflict("atom", aid)
-        self.assignment[aid] = value
-        self.trail.append(("a", aid, role != "propagate", role == "flip"))
-        if role == "decision":
+        assignment[aid] = value
+        if decision:
+            self.decision_pos.append(len(self.trail))
             self.stats.decisions += 1
         else:
             self.stats.propagations += 1
-        self.queue.append(aid)
-        sat = self.sat_by[aid][value]
-        if sat:
-            self._satisfy(sat)
+        self.trail.append(aid)
+        sat_by = self.sat_by[aid]
+        if sat_by[not value]:
+            self.queue.append(aid)
+        if sat_by[value]:
+            self._satisfy(sat_by[value])
         cards = self.member_of[aid]
-        card_true, card_undec = self.card_true, self.card_undec
-        for i in cards:
-            card_undec[i] -= 1
-            if value:
-                card_true[i] += 1
-        self.dirty_cards.extend(cards)
+        if cards:
+            card_true, card_undec = self.card_true, self.card_undec
+            for i in cards:
+                card_undec[i] -= 1
+                if value:
+                    card_true[i] += 1
+            self.dirty_cards.extend(cards)
         return None
 
     def _set_card_value(self, i: int, value: bool) -> Conflict | None:
@@ -159,11 +174,12 @@ class Solver:
         if cur is not None:
             return None if cur == value else Conflict("card", cid)
         self.card_value[i] = value
-        self.trail.append(("c", cid, False, False))
-        self.queue.append(cid)
-        sat = self.sat_by[cid][value]
-        if sat:
-            self._satisfy(sat)
+        self.trail.append(cid)
+        sat_by = self.sat_by[cid]
+        if sat_by[not value]:
+            self.queue.append(cid)
+        if sat_by[value]:
+            self._satisfy(sat_by[value])
         st = self.card_status(i)
         if st is not None:
             return None if st == value else Conflict("card", cid)
@@ -171,22 +187,29 @@ class Solver:
 
     def _satisfy(self, clauses: list[int]) -> None:
         """One more true literal in each clause; a clause leaving zero
-        takes its atoms' occurrences out of the branch scores."""
-        sat_count, score = self.sat_count, self.score
+        is no longer open and takes its atoms' occurrences out of the
+        branch scores."""
+        sat_count, score, branch_atoms = self.sat_count, self.score, self.branch_atoms
+        closed = 0
         for ci in clauses:
             sat_count[ci] += 1
             if sat_count[ci] == 1:
-                for aid in self.branch_atoms[ci]:
+                closed += 1
+                for aid in branch_atoms[ci]:
                     score[aid] -= 1
+        self.open_clauses -= closed
 
     def _unsatisfy(self, clauses: list[int]) -> None:
         """Undo _satisfy for the same clauses."""
-        sat_count, score = self.sat_count, self.score
+        sat_count, score, branch_atoms = self.sat_count, self.score, self.branch_atoms
+        opened = 0
         for ci in clauses:
             sat_count[ci] -= 1
             if sat_count[ci] == 0:
-                for aid in self.branch_atoms[ci]:
+                opened += 1
+                for aid in branch_atoms[ci]:
                     score[aid] += 1
+        self.open_clauses += opened
 
     def _enforce_members(self, i: int, value: bool) -> Conflict | None:
         """Push undetermined members of card i toward a committed value.
@@ -216,7 +239,14 @@ class Solver:
         return None
 
     def _update_card(self, i: int) -> Conflict | None:
-        st = self.card_status(i)
+        tc, lo, hi = self.card_true[i], self.card_lo[i], self.card_hi[i]
+        tu = tc + self.card_undec[i]
+        if tc >= lo and tu <= hi:
+            st: bool | None = True
+        elif tu < lo or tc > hi:
+            st = False
+        else:
+            st = None
         v = self.card_value[i]
         if v is None:
             if st is not None:
@@ -224,26 +254,36 @@ class Solver:
             return None
         if st is not None:
             return None if st == v else Conflict("card", self.n_atoms + 1 + i)
+        if v and tc != hi and tu != lo:
+            return None  # _enforce_members would force nothing
         return self._enforce_members(i, v)
 
     def _check_clause(self, ci: int) -> Conflict | None:
+        n, assignment, card_value = self.n_atoms, self.assignment, self.card_value
         unit = None
         open_count = 0
-        for lit in self.theory.clauses[ci].literals:
-            v = self.lit_value(lit)
-            if v is True:
-                return None
+        for lit in self.clause_lits[ci]:
+            ref = lit if lit > 0 else -lit
+            if ref <= n:
+                v = assignment[ref]
+            else:
+                i = ref - n - 1
+                v = card_value[i]
+                if v is None:
+                    v = self.card_status(i)
             if v is None:
                 open_count += 1
                 if open_count > 1:
                     return None
                 unit = lit
+            elif v == (lit > 0):
+                return None
         if open_count == 0:
             return Conflict("clause", ci)
         ref = abs(unit)
-        if ref <= self.n_atoms:
+        if ref <= n:
             return self.assign(ref, unit > 0)
-        return self._set_card_value(ref - self.n_atoms - 1, unit > 0)
+        return self._set_card_value(ref - n - 1, unit > 0)
 
     def propagate(self) -> Conflict | None:
         """Run the queues to a fixpoint. A queued id visits only the
@@ -272,7 +312,7 @@ class Solver:
         conf = self.propagate()
         if conf is not None:
             return conf
-        for ci in range(len(self.theory.clauses)):
+        for ci in range(len(self.clause_lits)):
             conf = self._check_clause(ci) or self.propagate()
             if conf is not None:
                 return conf
@@ -287,8 +327,13 @@ class Solver:
         atom; None once the assignment is total.
 
         Reads the scores kept along the trail, so it is exact only at a
-        propagation fixpoint (where models calls it): there every card
+        propagation fixpoint (where search calls it): there every card
         with a determined status has that value committed."""
+        if not self.open_clauses:  # every score is 0
+            try:
+                return self.assignment.index(None, 1)
+            except ValueError:
+                return None
         best, best_score = None, -1
         assignment, score = self.assignment, self.score
         for aid in range(1, self.n_atoms + 1):
@@ -303,10 +348,15 @@ class Solver:
         self.dirty_cards.clear()
         trail, assignment, sat_by = self.trail, self.assignment, self.sat_by
         member_of, card_true, card_undec = self.member_of, self.card_true, self.card_undec
-        first_card = self.n_atoms + 1
-        while trail:
-            kind, ref, decision, flipped = trail.pop()
-            if kind == "a":
+        card_value, n = self.card_value, self.n_atoms
+        if self.decision_pos:
+            pos = self.decision_pos.pop()
+            aid = trail[pos]
+            flipped = not assignment[aid]
+        else:
+            pos, aid = 0, None
+        for ref in reversed(trail[pos:]):
+            if ref <= n:
                 value = assignment[ref]
                 assignment[ref] = None
                 sat = sat_by[ref][value]
@@ -316,25 +366,25 @@ class Solver:
                     card_undec[i] += 1
                     if value:
                         card_true[i] -= 1
-                if decision and not flipped:
-                    self.assign(ref, not value, role="flip")
-                    return True
             else:
-                i = ref - first_card
-                sat = sat_by[ref][self.card_value[i]]
+                i = ref - n - 1
+                sat = sat_by[ref][card_value[i]]
                 if sat:
                     self._unsatisfy(sat)
-                self.card_value[i] = None
-        return False
+                card_value[i] = None
+        del trail[pos:]
+        if aid is None:
+            return False
+        self.assign(aid, flipped)  # counted as a propagation
+        return True
 
     def _model(self) -> dict[int, bool]:
-        return {aid: self.assignment[aid] for aid in range(1, self.n_atoms + 1)}
+        return dict(enumerate(self.assignment[1:], 1))
 
-    def models(self, max_models: int | None = 1) -> Iterator[dict[int, bool]]:
-        """Yield models as the search finds them, stopping after
-        max_models (None: all of them). Only the current assignment is
-        kept, so a caller that drops each model runs in memory bounded by
-        the theory."""
+    def search(self, max_models: int | None = 1) -> Iterator[list[bool | None]]:
+        """Run the search, yielding the assignment list (index 0 unused)
+        each time it is a model, until max_models (None: all of them).
+        The list is the solver's own: read it before resuming."""
         found = 0
         conflict = self._initial_propagate()
         while True:
@@ -346,7 +396,7 @@ class Solver:
                 continue
             aid = self.choose_branch()
             if aid is None:
-                yield self._model()
+                yield self.assignment
                 found += 1
                 if max_models is not None and found >= max_models:
                     return
@@ -354,8 +404,15 @@ class Solver:
                     return
                 conflict = self.propagate()
                 continue
-            self.assign(aid, True, role="decision")
+            self.assign(aid, True, decision=True)
             conflict = self.propagate()
+
+    def models(self, max_models: int | None = 1) -> Iterator[dict[int, bool]]:
+        """Yield models as dicts as the search finds them. Only the
+        current assignment is kept, so a caller that drops each model
+        runs in memory bounded by the theory."""
+        for _ in self.search(max_models):
+            yield self._model()
 
     def run(self, max_models: int | None = 1) -> SolveResult:
         models = list(self.models(max_models))

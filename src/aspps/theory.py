@@ -10,8 +10,10 @@ either kind.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from .model import Const
+if TYPE_CHECKING:  # the solver side loads no parser-side module
+    from .model import Const
 
 
 @dataclass(frozen=True)

@@ -2,18 +2,23 @@
 
 The naive grounder, model enumeration and status computation share no
 logic with the package beyond the AST/theory data types: they are
-re-derived from the definitions, the slow and obvious way. Three further
+re-derived from the definitions, the slow and obvious way. Four further
 references keep the package's own earlier, plainer algorithm next to
 the optimized one and reuse its primitives: branch selection by full
 rescan (reference_branch), propagation over every occurrence of an id
-(ReferenceSolver) and grounding over the full product of the variable
-domains (reference_ground).
+(ReferenceSolver), model printing through model_lines
+(reference_aspps_stdout) and grounding over the full product of the
+variable domains (reference_ground).
 """
 
 from __future__ import annotations
 
+import io
 import itertools
+import os
+import tempfile
 from collections import Counter
+from contextlib import redirect_stdout
 
 from aspps.errors import GroundError
 from aspps.grounder import Grounder
@@ -27,7 +32,9 @@ from aspps.model import (
     Variable,
     term_variables,
 )
-from aspps.solver import Solver
+from aspps.cli import aspps_main
+from aspps.solver import Solver, model_lines
+from aspps.tdc import write_tdc
 from aspps.terms import eval_ground_term, eval_predefined
 
 # ---------------------------------------------------------------------------
@@ -415,6 +422,45 @@ class ReferenceSolver(Solver):
                 return None
             if conf is not None:
                 return conf
+
+
+# ---------------------------------------------------------------------------
+# What aspps prints, rendered from ReferenceSolver's model dicts.
+
+
+def reference_aspps_stdout(theory, max_models, pred=None) -> str:
+    """Standard output of aspps -A (pred None) or -S pred: each model's
+    true atoms through model_lines, a blank line between models, UNSAT
+    when there is none."""
+    models = ReferenceSolver(theory).run(max_models).models
+    if not models:
+        return "UNSAT\n"
+    return "\n".join("".join(line + "\n" for line in model_lines(theory, m, pred)) for m in models)
+
+
+def aspps_stdout_mismatch(theory, workdir, pred) -> str | None:
+    """Runs aspps_main on the theory under -A -C, -S pred -C and -A -C 3
+    inside workdir, where it appends its stat line; describes the first
+    run whose exit code or standard output differs from
+    reference_aspps_stdout, None when all agree."""
+    fd, path = tempfile.mkstemp(suffix=".tdc", dir=workdir)
+    with open(fd, "w", encoding="utf-8") as fh:
+        fh.write(write_tdc(theory))
+    runs = ((["-A", "-C"], None, None), (["-S", pred, "-C"], None, pred), (["-A", "-C", "3"], 3, None))
+    cwd = os.getcwd()
+    os.chdir(workdir)
+    try:
+        for flags, max_models, shown_pred in runs:
+            out = io.StringIO()
+            with redirect_stdout(out):
+                code = aspps_main(["-f", path, *flags])
+            want = reference_aspps_stdout(theory, max_models, shown_pred)
+            if code != 0 or out.getvalue() != want:
+                return f"aspps {' '.join(flags)}: exit {code}, printed {out.getvalue()!r}, expected {want!r}"
+    finally:
+        os.chdir(cwd)
+        os.unlink(path)
+    return None
 
 
 # ---------------------------------------------------------------------------

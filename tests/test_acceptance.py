@@ -271,7 +271,7 @@ def _propagation_flaw(theory, rng):
         aid = rng.choice(undec)
         val = rng.random() < 0.5
         decisions.append((aid, val))
-        conf = s.assign(aid, val, role="decision") or s.propagate()
+        conf = s.assign(aid, val, decision=True) or s.propagate()
     if any(all((a in m) == v for a, v in decisions) for m in models):
         return "conflict reported while a compatible model survives"
     return None

@@ -1,14 +1,25 @@
 """psgrnd / aspps command-line behaviour, run in-process."""
 
+import json
+import os
+import random
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import aspps
 from aspps.cli import STAT_FILE, aspps_main, psgrnd_main
 from aspps.parser import MAX_TERM_DEPTH
+from aspps.theory import GroundAtom, GroundClause, GroundTheory
 
+from generators import random_ground_theory
+from oracles import aspps_stdout_mismatch
 from problems import COLOR_RULES, PIGEON_DATA, PIGEON_RULES, TRIANGLE_DATA
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.fixture
@@ -234,3 +245,74 @@ def test_end_to_end_three_coloring_models(workdir, capsys):
             v, c = re.fullmatch(r"clr\((\d+),(\d+)\)", atom).groups()
             colors[v] = c
         assert len(set(colors.values())) == 3
+
+
+def test_aspps_prints_a_model_with_no_true_atom(workdir, capsys):
+    # -a1 | a2: models {a1, a2}, {a2}, then the empty one
+    theory = GroundTheory(
+        tuple(GroundAtom(i, f"a{i}", (), f"a{i}") for i in (1, 2)), (), (GroundClause((-1, 2)),)
+    )
+    assert aspps_stdout_mismatch(theory, str(workdir), "a2") is None
+    _write(workdir, "t.tdc", "tdc 1\natoms 2\n1 a1\n2 a2\ncards 0\nclauses 1\n2 -1 2\n")
+    assert aspps_main(["-f", "t.tdc", "-A", "-C"]) == 0
+    assert capsys.readouterr().out == "a1\na2\n\na2\n\n"
+
+
+def test_aspps_output_matches_reference_models(workdir):
+    rng = random.Random(5)
+    for _ in range(60):
+        theory = random_ground_theory(rng, max_atoms=10, max_cards=4)
+        pred = f"a{rng.randint(1, theory.n_atoms)}"
+        assert aspps_stdout_mismatch(theory, str(workdir), pred) is None
+
+
+# Each tool runs in a fresh interpreter that reports the aspps modules it
+# loaded once the tool returns.
+_LOADED = """
+import json, runpy, sys
+sys.argv = sys.argv[1:]
+code = None
+try:
+    {run}
+except SystemExit as exc:
+    code = exc.code
+print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("aspps."))]))
+"""
+_RUN_MODULE = 'runpy.run_module("aspps", run_name="__main__")'
+_RUN_ENTRY = "from aspps.cli import aspps_entry; aspps_entry()"
+_PARSER_SIDE = {"aspps.parser", "aspps.grounder", "aspps.terms", "aspps.database", "aspps.model"}
+
+
+def _loaded_modules(workdir, run, argv):
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run(
+        [sys.executable, "-c", _LOADED.format(run=run), *argv],
+        cwd=workdir, env=env, capture_output=True, text=True, check=True,
+    )
+    code, modules = json.loads(proc.stdout.splitlines()[-1])
+    assert code == 0, proc.stderr
+    return set(modules)
+
+
+def test_each_tool_imports_only_its_own_half(workdir):
+    rl = _write(workdir, "color.rl", COLOR_RULES)
+    dt = _write(workdir, "graph.dt", TRIANGLE_DATA)
+    grounding = _loaded_modules(workdir, _RUN_MODULE, ["aspps", "psgrnd", "-c", "k=3", "-r", rl, "-d", dt])
+    assert "aspps.grounder" in grounding and "aspps.solver" not in grounding
+    for run, argv in (
+        (_RUN_MODULE, ["aspps", "aspps", "-f", "k=3-color-graph.tdc", "-A", "-C"]),
+        (_RUN_ENTRY, ["aspps", "-f", "k=3-color-graph.tdc", "-S", "clr"]),
+    ):
+        solving = _loaded_modules(workdir, run, argv)
+        assert {"aspps.solver", "aspps.tdc"} <= solving
+        assert not solving & _PARSER_SIDE, solving & _PARSER_SIDE
+
+
+def test_star_import_resolves_every_public_name():
+    namespace = {}
+    exec("from aspps import *", namespace)
+    assert set(aspps.__all__) <= set(namespace)
+    assert all(namespace[name] is getattr(aspps, name) for name in aspps.__all__)
+    with pytest.raises(AttributeError):
+        aspps.no_such_name

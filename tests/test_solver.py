@@ -204,7 +204,18 @@ def test_first_model_valid_and_counted(seed):
 
 class _CheckedSolver(Solver):
     """Checks the trail-kept scores against a full rescan at every branch,
-    and that propagation left no clause unit or falsified."""
+    that propagation left no clause unit or falsified, that the count of
+    open clauses is exact, and that the decision stack holds exactly the
+    trail positions of the atoms assigned as decisions."""
+
+    def __init__(self, theory):
+        super().__init__(theory)
+        self.by_decision = [False] * (self.n_atoms + 1)
+
+    def assign(self, aid, value, decision=False):
+        if self.assignment[aid] is None:
+            self.by_decision[aid] = decision
+        return super().assign(aid, value, decision)
 
     def choose_branch(self):
         for ci, cl in enumerate(self.theory.clauses):
@@ -219,6 +230,11 @@ class _CheckedSolver(Solver):
             assert self.sat_count[ci] == true_lits
             values = [self.lit_value(lit) for lit in cl.literals]
             assert True in values or values.count(None) >= 2, (ci, cl.literals, values)
+        assert self.open_clauses == self.sat_count.count(0)
+        decided = [
+            pos for pos, ref in enumerate(self.trail) if ref <= self.n_atoms and self.by_decision[ref]
+        ]
+        assert self.decision_pos == decided, (self.decision_pos, self.trail)
         aid = super().choose_branch()
         assert aid == reference_branch(self)
         return aid
