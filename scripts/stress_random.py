@@ -26,7 +26,7 @@ from aspps.grounder import check_program, ground_theory
 from aspps.parser import parse_data_file, parse_rule_file
 from aspps.solver import solve
 from aspps.tdc import check_model, read_tdc, write_tdc
-from aspps.theory import GroundAtom, GroundClause, GroundTheory
+from aspps.theory import GroundAtom, GroundTheory
 
 from generators import random_ground_theory, random_program
 from oracles import (
@@ -94,7 +94,7 @@ def stress_solver(n, rng, max_atoms):
 
 # Two atoms, -a1 | a2: its first model has no true atom.
 EMPTY_MODEL_THEORY = GroundTheory(
-    tuple(GroundAtom(i, f"a{i}", (), f"a{i}") for i in (1, 2)), (), (GroundClause((-1, 2)),)
+    tuple(GroundAtom(i, f"a{i}", (), f"a{i}") for i in (1, 2)), (), ((-1, 2),)
 )
 
 

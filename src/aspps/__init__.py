@@ -14,7 +14,6 @@ _EXPORTS = {
     "CardConstruct": "theory",
     "DataDatabase": "database",
     "GroundAtom": "theory",
-    "GroundClause": "theory",
     "GroundError": "errors",
     "GroundTheory": "theory",
     "ParseError": "errors",

@@ -50,7 +50,7 @@ def _valid_const_name(name: str) -> bool:
 def psgrnd_main(argv: list[str]) -> int:
     from .database import build_database
     from .errors import GroundError, ParseError
-    from .grounder import check_program, ground_theory, output_name
+    from .grounder import Grounder, check_program, output_name
     from .parser import parse_data_file, parse_rule_file
     from .tdc import write_tdc
 
@@ -109,7 +109,7 @@ def psgrnd_main(argv: list[str]) -> int:
             print(f"{rule_file}: {d}", file=sys.stderr)
         return 2
     try:
-        theory = ground_theory(prog, db)
+        theory = Grounder(prog, db).ground()
     except GroundError as exc:
         print(f"psgrnd: {exc}", file=sys.stderr)
         return 2

@@ -32,6 +32,7 @@ binding as a plain walk over the product.
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import product
 from math import prod
 from pathlib import PurePath
@@ -47,18 +48,11 @@ from .model import (
     PlainAtom,
     Program,
     Variable,
+    atom_variables,
     term_variables,
 )
-from .terms import (  # eval_* are part of this module's interface
-    atom_cannot_raise,
-    compile_args,
-    compile_comparison,
-    domain_range,
-    eval_arith,
-    eval_ground_term,
-    eval_predefined,
-)
-from .theory import CardConstruct, GroundAtom, GroundClause, GroundTheory, ground_atom_text
+from .terms import atom_cannot_raise, compile_args, compile_comparison, domain_range
+from .theory import CardConstruct, GroundAtom, GroundTheory, ground_atom_text
 
 _EMPTY: frozenset = frozenset()
 
@@ -178,12 +172,12 @@ def _check_clause(clause, where, decls, var_types, db):
             if not atom.args or atom.args[-1] != Variable(atom.bound_var):
                 diags.append(f"e-atom binder must be the final argument in {where}")
             check_vars(atom.args[:-1])
-            if any(atom.bound_var in set(term_variables(t)) for t in atom.args[:-1]):
+            if any(atom.bound_var in term_variables(t) for t in atom.args[:-1]):
                 diags.append(
                     f"e-atom binder {atom.bound_var} may only occur as the final argument in {where}"
                 )
             for other_pos, other in enumerate(atoms):
-                if other_pos != pos and atom.bound_var in _atom_var_set(other):
+                if other_pos != pos and atom.bound_var in atom_variables(other):
                     diags.append(
                         f"e-atom binder {atom.bound_var} may not occur outside its atom in {where}"
                     )
@@ -201,20 +195,6 @@ def _check_clause(clause, where, decls, var_types, db):
             check_bounds(atom)
     return diags
 
-
-def _atom_var_set(atom):
-    out = set()
-    if isinstance(atom, PlainAtom):
-        terms = atom.args
-    elif isinstance(atom, EAtom):
-        terms = atom.args
-    elif isinstance(atom, CAtomSchema):
-        terms = atom.member.args + tuple(t for c in atom.conds for t in c.args)
-    else:
-        terms = atom.args
-    for t in terms:
-        out |= set(term_variables(t))
-    return out
 
 # ---------------------------------------------------------------------------
 # Grounding proper.
@@ -408,49 +388,13 @@ class Grounder:
         """Clause variables in first-occurrence order, minus e-atom
         binders and schema-local condition variables."""
         atoms = clause.body + clause.head
-        occ: dict[str, set[int]] = {}
-        order: list[str] = []
-        cond_vars: dict[int, set[str]] = {}
-        ebound: set[str] = set()
-
-        def note(v, pos):
-            if v not in occ:
-                occ[v] = set()
-                order.append(v)
-            occ[v].add(pos)
-
-        for pos, atom in enumerate(atoms):
-            if isinstance(atom, PlainAtom):
-                for t in atom.args:
-                    for v in term_variables(t):
-                        note(v, pos)
-            elif isinstance(atom, EAtom):
-                for t in atom.args:
-                    for v in term_variables(t):
-                        note(v, pos)
-                ebound.add(atom.bound_var)
-            elif isinstance(atom, CAtomSchema):
-                cv = set()
-                for t in atom.member.args:
-                    for v in term_variables(t):
-                        note(v, pos)
-                for c in atom.conds:
-                    for t in c.args:
-                        for v in term_variables(t):
-                            note(v, pos)
-                            cv.add(v)
-                cond_vars[pos] = cv
-            else:
-                for t in atom.args:
-                    for v in term_variables(t):
-                        note(v, pos)
-
-        local = set()
-        for pos, cv in cond_vars.items():
-            for v in cv:
-                if occ[v] == {pos}:
-                    local.add(v)
-        return [v for v in order if v not in ebound and v not in local]
+        # variable -> how many atoms it occurs in, in first-occurrence order
+        counts = Counter(v for atom in atoms for v in atom_variables(atom))
+        hidden = {atom.bound_var for atom in atoms if isinstance(atom, EAtom)}
+        for atom in atoms:
+            if isinstance(atom, CAtomSchema):
+                hidden.update(v for c in atom.conds for v in atom_variables(c) if counts[v] == 1)
+        return [v for v in counts if v not in hidden]
 
     def ground(self) -> GroundTheory:
         """Ground a program that passes check_program."""
@@ -575,9 +519,7 @@ class Grounder:
             return lit + shift if lit >= _CARD else lit - shift if lit <= -_CARD else lit
 
         clauses = tuple(
-            GroundClause(
-                tuple(map(renumber, lits)) if any(abs(l) >= _CARD for l in lits) else lits
-            )
+            tuple(map(renumber, lits)) if any(abs(l) >= _CARD for l in lits) else lits
             for lits in self.raw_clauses
         )
         return GroundTheory(atoms, cards, clauses)
@@ -586,13 +528,8 @@ class Grounder:
 def _schema_locals(atom: CAtomSchema, bound) -> list[str]:
     """Condition variables of a schema that are not bound globally, in
     first-occurrence order over the member and then the conditions."""
-    order: list[str] = []
-    for t in atom.member.args + tuple(t for c in atom.conds for t in c.args):
-        for v in term_variables(t):
-            if v not in order:
-                order.append(v)
-    cond_vars = {v for c in atom.conds for t in c.args for v in term_variables(t)}
-    return [v for v in order if v in cond_vars and v not in bound]
+    cond_vars = {v for c in atom.conds for v in atom_variables(c)}
+    return [v for v in atom_variables(atom) if v in cond_vars and v not in bound]
 
 
 def ground_theory(prog: Program, db: DataDatabase) -> GroundTheory:

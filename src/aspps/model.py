@@ -12,7 +12,7 @@ or list form ``m{p1(t),...,pk(t)}n``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping, Union
+from typing import Iterator, Union
 
 Const = Union[int, str]
 
@@ -123,50 +123,6 @@ class Program:
     var_decls: list[VarDecl] = field(default_factory=list)
     clauses: list[Clause] = field(default_factory=list)
 
-    def pred_decl(self, name: str) -> PredDecl | None:
-        for d in self.pred_decls:
-            if d.name == name:
-                return d
-        return None
-
-    def is_program_pred(self, name: str) -> bool:
-        return self.pred_decl(name) is not None
-
-    def var_type(self, name: str) -> str | None:
-        for v in self.var_decls:
-            if name in v.var_names:
-                return v.type_pred
-        return None
-
-
-def substitute(term: Term, binding: Mapping[str, Const]) -> Term:
-    """Replace bound variables by their constants; unbound variables and
-    everything below them pass through unchanged."""
-    if isinstance(term, Variable):
-        val = binding.get(term.name)
-        return term if val is None else val
-    if isinstance(term, ArithExpr):
-        return ArithExpr(term.op, tuple(substitute(t, binding) for t in term.operands))
-    return term
-
-
-def atom_kind(atom: Atom, prog: Program) -> str:
-    """Classify an atom as program / data / predefined / e-atom / c-atom.
-
-    A plain atom is a program atom when its predicate is declared, a
-    predefined atom when its name is a comparison operator, and a data
-    atom otherwise.
-    """
-    if isinstance(atom, EAtom):
-        return "e-atom"
-    if isinstance(atom, (CAtomSchema, CAtomList)):
-        return "c-atom"
-    if atom.pred in COMPARISONS:
-        return "predefined"
-    if prog.is_program_pred(atom.pred):
-        return "program"
-    return "data"
-
 
 def term_variables(term: Term) -> Iterator[str]:
     """Yield variable names in left-to-right occurrence order."""
@@ -175,6 +131,19 @@ def term_variables(term: Term) -> Iterator[str]:
     elif isinstance(term, ArithExpr):
         for t in term.operands:
             yield from term_variables(t)
+
+
+def atom_terms(atom: Atom) -> tuple[Term, ...]:
+    """An atom's argument terms: a schema's member arguments followed by
+    its conditions', otherwise the atom's own arguments."""
+    if isinstance(atom, CAtomSchema):
+        return atom.member.args + tuple(t for c in atom.conds for t in c.args)
+    return atom.args
+
+
+def atom_variables(atom: Atom) -> list[str]:
+    """The distinct variable names of an atom in first-occurrence order."""
+    return list(dict.fromkeys(v for t in atom_terms(atom) for v in term_variables(t)))
 
 
 # ---------------------------------------------------------------------------

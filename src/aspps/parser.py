@@ -42,9 +42,10 @@ from .model import (
     PlainAtom,
     PredDecl,
     Program,
-    Term,
     Variable,
     VarDecl,
+    atom_terms,
+    term_variables,
 )
 
 KEYWORDS = frozenset({"pred", "var"})
@@ -397,28 +398,20 @@ def _note_uses(clause, used_preds, used_consts):
             for s in t.operands:
                 walk_term(s)
 
-    def walk_plain(a):
-        if a.pred not in COMPARISONS:
-            used_preds.add(a.pred)
-        for t in a.args:
-            walk_term(t)
-
     for atom in clause.body + clause.head:
         if isinstance(atom, PlainAtom):
-            walk_plain(atom)
+            if atom.pred not in COMPARISONS:
+                used_preds.add(atom.pred)
         elif isinstance(atom, EAtom):
             used_preds.add(atom.pred)
             used_preds.add(atom.domain_pred)
-            for t in atom.args:
-                walk_term(t)
         elif isinstance(atom, CAtomSchema):
-            walk_plain(atom.member)
-            for c in atom.conds:
-                walk_plain(c)
+            plain = (atom.member, *atom.conds)
+            used_preds.update(a.pred for a in plain if a.pred not in COMPARISONS)
         else:
             used_preds.update(atom.preds)
-            for t in atom.args:
-                walk_term(t)
+        for t in atom_terms(atom):
+            walk_term(t)
 
 
 _ATOM_END = (",", "|", "->", "}")
@@ -516,7 +509,7 @@ class _ClauseParser(_Cursor):
             self.fail(f"variable {name} not declared", var_tok)
         if not atom.args or atom.args[-1] != Variable(name):
             self.fail("e-atom binder must equal the final argument", var_tok)
-        if any(name in _term_var_names(t) for t in atom.args[:-1]):
+        if any(name in term_variables(t) for t in atom.args[:-1]):
             self.fail(f"e-atom binder {name} may only occur as the final argument", var_tok)
         return EAtom(atom.pred, atom.args, name, dp_tok.value)
 
@@ -676,14 +669,3 @@ class _ClauseParser(_Cursor):
                 self.fail(f"reserved word {name!r} cannot be a constant", t)
             return name, 0
         self.fail("expected term")
-
-
-def _term_var_names(term):
-    if isinstance(term, Variable):
-        return {term.name}
-    if isinstance(term, ArithExpr):
-        out = set()
-        for t in term.operands:
-            out |= _term_var_names(t)
-        return out
-    return set()

@@ -98,7 +98,7 @@ class Solver:
         self.sat_by: list[tuple[list[int], list[int]]] = [
             ([], []) for _ in range(n + len(theory.cards) + 1)
         ]
-        self.clause_lits = [cl.literals for cl in theory.clauses]
+        self.clause_lits = theory.clauses
         self.branch_atoms: list[list[int]] = []
         self.sat_count = [0] * len(theory.clauses)
         self.open_clauses = len(theory.clauses)
@@ -127,19 +127,6 @@ class Solver:
         if tu < lo or tc > hi:
             return False
         return None
-
-    def lit_value(self, lit: int) -> bool | None:
-        ref = abs(lit)
-        if ref <= self.n_atoms:
-            v = self.assignment[ref]
-        else:
-            i = ref - self.n_atoms - 1
-            v = self.card_value[i]
-            if v is None:
-                v = self.card_status(i)
-        if v is None:
-            return None
-        return v if lit > 0 else not v
 
     def assign(self, aid: int, value: bool, decision: bool = False) -> Conflict | None:
         assignment = self.assignment

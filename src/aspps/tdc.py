@@ -19,7 +19,7 @@ and written back is byte identical.
 from __future__ import annotations
 
 from .errors import TdcError
-from .theory import CardConstruct, GroundAtom, GroundClause, GroundTheory, parse_ground_atom_text
+from .theory import CardConstruct, GroundAtom, GroundTheory, parse_ground_atom_text
 
 FORMAT_VERSION = 1
 
@@ -35,8 +35,8 @@ def write_tdc(theory: GroundTheory) -> str:
         out.append(f"{line} {members}\n" if members else f"{line}\n")
     out.append(f"clauses {len(theory.clauses)}\n")
     for cl in theory.clauses:
-        lits = " ".join(str(l) for l in cl.literals)
-        out.append(f"{len(cl.literals)} {lits}\n" if lits else "0\n")
+        lits = " ".join(str(l) for l in cl)
+        out.append(f"{len(cl)} {lits}\n" if lits else "0\n")
     return "".join(out)
 
 
@@ -141,7 +141,7 @@ def read_tdc(text: str, file: str = "<tdc>") -> GroundTheory:
         for l in lits:
             if l == 0 or not 1 <= abs(l) <= max_id:
                 src.fail(f"literal {l} out of range", no)
-        clauses.append(GroundClause(tuple(lits)))
+        clauses.append(tuple(lits))
 
     while src.pos < len(src.lines):
         line = src.lines[src.pos]
@@ -176,10 +176,10 @@ def print_theory(theory: GroundTheory) -> str:
     the empty clause prints as FALSE."""
     lines = []
     for cl in theory.clauses:
-        if not cl.literals:
+        if not cl:
             lines.append("FALSE")
         else:
-            lines.append(" | ".join(_literal_text(l, theory) for l in cl.literals))
+            lines.append(" | ".join(_literal_text(l, theory) for l in cl))
     return "".join(line + "\n" for line in lines)
 
 
@@ -201,4 +201,4 @@ def check_model(theory: GroundTheory, assignment: dict[int, bool]) -> bool:
         value = assignment[ref] if ref <= theory.n_atoms else card_true(theory.card_by_id(ref))
         return value if lit > 0 else not value
 
-    return all(any(lit_true(l) for l in cl.literals) for cl in theory.clauses)
+    return all(any(lit_true(l) for l in cl) for cl in theory.clauses)

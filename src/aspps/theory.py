@@ -3,8 +3,8 @@ solver.
 
 Atom ids are dense 1..N in order of first appearance; cardinality
 constructs take ids N+1..N+C and hold atom ids as members, with hi = -1
-meaning no upper bound. Clause literals are signed ids referring to
-either kind.
+meaning no upper bound. A clause is a plain tuple of literals, signed
+ids referring to either kind; () is the empty clause.
 """
 
 from __future__ import annotations
@@ -33,15 +33,10 @@ class CardConstruct:
 
 
 @dataclass(frozen=True)
-class GroundClause:
-    literals: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class GroundTheory:
     atoms: tuple[GroundAtom, ...]
     cards: tuple[CardConstruct, ...]
-    clauses: tuple[GroundClause, ...]
+    clauses: tuple[tuple[int, ...], ...]
 
     @property
     def n_atoms(self) -> int:
@@ -49,9 +44,6 @@ class GroundTheory:
 
     def card_by_id(self, cid: int) -> CardConstruct:
         return self.cards[cid - len(self.atoms) - 1]
-
-
-EMPTY_THEORY = GroundTheory((), (), ())
 
 
 def ground_atom_text(pred: str, args: tuple[Const, ...]) -> str:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import random
 
-from aspps.theory import CardConstruct, GroundAtom, GroundClause, GroundTheory
+from aspps.theory import CardConstruct, GroundAtom, GroundTheory
 
 # ---------------------------------------------------------------------------
 # Typed micro-programs: at most 3 data predicates (2 unary types plus one
@@ -248,11 +248,9 @@ def random_ground_theory(
     clauses = []
     for _ in range(rng.randint(1, 2 * n + 2)):
         if rng.random() < empty_clause_rate:
-            clauses.append(GroundClause(()))
+            clauses.append(())
             continue
         length = rng.randint(1, min(4, len(refs)))
         picked = rng.sample(refs, length)
-        clauses.append(
-            GroundClause(tuple(r if rng.random() < 0.5 else -r for r in picked))
-        )
+        clauses.append(tuple(r if rng.random() < 0.5 else -r for r in picked))
     return GroundTheory(atoms, tuple(cards), tuple(clauses))

@@ -2,13 +2,15 @@
 
 The naive grounder, model enumeration and status computation share no
 logic with the package beyond the AST/theory data types: they are
-re-derived from the definitions, the slow and obvious way. Four further
+re-derived from the definitions, the slow and obvious way. Five further
 references keep the package's own earlier, plainer algorithm next to
 the optimized one and reuse its primitives: branch selection by full
 rescan (reference_branch), propagation over every occurrence of an id
 (ReferenceSolver), model printing through model_lines
-(reference_aspps_stdout) and grounding over the full product of the
-variable domains (reference_ground).
+(reference_aspps_stdout), a clause's global and schema-local variables
+by per-atom-kind walks (reference_global_vars, reference_schema_locals)
+and grounding over the full product of the variable domains
+(reference_ground).
 """
 
 from __future__ import annotations
@@ -266,7 +268,7 @@ def normalize_theory(theory) -> Counter:
         ref[c.id] = ("c", c.lo, c.hi, frozenset(amap[m][1:] for m in c.members))
     out: Counter = Counter()
     for cl in theory.clauses:
-        out[frozenset((l > 0, ref[abs(l)]) for l in cl.literals)] += 1
+        out[frozenset((l > 0, ref[abs(l)]) for l in cl)] += 1
     return out
 
 
@@ -283,7 +285,7 @@ def enumerate_models(theory) -> set[frozenset[int]]:
     for cl in theory.clauses:
         pos = neg = 0
         card_lits = []
-        for lit in cl.literals:
+        for lit in cl:
             r = abs(lit)
             if r <= n:
                 bit = 1 << (r - 1)
@@ -366,6 +368,22 @@ def count_queens(n: int) -> int:
 # Branch selection by full rescan.
 
 
+def lit_value(solver, lit: int) -> bool | None:
+    """A literal's value under the solver's state: an atom's assignment,
+    or a card's committed value, else its status from the counters."""
+    ref = abs(lit)
+    if ref <= solver.n_atoms:
+        v = solver.assignment[ref]
+    else:
+        i = ref - solver.n_atoms - 1
+        v = solver.card_value[i]
+        if v is None:
+            v = solver.card_status(i)
+    if v is None:
+        return None
+    return v if lit > 0 else not v
+
+
 def reference_branch(solver) -> int | None:
     """Undetermined atom occurring in the most unsatisfied clauses,
     counting cardinality literals through their members; lowest id
@@ -374,9 +392,9 @@ def reference_branch(solver) -> int | None:
     walking every clause under the solver's current assignment."""
     score: dict[int, int] = {}
     for cl in solver.theory.clauses:
-        if any(solver.lit_value(l) is True for l in cl.literals):
+        if any(lit_value(solver, l) is True for l in cl):
             continue
-        for lit in cl.literals:
+        for lit in cl:
             ref = abs(lit)
             if ref <= solver.n_atoms:
                 if solver.assignment[ref] is None:
@@ -404,7 +422,7 @@ class ReferenceSolver(Solver):
         super().__init__(theory)
         self.occ: list[list[int]] = [[] for _ in self.sat_by]
         for ci, cl in enumerate(theory.clauses):
-            for lit in cl.literals:
+            for lit in cl:
                 self.occ[abs(lit)].append(ci)
 
     def propagate(self):
@@ -467,13 +485,76 @@ def aspps_stdout_mismatch(theory, workdir, pred) -> str | None:
 # Grounding over the full product of the global variables' domains.
 
 
+def reference_global_vars(clause) -> list[str]:
+    """Clause variables in first-occurrence order, minus e-atom binders
+    and schema-local condition variables (those occurring in one
+    schema's conditions and in no other atom)."""
+    atoms = clause.body + clause.head
+    occ: dict[str, set[int]] = {}
+    order: list[str] = []
+    cond_vars: dict[int, set[str]] = {}
+    ebound: set[str] = set()
+
+    def note(v, pos):
+        if v not in occ:
+            occ[v] = set()
+            order.append(v)
+        occ[v].add(pos)
+
+    for pos, atom in enumerate(atoms):
+        if isinstance(atom, PlainAtom):
+            for t in atom.args:
+                for v in term_variables(t):
+                    note(v, pos)
+        elif isinstance(atom, EAtom):
+            for t in atom.args:
+                for v in term_variables(t):
+                    note(v, pos)
+            ebound.add(atom.bound_var)
+        elif isinstance(atom, CAtomSchema):
+            cv = set()
+            for t in atom.member.args:
+                for v in term_variables(t):
+                    note(v, pos)
+            for c in atom.conds:
+                for t in c.args:
+                    for v in term_variables(t):
+                        note(v, pos)
+                        cv.add(v)
+            cond_vars[pos] = cv
+        else:
+            for t in atom.args:
+                for v in term_variables(t):
+                    note(v, pos)
+
+    local = set()
+    for pos, cv in cond_vars.items():
+        for v in cv:
+            if occ[v] == {pos}:
+                local.add(v)
+    return [v for v in order if v not in ebound and v not in local]
+
+
+def reference_schema_locals(atom: CAtomSchema, bound) -> list[str]:
+    """Condition variables of a schema that are not in bound, in
+    first-occurrence order over the member and then the conditions."""
+    order: list[str] = []
+    for t in atom.member.args + tuple(t for c in atom.conds for t in c.args):
+        for v in term_variables(t):
+            if v not in order:
+                order.append(v)
+    cond_vars = {v for c in atom.conds for t in c.args for v in term_variables(t)}
+    return [v for v in order if v in cond_vars and v not in bound]
+
+
 class ReferenceGrounder(Grounder):
     """The grounder with neither plans nor pruning: every binding of a
     clause's global variables is substituted, and every atom of every
-    instance is evaluated in clause order from a dict binding. Interning,
-    card folding and output assembly are the package's own, so its
-    output must equal the real grounder's byte for byte, and so must the
-    first error it raises."""
+    instance is evaluated in clause order from a dict binding. The
+    global and schema-local variables come from the reference walks
+    above. Interning, card folding and output assembly are the package's
+    own, so its output must equal the real grounder's byte for byte, and
+    so must the first error it raises."""
 
     def instantiate_eatom(self, atom: EAtom, binding):
         if atom.pred not in self.pred_decls:
@@ -503,22 +584,7 @@ class ReferenceGrounder(Grounder):
             return self._make_card(atom.lo, atom.hi, members)
         if atom.member.pred not in self.pred_decls:
             raise GroundError(f"cardinality member {atom.member.pred} is not declared")
-        var_order: list[str] = []
-        seen_vars = set()
-        for t in atom.member.args:
-            for v in term_variables(t):
-                if v not in seen_vars:
-                    seen_vars.add(v)
-                    var_order.append(v)
-        cond_vars = set()
-        for c in atom.conds:
-            for t in c.args:
-                for v in term_variables(t):
-                    cond_vars.add(v)
-                    if v not in seen_vars:
-                        seen_vars.add(v)
-                        var_order.append(v)
-        locals_ = [v for v in var_order if v in cond_vars and v not in binding]
+        locals_ = reference_schema_locals(atom, binding)
         domains = []
         for v in locals_:
             ty = self.var_types.get(v)
@@ -581,7 +647,7 @@ class ReferenceGrounder(Grounder):
 
     def ground(self):
         for clause in self.prog.clauses:
-            gvars = self.global_vars(clause)
+            gvars = reference_global_vars(clause)
             domains = []
             for v in gvars:
                 ty = self.var_types.get(v)

@@ -13,7 +13,7 @@ import pytest
 import aspps
 from aspps.cli import STAT_FILE, aspps_main, psgrnd_main
 from aspps.parser import MAX_TERM_DEPTH
-from aspps.theory import GroundAtom, GroundClause, GroundTheory
+from aspps.theory import GroundAtom, GroundTheory
 
 from generators import random_ground_theory
 from oracles import aspps_stdout_mismatch
@@ -49,6 +49,18 @@ def test_psgrnd_writes_named_file_silently(workdir, capsys):
     out = capsys.readouterr()
     assert out.out == "" and out.err == ""
     assert (workdir / "k=3-color-graph.tdc").exists()
+
+
+def test_psgrnd_checks_the_program_once(workdir, monkeypatch):
+    import aspps.grounder
+
+    calls = []
+    check = aspps.grounder.check_program
+    monkeypatch.setattr(
+        aspps.grounder, "check_program", lambda prog, db: calls.append(1) or check(prog, db)
+    )
+    assert _ground_triangle(workdir) == 0
+    assert len(calls) == 1
 
 
 def test_psgrnd_name_orders_consts_rule_then_data(workdir):
@@ -250,7 +262,7 @@ def test_end_to_end_three_coloring_models(workdir, capsys):
 def test_aspps_prints_a_model_with_no_true_atom(workdir, capsys):
     # -a1 | a2: models {a1, a2}, {a2}, then the empty one
     theory = GroundTheory(
-        tuple(GroundAtom(i, f"a{i}", (), f"a{i}") for i in (1, 2)), (), (GroundClause((-1, 2)),)
+        tuple(GroundAtom(i, f"a{i}", (), f"a{i}") for i in (1, 2)), (), ((-1, 2),)
     )
     assert aspps_stdout_mismatch(theory, str(workdir), "a2") is None
     _write(workdir, "t.tdc", "tdc 1\natoms 2\n1 a1\n2 a2\ncards 0\nclauses 1\n2 -1 2\n")

@@ -7,21 +7,14 @@ from hypothesis import given, strategies as st
 
 from aspps.database import build_database
 from aspps.errors import GroundError
-from aspps.grounder import (
-    Grounder,
-    check_program,
-    eval_arith,
-    eval_predefined,
-    ground_theory,
-    output_name,
-)
-from aspps.model import ArithExpr, PlainAtom, Variable
+from aspps.grounder import Grounder, _schema_locals, check_program, ground_theory, output_name
+from aspps.model import ArithExpr, CAtomSchema, PlainAtom, Variable
 from aspps.parser import parse_data_file, parse_rule_file
 from aspps.tdc import write_tdc
-from aspps.terms import arith_range
+from aspps.terms import arith_range, eval_arith, eval_predefined
 
 from generators import random_program
-from oracles import reference_ground
+from oracles import reference_global_vars, reference_ground, reference_schema_locals
 
 X, Y = Variable("X"), Variable("Y")
 
@@ -501,6 +494,65 @@ def test_ground_matches_reference_on_random_programs():
     for seed in range(1200):
         rules, data, _ = random_program(random.Random(seed))
         _assert_matches_reference(rules, data)
+
+
+# ---------------------------------------------------------------------------
+# Differential: the variable walk against per-atom-kind walks.
+
+VARIABLE_CASES = [
+    # an e-atom binder is local to its atom
+    ("pred p(t, t).\nvar t X, Y.\n-> p(X, Y):t(Y).", [["X"]]),
+    # a condition variable that also occurs in another atom is global
+    ("pred p(t).\npred q(t).\nvar t L.\nq(L) -> 1 {p(L) : t(L)} 1.", [["L"]]),
+    # so is one in the conditions of two schemas
+    ("pred p(t).\nvar t L.\n-> 1 {p(L) : t(L)} | {p(L) : L > 1}.", [["L"]]),
+    # a variable only in the member is global; condition variables are local
+    (
+        "pred p(t, t).\nvar t X, L, M.\n-> 1 {p(X, L) : t(L) : u(M, L)} 1 | {p(X, X)}.",
+        [["X"]],
+    ),
+    # variables inside arithmetic
+    (
+        "pred p(t).\nvar t X, Y, Z, L.\np(X + Y * 2), X < abs(Z - Y) -> {p(L + Z) : t(L - X)}.",
+        [["X", "Y", "Z"]],
+    ),
+    # first occurrences in the head come after those in the body
+    (
+        "pred p(t).\npred q(t, t).\nvar t X, Y, Z.\n"
+        "p(X) -> q(Y, X) | p(Y).\n-> q(Z, Y) | p(X).",
+        [["X", "Y"], ["Z", "Y", "X"]],
+    ),
+]
+
+
+def _variable_walks(prog, global_vars, schema_locals):
+    """Per clause: its global variables, then each schema's locals given
+    those globals and given none."""
+    walks = []
+    for clause in prog.clauses:
+        gvars = global_vars(clause)
+        schemas = [a for a in clause.body + clause.head if isinstance(a, CAtomSchema)]
+        walks.append((gvars, [schema_locals(a, b) for a in schemas for b in (set(gvars), ())]))
+    return walks
+
+
+def _assert_walk_matches_reference(rules):
+    prog = parse_rule_file(rules)
+    grounder = Grounder(prog, build_database(()))
+    got = _variable_walks(prog, grounder.global_vars, _schema_locals)
+    assert got == _variable_walks(prog, reference_global_vars, reference_schema_locals), rules
+    return [gvars for gvars, _ in got]
+
+
+@pytest.mark.parametrize("rules, gvars", VARIABLE_CASES)
+def test_variable_walk_matches_reference_on_hand_cases(rules, gvars):
+    assert _assert_walk_matches_reference(rules) == gvars
+
+
+def test_variable_walk_matches_reference_on_random_programs():
+    for seed in range(2000):
+        rules, _data, _tags = random_program(random.Random(seed))
+        _assert_walk_matches_reference(rules)
 
 
 # ---------------------------------------------------------------------------

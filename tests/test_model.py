@@ -13,11 +13,11 @@ from aspps.model import (
     Program,
     VarDecl,
     Variable,
-    atom_kind,
+    atom_terms,
     atom_text,
+    atom_variables,
     clause_text,
     program_text,
-    substitute,
     term_text,
     term_variables,
 )
@@ -35,30 +35,6 @@ def test_arith_expr_validates_operator_and_arity():
         ArithExpr("abs", (X, 1))
     with pytest.raises(ValueError):
         ArithExpr("mod", (X,))
-
-
-def test_substitute_replaces_bound_and_keeps_unbound():
-    t = ArithExpr("+", (X, ArithExpr("*", (2, Y))))
-    assert substitute(t, {"X": 3}) == ArithExpr("+", (3, ArithExpr("*", (2, Y))))
-    assert substitute(X, {"X": 3}) == 3
-    assert substitute(X, {}) == X
-    assert substitute(7, {"X": 1}) == 7
-    assert substitute("red", {"X": 1}) == "red"
-
-
-def test_substitute_does_not_evaluate():
-    t = ArithExpr("max", (X, 2))
-    assert substitute(t, {"X": 5}) == ArithExpr("max", (5, 2))
-
-
-def test_atom_kind_classification():
-    prog = Program(pred_decls=[PredDecl("clr", ("vtx", "color"))])
-    assert atom_kind(PlainAtom("clr", (X, Y)), prog) == "program"
-    assert atom_kind(PlainAtom("edge", (X, Y)), prog) == "data"
-    assert atom_kind(PlainAtom("<=", (X, Y)), prog) == "predefined"
-    assert atom_kind(EAtom("clr", (X, Y), "Y", "color"), prog) == "e-atom"
-    assert atom_kind(CAtomSchema(PlainAtom("clr", (X, Y)), ()), prog) == "c-atom"
-    assert atom_kind(CAtomList(("a", "b"), (X,)), prog) == "c-atom"
 
 
 def test_term_variables_in_occurrence_order():
@@ -120,14 +96,12 @@ def test_program_text_layout():
     assert program_text(Program()) == ""
 
 
-def test_program_lookup_helpers():
-    prog = Program(
-        pred_decls=[PredDecl("p", ("t",))],
-        var_decls=[VarDecl("t", ("X", "Y")), VarDecl("u", ("Z",))],
-    )
-    assert prog.pred_decl("p").arg_types == ("t",)
-    assert prog.pred_decl("q") is None
-    assert prog.is_program_pred("p") and not prog.is_program_pred("t")
-    assert prog.var_type("Y") == "t"
-    assert prog.var_type("Z") == "u"
-    assert prog.var_type("W") is None
+def test_atom_variables_in_first_occurrence_order():
+    Z = Variable("Z")
+    member = PlainAtom("p", (ArithExpr("+", (Y, X)), 1))
+    schema = CAtomSchema(member, (PlainAtom("d", (Z,)), PlainAtom("<", (X, Z))))
+    assert atom_terms(schema) == (ArithExpr("+", (Y, X)), 1, Z, X, Z)
+    assert atom_variables(schema) == ["Y", "X", "Z"]
+    assert atom_variables(EAtom("p", (X, Y), "Y", "d")) == ["X", "Y"]
+    assert atom_variables(CAtomList(("a", "b"), (Y, "red", Y))) == ["Y"]
+    assert atom_variables(PlainAtom("p")) == []

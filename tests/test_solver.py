@@ -7,10 +7,10 @@ from hypothesis import given, settings, strategies as st
 
 from aspps.solver import Solver, model_lines, solve, stat_line
 from aspps.tdc import check_model
-from aspps.theory import CardConstruct, GroundAtom, GroundClause, GroundTheory
+from aspps.theory import CardConstruct, GroundAtom, GroundTheory
 
 from generators import random_ground_theory
-from oracles import ReferenceSolver, enumerate_models, reference_branch
+from oracles import ReferenceSolver, enumerate_models, lit_value, reference_branch
 
 
 def _atoms(n):
@@ -19,7 +19,7 @@ def _atoms(n):
 
 def _theory(n, cards=(), clauses=()):
     cs = tuple(CardConstruct(n + 1 + i, lo, hi, tuple(ms)) for i, (lo, hi, ms) in enumerate(cards))
-    return GroundTheory(_atoms(n), cs, tuple(GroundClause(tuple(c)) for c in clauses))
+    return GroundTheory(_atoms(n), cs, tuple(tuple(c) for c in clauses))
 
 
 def _model_sets(result):
@@ -220,7 +220,7 @@ class _CheckedSolver(Solver):
     def choose_branch(self):
         for ci, cl in enumerate(self.theory.clauses):
             true_lits = 0
-            for lit in cl.literals:
+            for lit in cl:
                 ref = abs(lit)
                 if ref <= self.n_atoms:
                     v = self.assignment[ref]
@@ -228,8 +228,8 @@ class _CheckedSolver(Solver):
                     v = self.card_value[ref - self.n_atoms - 1]
                 true_lits += v is not None and v == (lit > 0)
             assert self.sat_count[ci] == true_lits
-            values = [self.lit_value(lit) for lit in cl.literals]
-            assert True in values or values.count(None) >= 2, (ci, cl.literals, values)
+            values = [lit_value(self, lit) for lit in cl]
+            assert True in values or values.count(None) >= 2, (ci, cl, values)
         assert self.open_clauses == self.sat_count.count(0)
         decided = [
             pos for pos, ref in enumerate(self.trail) if ref <= self.n_atoms and self.by_decision[ref]

@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 
 from aspps.errors import TdcError
 from aspps.tdc import check_model, print_theory, read_tdc, write_tdc
-from aspps.theory import CardConstruct, GroundAtom, GroundClause, GroundTheory
+from aspps.theory import CardConstruct, GroundAtom, GroundTheory
 
 from generators import random_ground_theory
 
@@ -20,10 +20,10 @@ def _theory():
     )
     cards = (CardConstruct(4, 1, 1, (1, 2)), CardConstruct(5, 0, 1, (1, 2, 3)))
     clauses = (
-        GroundClause((4,)),
-        GroundClause((-1, 3)),
-        GroundClause((-5, 2, -3)),
-        GroundClause(()),
+        (4,),
+        (-1, 3),
+        (-5, 2, -3),
+        (),
     )
     return GroundTheory(atoms, cards, clauses)
 
@@ -54,7 +54,7 @@ def test_read_write_inverse():
     assert t.n_atoms == 3
     assert t.atoms[2].pred == "q" and t.atoms[2].args == (1, "red")
     assert t.cards[0] == CardConstruct(4, 1, 1, (1, 2))
-    assert t.clauses[3].literals == ()
+    assert t.clauses[3] == ()
     assert write_tdc(t) == EXPECTED
 
 
@@ -68,7 +68,7 @@ def test_read_empty_theory():
 def test_read_tolerates_blank_lines():
     t = read_tdc("tdc 1\n\natoms 1\n1 p\n\ncards 0\nclauses 1\n1 -1\n")
     assert t.atoms[0].text == "p"
-    assert t.clauses[0].literals == (-1,)
+    assert t.clauses[0] == (-1,)
 
 
 @pytest.mark.parametrize(
@@ -122,7 +122,7 @@ def test_print_theory_unbounded_card_omits_hi():
     t = GroundTheory(
         (GroundAtom(1, "a", (), "a"),),
         (CardConstruct(2, 1, -1, (1,)),),
-        (GroundClause((2,)),),
+        ((2,),),
     )
     assert print_theory(t) == "1 {a}\n"
 
@@ -138,11 +138,11 @@ def test_check_model_clauses_and_cards():
     assert not check_model(t2, {1: False, 2: False, 3: False})
     # negative card literal: card 5 (at most one of the three) must fail
     assert not check_model(
-        GroundTheory(t.atoms, t.cards, (GroundClause((-5,)),)),
+        GroundTheory(t.atoms, t.cards, ((-5,),)),
         {1: True, 2: False, 3: False},
     )
     assert check_model(
-        GroundTheory(t.atoms, t.cards, (GroundClause((-5,)),)),
+        GroundTheory(t.atoms, t.cards, ((-5,),)),
         {1: True, 2: True, 3: False},
     )
 
