@@ -39,8 +39,10 @@ def _read_text(path: str, prog: str) -> str | None:
             return fh.read()
     except OSError as exc:
         reason = exc.strerror or str(exc)
-        print(f"{prog}: cannot read {path}: {reason}", file=sys.stderr)
-        return None
+    except UnicodeDecodeError:
+        reason = "not valid UTF-8"
+    print(f"{prog}: cannot read {path}: {reason}", file=sys.stderr)
+    return None
 
 
 def _valid_const_name(name: str) -> bool:

@@ -65,6 +65,12 @@ _CARD = 1 << 62
 # Static checks.
 
 
+# Each variable of a clause can be one level of the grounder's recursive
+# binding walk; with terms at most MAX_TERM_DEPTH deep, this keeps
+# grounding well under Python's default recursion limit.
+MAX_CLAUSE_VARS = 256
+
+
 def check_program(prog: Program, db: DataDatabase) -> list[str]:
     """Validate declarations, arities and variable usage against the
     data. Returns a list of diagnostics; empty means the program may be
@@ -103,6 +109,9 @@ def check_program(prog: Program, db: DataDatabase) -> list[str]:
 
     for idx, clause in enumerate(prog.clauses, 1):
         where = f"clause {idx}" + (f" (line {clause.line})" if clause.line else "")
+        n_vars = len({v for atom in clause.body + clause.head for v in atom_variables(atom)})
+        if n_vars > MAX_CLAUSE_VARS:
+            diags.append(f"{n_vars} variables in {where}, more than {MAX_CLAUSE_VARS}")
         diags.extend(_check_clause(clause, where, decls, var_types, db))
     return diags
 

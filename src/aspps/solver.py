@@ -24,9 +24,12 @@ was just set visits only the clauses it made false that are still
 unsatisfied. A count of the clauses with no true literal lets the branch
 pick skip the scan once every clause holds.
 
-The trail is a flat list of ids (atoms, then cards above n_atoms); the
-trail positions of the decisions not yet flipped are kept on a stack,
-so backtracking cuts the trail at the top position in one step.
+Atoms and cards share one id space: atoms are 1..n_atoms and cards
+follow them, and every per-id table is indexed by the id itself. A
+card's committed value lives in the assignment next to the atoms' values.
+The trail is a flat list of ids; the trail positions of the decisions
+not yet flipped are kept on a stack, so backtracking cuts the trail at
+the top position in one step.
 """
 
 from __future__ import annotations
@@ -64,27 +67,29 @@ class Solver:
         self.theory = theory
         n = theory.n_atoms
         self.n_atoms = n
-        self.assignment: list[bool | None] = [None] * (n + 1)
-        # Per card index i (card id n + 1 + i): bounds (an unbounded hi is
-        # the member count, which no count exceeds), members, committed
-        # value, and the counts of true and undetermined members.
-        self.card_lo = [c.lo for c in theory.cards]
-        self.card_hi = [len(c.members) if c.hi == -1 else c.hi for c in theory.cards]
-        self.card_members = [c.members for c in theory.cards]
-        self.card_value: list[bool | None] = [None] * len(theory.cards)
-        self.card_true = [0] * len(theory.cards)
-        self.card_undec = [len(c.members) for c in theory.cards]
-        # member_of[aid]: indices of the cards with aid as a member.
-        self.member_of: list[list[int]] = [[] for _ in range(n + 1)]
-        for i, c in enumerate(theory.cards):
+        size = n + len(theory.cards) + 1
+        # assignment[ref]: an atom's value or a card's committed value.
+        self.assignment: list[bool | None] = [None] * size
+        # Per card id (slots 0..n unused): bounds (an unbounded hi is the
+        # member count, which no count exceeds), members, and the counts
+        # of true and undetermined members.
+        pad = [0] * (n + 1)
+        self.card_lo = pad + [c.lo for c in theory.cards]
+        self.card_hi = pad + [len(c.members) if c.hi == -1 else c.hi for c in theory.cards]
+        self.card_members = [()] * (n + 1) + [c.members for c in theory.cards]
+        self.card_true = [0] * size
+        self.card_undec = pad + [len(c.members) for c in theory.cards]
+        # member_of[ref]: ids of the cards with ref as a member.
+        self.member_of: list[list[int]] = [[] for _ in range(size)]
+        for c in theory.cards:
             for m in c.members:
-                self.member_of[m].append(i)
+                self.member_of[m].append(c.id)
         # trail: ids in the order their values were set; decision_pos:
         # trail positions of the decisions not flipped yet.
         self.trail: list[int] = []
         self.decision_pos: list[int] = []
         self.stats = SolveStats()
-        # queue: ids whose value was just set; dirty_cards: card indices.
+        # queue: ids whose value was just set; dirty_cards: card ids.
         self.queue: deque[int] = deque()
         self.dirty_cards: deque[int] = deque()
         # sat_by[ref][value]: clauses whose literal on ref that value makes
@@ -95,9 +100,7 @@ class Solver:
         # open_clauses: the clauses with sat_count 0.
         # score[aid]: occurrences of aid in branch_atoms of the clauses
         # with sat_count 0.
-        self.sat_by: list[tuple[list[int], list[int]]] = [
-            ([], []) for _ in range(n + len(theory.cards) + 1)
-        ]
+        self.sat_by: list[tuple[list[int], list[int]]] = [([], []) for _ in range(size)]
         self.clause_lits = theory.clauses
         self.branch_atoms: list[list[int]] = []
         self.sat_count = [0] * len(theory.clauses)
@@ -111,66 +114,52 @@ class Solver:
                 if ref <= n:
                     atoms.append(ref)
                 else:
-                    atoms.extend(self.card_members[ref - n - 1])
+                    atoms.extend(self.card_members[ref])
             for aid in atoms:
                 self.score[aid] += 1
             self.branch_atoms.append(atoms)
 
     # -- plumbing ---------------------------------------------------------
 
-    def card_status(self, i: int) -> bool | None:
-        """Status of card index i read off its counts."""
-        tc, lo, hi = self.card_true[i], self.card_lo[i], self.card_hi[i]
-        tu = tc + self.card_undec[i]
+    def card_status(self, cid: int) -> bool | None:
+        """Status of card cid read off its counts."""
+        tc, lo, hi = self.card_true[cid], self.card_lo[cid], self.card_hi[cid]
+        tu = tc + self.card_undec[cid]
         if tc >= lo and tu <= hi:
             return True
         if tu < lo or tc > hi:
             return False
         return None
 
-    def assign(self, aid: int, value: bool, decision: bool = False) -> Conflict | None:
+    def assign(self, ref: int, value: bool, decision: bool = False) -> Conflict | None:
+        """Set atom ref, or commit card ref, to value. Only an atom set
+        other than by a decision counts as a propagation."""
         assignment = self.assignment
-        cur = assignment[aid]
+        cur = assignment[ref]
         if cur is not None:
-            return None if cur == value else Conflict("atom", aid)
-        assignment[aid] = value
+            kind = "atom" if ref <= self.n_atoms else "card"
+            return None if cur == value else Conflict(kind, ref)
+        assignment[ref] = value
         if decision:
             self.decision_pos.append(len(self.trail))
             self.stats.decisions += 1
-        else:
+        elif ref <= self.n_atoms:
             self.stats.propagations += 1
-        self.trail.append(aid)
-        sat_by = self.sat_by[aid]
+        self.trail.append(ref)
+        sat_by = self.sat_by[ref]
         if sat_by[not value]:
-            self.queue.append(aid)
+            self.queue.append(ref)
         if sat_by[value]:
             self._satisfy(sat_by[value])
-        cards = self.member_of[aid]
+        cards = self.member_of[ref]
         if cards:
             card_true, card_undec = self.card_true, self.card_undec
-            for i in cards:
-                card_undec[i] -= 1
+            for cid in cards:
+                card_undec[cid] -= 1
                 if value:
-                    card_true[i] += 1
+                    card_true[cid] += 1
             self.dirty_cards.extend(cards)
         return None
-
-    def _set_card_value(self, i: int, value: bool) -> Conflict | None:
-        cid = self.n_atoms + 1 + i
-        cur = self.card_value[i]
-        if cur is not None:
-            return None if cur == value else Conflict("card", cid)
-        self.card_value[i] = value
-        self.trail.append(cid)
-        sat_by = self.sat_by[cid]
-        if sat_by[not value]:
-            self.queue.append(cid)
-        if sat_by[value]:
-            self._satisfy(sat_by[value])
-        st = self.card_status(i)
-        if st is not None:
-            return None if st == value else Conflict("card", cid)
-        return self._enforce_members(i, value)
 
     def _satisfy(self, clauses: list[int]) -> None:
         """One more true literal in each clause; a clause leaving zero
@@ -198,11 +187,11 @@ class Solver:
                     score[aid] += 1
         self.open_clauses += opened
 
-    def _enforce_members(self, i: int, value: bool) -> Conflict | None:
-        """Push undetermined members of card i toward a committed value.
+    def _enforce_members(self, cid: int, value: bool) -> Conflict | None:
+        """Push undetermined members of card cid toward a committed value.
         Callers guarantee the status is still undetermined."""
-        tc, uc = self.card_true[i], self.card_undec[i]
-        lo, hi = self.card_lo[i], self.card_hi[i]
+        tc, uc = self.card_true[cid], self.card_undec[cid]
+        lo, hi = self.card_lo[cid], self.card_hi[cid]
         force: bool | None = None
         if value:
             if tc == hi:
@@ -213,51 +202,47 @@ class Solver:
             down = tc < lo
             up = tc + uc > hi
             if not down and not up:
-                return Conflict("card", self.n_atoms + 1 + i)
+                return Conflict("card", cid)
             if up and not down and tc + uc == hi + 1:
                 force = True
             elif down and not up and tc == lo - 1:
                 force = False
         if force is not None:
-            for m in [m for m in self.card_members[i] if self.assignment[m] is None]:
+            for m in [m for m in self.card_members[cid] if self.assignment[m] is None]:
                 conf = self.assign(m, force)
                 if conf is not None:
                     return conf
         return None
 
-    def _update_card(self, i: int) -> Conflict | None:
-        tc, lo, hi = self.card_true[i], self.card_lo[i], self.card_hi[i]
-        tu = tc + self.card_undec[i]
+    def _update_card(self, cid: int) -> Conflict | None:
+        tc, lo, hi = self.card_true[cid], self.card_lo[cid], self.card_hi[cid]
+        tu = tc + self.card_undec[cid]
         if tc >= lo and tu <= hi:
             st: bool | None = True
         elif tu < lo or tc > hi:
             st = False
         else:
             st = None
-        v = self.card_value[i]
+        v = self.assignment[cid]
         if v is None:
             if st is not None:
-                return self._set_card_value(i, st)
+                return self.assign(cid, st)
             return None
         if st is not None:
-            return None if st == v else Conflict("card", self.n_atoms + 1 + i)
+            return None if st == v else Conflict("card", cid)
         if v and tc != hi and tu != lo:
             return None  # _enforce_members would force nothing
-        return self._enforce_members(i, v)
+        return self._enforce_members(cid, v)
 
     def _check_clause(self, ci: int) -> Conflict | None:
-        n, assignment, card_value = self.n_atoms, self.assignment, self.card_value
+        n, assignment = self.n_atoms, self.assignment
         unit = None
         open_count = 0
         for lit in self.clause_lits[ci]:
             ref = lit if lit > 0 else -lit
-            if ref <= n:
-                v = assignment[ref]
-            else:
-                i = ref - n - 1
-                v = card_value[i]
-                if v is None:
-                    v = self.card_status(i)
+            v = assignment[ref]
+            if v is None and ref > n:
+                v = self.card_status(ref)
             if v is None:
                 open_count += 1
                 if open_count > 1:
@@ -267,22 +252,21 @@ class Solver:
                 return None
         if open_count == 0:
             return Conflict("clause", ci)
+        # unit is undetermined (a card: uncommitted, status open): no conflict.
         ref = abs(unit)
-        if ref <= n:
-            return self.assign(ref, unit > 0)
-        return self._set_card_value(ref - n - 1, unit > 0)
+        self.assign(ref, unit > 0)
+        return self._enforce_members(ref, unit > 0) if ref > n else None
 
     def propagate(self) -> Conflict | None:
         """Run the queues to a fixpoint. A queued id visits only the
         clauses its value made false and that no true literal already
         satisfies: every other clause would check as not unit."""
-        n = self.n_atoms
         while True:
             if self.dirty_cards:
                 conf = self._update_card(self.dirty_cards.popleft())
             elif self.queue:
                 ref = self.queue.popleft()
-                value = self.assignment[ref] if ref <= n else self.card_value[ref - n - 1]
+                value = self.assignment[ref]
                 conf = None
                 for ci in self.sat_by[ref][not value]:
                     if not self.sat_count[ci]:
@@ -295,7 +279,7 @@ class Solver:
                 return conf
 
     def _initial_propagate(self) -> Conflict | None:
-        self.dirty_cards.extend(range(len(self.card_lo)))
+        self.dirty_cards.extend(range(self.n_atoms + 1, len(self.assignment)))
         conf = self.propagate()
         if conf is not None:
             return conf
@@ -318,7 +302,7 @@ class Solver:
         with a determined status has that value committed."""
         if not self.open_clauses:  # every score is 0
             try:
-                return self.assignment.index(None, 1)
+                return self.assignment.index(None, 1, self.n_atoms + 1)
             except ValueError:
                 return None
         best, best_score = None, -1
@@ -335,7 +319,6 @@ class Solver:
         self.dirty_cards.clear()
         trail, assignment, sat_by = self.trail, self.assignment, self.sat_by
         member_of, card_true, card_undec = self.member_of, self.card_true, self.card_undec
-        card_value, n = self.card_value, self.n_atoms
         if self.decision_pos:
             pos = self.decision_pos.pop()
             aid = trail[pos]
@@ -343,22 +326,15 @@ class Solver:
         else:
             pos, aid = 0, None
         for ref in reversed(trail[pos:]):
-            if ref <= n:
-                value = assignment[ref]
-                assignment[ref] = None
-                sat = sat_by[ref][value]
-                if sat:
-                    self._unsatisfy(sat)
-                for i in member_of[ref]:
-                    card_undec[i] += 1
-                    if value:
-                        card_true[i] -= 1
-            else:
-                i = ref - n - 1
-                sat = sat_by[ref][card_value[i]]
-                if sat:
-                    self._unsatisfy(sat)
-                card_value[i] = None
+            value = assignment[ref]
+            assignment[ref] = None
+            sat = sat_by[ref][value]
+            if sat:
+                self._unsatisfy(sat)
+            for cid in member_of[ref]:
+                card_undec[cid] += 1
+                if value:
+                    card_true[cid] -= 1
         del trail[pos:]
         if aid is None:
             return False
@@ -366,12 +342,14 @@ class Solver:
         return True
 
     def _model(self) -> dict[int, bool]:
-        return dict(enumerate(self.assignment[1:], 1))
+        return dict(enumerate(self.assignment[1 : self.n_atoms + 1], 1))
 
     def search(self, max_models: int | None = 1) -> Iterator[list[bool | None]]:
-        """Run the search, yielding the assignment list (index 0 unused)
-        each time it is a model, until max_models (None: all of them).
-        The list is the solver's own: read it before resuming."""
+        """Run the search, yielding the assignment list each time it is a
+        model, until max_models (None: all of them). Index 0 is unused,
+        1..n_atoms hold the atoms' values and the ids above n_atoms the
+        cards' committed values. The list is the solver's own: read it
+        before resuming."""
         found = 0
         conflict = self._initial_propagate()
         while True:

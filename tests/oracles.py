@@ -372,13 +372,9 @@ def lit_value(solver, lit: int) -> bool | None:
     """A literal's value under the solver's state: an atom's assignment,
     or a card's committed value, else its status from the counters."""
     ref = abs(lit)
-    if ref <= solver.n_atoms:
-        v = solver.assignment[ref]
-    else:
-        i = ref - solver.n_atoms - 1
-        v = solver.card_value[i]
-        if v is None:
-            v = solver.card_status(i)
+    v = solver.assignment[ref]
+    if v is None and ref > solver.n_atoms:
+        v = solver.card_status(ref)
     if v is None:
         return None
     return v if lit > 0 else not v
@@ -400,7 +396,7 @@ def reference_branch(solver) -> int | None:
                 if solver.assignment[ref] is None:
                     score[ref] = score.get(ref, 0) + 1
             else:
-                for m in solver.card_members[ref - solver.n_atoms - 1]:
+                for m in solver.card_members[ref]:
                     if solver.assignment[m] is None:
                         score[m] = score.get(m, 0) + 1
     if score:

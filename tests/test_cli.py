@@ -12,6 +12,7 @@ import pytest
 
 import aspps
 from aspps.cli import STAT_FILE, aspps_main, psgrnd_main
+from aspps.grounder import MAX_CLAUSE_VARS
 from aspps.parser import MAX_TERM_DEPTH
 from aspps.theory import GroundAtom, GroundTheory
 
@@ -141,6 +142,45 @@ def test_psgrnd_grounds_terms_at_the_nesting_limit(workdir):
     dt = _write(workdir, "g.dt", "d(1).\n")
     assert psgrnd_main(["-r", rl, "-d", dt]) == 0
     assert (workdir / "deep-g.tdc").read_text().endswith("clauses 1\n1 -1\n")
+
+
+def _clause_over_vars(workdir, n):
+    names = [f"X{i}" for i in range(n)]
+    rules = f"pred p(t).\nvar t {', '.join(names)}.\n{', '.join(f'p({x})' for x in names)} ->.\n"
+    return _write(workdir, "wide.rl", rules), _write(workdir, "t.dt", "t(1).\n")
+
+
+def test_psgrnd_rejects_clause_over_the_variable_limit(workdir, capsys):
+    rl, dt = _clause_over_vars(workdir, MAX_CLAUSE_VARS + 1)
+    assert psgrnd_main(["-r", rl, "-d", dt]) == 2
+    err = capsys.readouterr().err
+    want = f"{MAX_CLAUSE_VARS + 1} variables in clause 1 (line 3), more than {MAX_CLAUSE_VARS}"
+    assert err == f"wide.rl: {want}\n"
+    assert not list(workdir.glob("*.tdc"))
+
+
+def test_psgrnd_grounds_clause_at_the_variable_limit(workdir):
+    rl, dt = _clause_over_vars(workdir, MAX_CLAUSE_VARS)
+    assert psgrnd_main(["-r", rl, "-d", dt]) == 0
+    assert (workdir / "wide-t.tdc").read_text().endswith("clauses 1\n1 -1\n")
+
+
+@pytest.mark.parametrize(
+    "tool, argv",
+    [
+        ("psgrnd", ["-r", "good.rl", "-d", "bad.bin"]),
+        ("psgrnd", ["-r", "bad.bin", "-d", "good.dt"]),
+        ("aspps", ["-f", "bad.bin"]),
+    ],
+    ids=["data", "rules", "theory"],
+)
+def test_input_not_utf8_exit_2(workdir, capsys, tool, argv):
+    (workdir / "bad.bin").write_bytes(b"p(1).\n\xff\n")
+    _write(workdir, "good.rl", "pred q(p).\nvar p X.\n-> q(X).\n")
+    _write(workdir, "good.dt", "p(1).\n")
+    main = psgrnd_main if tool == "psgrnd" else aspps_main
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"{tool}: cannot read bad.bin: not valid UTF-8\n"
 
 
 def test_aspps_requires_theory_file(workdir, capsys):

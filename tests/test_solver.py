@@ -204,36 +204,34 @@ def test_first_model_valid_and_counted(seed):
 
 class _CheckedSolver(Solver):
     """Checks the trail-kept scores against a full rescan at every branch,
-    that propagation left no clause unit or falsified, that the count of
+    that propagation left no clause unit or falsified, that every card
+    with a determined status has that value committed, that the count of
     open clauses is exact, and that the decision stack holds exactly the
     trail positions of the atoms assigned as decisions."""
 
     def __init__(self, theory):
         super().__init__(theory)
-        self.by_decision = [False] * (self.n_atoms + 1)
+        self.by_decision = [False] * len(self.assignment)
 
-    def assign(self, aid, value, decision=False):
-        if self.assignment[aid] is None:
-            self.by_decision[aid] = decision
-        return super().assign(aid, value, decision)
+    def assign(self, ref, value, decision=False):
+        if self.assignment[ref] is None:
+            self.by_decision[ref] = decision
+        return super().assign(ref, value, decision)
 
     def choose_branch(self):
+        for cid in range(self.n_atoms + 1, len(self.assignment)):
+            status = self.card_status(cid)
+            assert status is None or self.assignment[cid] == status, (cid, status)
         for ci, cl in enumerate(self.theory.clauses):
             true_lits = 0
             for lit in cl:
-                ref = abs(lit)
-                if ref <= self.n_atoms:
-                    v = self.assignment[ref]
-                else:
-                    v = self.card_value[ref - self.n_atoms - 1]
+                v = self.assignment[abs(lit)]
                 true_lits += v is not None and v == (lit > 0)
             assert self.sat_count[ci] == true_lits
             values = [lit_value(self, lit) for lit in cl]
             assert True in values or values.count(None) >= 2, (ci, cl, values)
         assert self.open_clauses == self.sat_count.count(0)
-        decided = [
-            pos for pos, ref in enumerate(self.trail) if ref <= self.n_atoms and self.by_decision[ref]
-        ]
+        decided = [pos for pos, ref in enumerate(self.trail) if self.by_decision[ref]]
         assert self.decision_pos == decided, (self.decision_pos, self.trail)
         aid = super().choose_branch()
         assert aid == reference_branch(self)
