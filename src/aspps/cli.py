@@ -3,8 +3,8 @@
 psgrnd grounds a rule file against data files and writes a .tdc theory;
 aspps reads a .tdc theory and searches for its models. Exit codes are
 shared: 0 success (an unsatisfiable theory is still success), 1 usage
-error, 2 unreadable or ill-formed input, 3 internal failure such as an
-unwritable output file.
+error, 2 unreadable or ill-formed input or running out of memory, 3
+internal failure such as an unwritable output file.
 """
 
 from __future__ import annotations
@@ -33,6 +33,26 @@ def _arg_parser(prog: str, description: str):
     return Parser(prog=prog, description=description)
 
 
+def _out_of_memory_exits_2(prog: str):
+    """Decorate a tool's main so that a MemoryError ends the run with
+    '<prog>: out of memory' and exit code 2."""
+
+    def decorate(main):
+        def run(argv: list[str]) -> int:
+            try:
+                return main(argv)
+            except MemoryError:
+                pass
+            # Report outside the except block: until it ends, the
+            # traceback keeps the frames that filled memory alive.
+            print(f"{prog}: out of memory", file=sys.stderr)
+            return 2
+
+        return run
+
+    return decorate
+
+
 def _read_text(path: str, prog: str) -> str | None:
     try:
         with open(path, encoding="utf-8") as fh:
@@ -49,6 +69,7 @@ def _valid_const_name(name: str) -> bool:
     return bool(name) and name[0].isalpha() and all(c.isalnum() or c == "_" for c in name)
 
 
+@_out_of_memory_exits_2("psgrnd")
 def psgrnd_main(argv: list[str]) -> int:
     from .database import build_database
     from .errors import GroundError, ParseError
@@ -127,6 +148,7 @@ def psgrnd_main(argv: list[str]) -> int:
     return 0
 
 
+@_out_of_memory_exits_2("aspps")
 def aspps_main(argv: list[str]) -> int:
     from itertools import compress
 

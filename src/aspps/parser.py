@@ -1,7 +1,11 @@
 """Tokenizer and recursive-descent parsers for data and rule files.
 
-Statements end with '.', comments run from '%' to end of line, and rule
-file statements may span lines (data atoms must fit on one line):
+Tokens are identifiers [A-Za-z][A-Za-z0-9_]*, unsigned decimal integers
+and the punctuation ( ) [ ] { } , . : | < > + - * / -> == <= >= .. with
+'→' read as '->'. Blank space is space, tab and carriage return, and a
+newline ends a line; any other character is illegal. Statements end with
+'.', comments run from '%' to end of line, and rule file statements may
+span lines (data atoms must fit on one line):
 
   data file   p(c1,...,cn).        ground atom, constants only
               p[m..n].             range, expands to p(m),...,p(n)
@@ -54,11 +58,15 @@ MAX_TERM_DEPTH = 100
 RESERVED_PRED = KEYWORDS | FUNC_NAMES
 
 _IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
-_INT_RE = re.compile(r"[0-9]+")
 
-# multi-character punctuation first so '->' wins over '-', '..' over '.'
-_PUNCT2 = ("->", "==", "<=", ">=", "..")
-_PUNCT1 = "()[]{},.:|<>+-*/"
+# One alternative per token kind, tried in order: multi-character
+# punctuation comes first so '->' wins over '-' and '..' over '.'.
+_TOKEN_RE = re.compile(
+    r"(?P<nl>\n)|[ \t\r]+|%[^\n]*"
+    r"|(?P<ident>" + _IDENT_RE.pattern + r")|(?P<int>[0-9]+)"
+    r"|(?P<punct>->|==|<=|>=|\.\.|[()\[\]{},.:|<>+\-*/]|→)"
+    r"|(?P<bad>.)"
+)
 
 DataAtom = tuple[str, tuple[Const, ...]]
 
@@ -96,57 +104,25 @@ def tokenize(text: str, consts: dict[str, str] | None = None, file: str = "<inpu
     tokens whose name appears in consts."""
     consts = consts or {}
     tokens = []
-    line, col = 1, 1
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            i += 1
-            line += 1
-            col = 1
+    line, line_start = 1, 0
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind is None:  # blank space or a comment
             continue
-        if c in " \t\r":
-            i += 1
-            col += 1
+        if kind == "nl":
+            line, line_start = line + 1, m.end()
             continue
-        if c == "%":
-            while i < n and text[i] != "\n":
-                i += 1
+        value, col = m.group(), m.start() - line_start + 1
+        if kind == "ident" and value in consts:
+            tokens.append(_subst_token(value, consts[value], file, line, col))
             continue
-        if c == "→":  # UTF-8 arrow, synonym for ->
-            tokens.append(Token("punct", "->", line, col))
-            i += 1
-            col += 1
-            continue
-        m = _IDENT_RE.match(text, i)
-        if m:
-            name = m.group()
-            if name in consts:
-                tokens.append(_subst_token(name, consts[name], file, line, col))
-            else:
-                tokens.append(Token("ident", name, line, col))
-            i = m.end()
-            col += len(name)
-            continue
-        m = _INT_RE.match(text, i)
-        if m:
-            value = _check_int_range(int(m.group(), 10), file, line, col)
-            tokens.append(Token("int", value, line, col))
-            i = m.end()
-            col += len(m.group())
-            continue
-        two = text[i : i + 2]
-        if two in _PUNCT2:
-            tokens.append(Token("punct", two, line, col))
-            i += 2
-            col += 2
-            continue
-        if c in _PUNCT1:
-            tokens.append(Token("punct", c, line, col))
-            i += 1
-            col += 1
-            continue
-        raise ParseError(f"illegal character {c!r}", file, line, col)
+        if kind == "int":
+            value = _check_int_range(int(value, 10), file, line, col)
+        elif kind == "bad":
+            raise ParseError(f"illegal character {value!r}", file, line, col)
+        elif value == "→":  # UTF-8 arrow, synonym for ->
+            value = "->"
+        tokens.append(Token(kind, value, line, col))
     return tokens
 
 
@@ -165,13 +141,6 @@ def _statements(tokens, file):
         t = cur[-1]
         raise ParseError("statement not terminated by '.'", file, t.line, t.col)
     return stmts
-
-
-def expand_range(pred: str, lo: int, hi: int) -> set[DataAtom]:
-    """Expand pred[lo..hi] into the atoms pred(lo), ..., pred(hi)."""
-    if lo > hi:
-        raise ValueError(f"empty range {pred}[{lo}..{hi}]")
-    return {(pred, (i,)) for i in range(lo, hi + 1)}
 
 
 class _Cursor:
@@ -211,6 +180,35 @@ class _Cursor:
         self.pos += 1
         return t
 
+    def listed(self, item, sep=","):
+        """One or more items separated by sep."""
+        items = [item()]
+        while self.at_punct(sep):
+            self.take()
+            items.append(item())
+        return items
+
+    def pred_name(self, what="predicate name"):
+        t = self.expect_ident(what)
+        if t.value in RESERVED_PRED:
+            self.fail(f"reserved word {t.value!r} cannot name a predicate", t)
+        return t.value
+
+    def constant(self):
+        """The symbolic constant named by the next identifier."""
+        t = self.take()
+        if t.value in KEYWORDS:
+            self.fail(f"reserved word {t.value!r} cannot be a constant", t)
+        return t.value
+
+    def negated_int(self):
+        """The integer after a '-' token, negated."""
+        minus, v = self.take(), self.peek()
+        if v is None or v.kind != "int":
+            self.fail("expected integer after '-'")
+        self.take()
+        return _check_int_range(-v.value, self.file, minus.line, minus.col)
+
     def done(self):
         return self.pos >= len(self.toks)
 
@@ -223,15 +221,10 @@ def parse_data_file(text: str, consts: dict[str, str] | None = None, file: str =
     """Parse a data file into a deduplicated set of ground atoms."""
     atoms: set[DataAtom] = set()
     for stmt in _statements(tokenize(text, consts, file), file):
-        if stmt[0].line != stmt[-1].line:
-            raise ParseError(
-                "data statement must fit on a single line", file, stmt[0].line, stmt[0].col
-            )
         cur = _Cursor(stmt, file)
-        name_tok = cur.expect_ident("predicate name")
-        name = name_tok.value
-        if name in RESERVED_PRED:
-            cur.fail(f"reserved word {name!r} cannot name a predicate", name_tok)
+        if stmt[0].line != stmt[-1].line:
+            cur.fail("data statement must fit on a single line", stmt[0])
+        name = cur.pred_name()
         if cur.at_punct("["):
             cur.take()
             lo = _range_bound(cur)
@@ -241,16 +234,11 @@ def parse_data_file(text: str, consts: dict[str, str] | None = None, file: str =
             if not cur.done():
                 cur.fail("unexpected token after range")
             if lo > hi:
-                raise ParseError(
-                    f"empty range {name}[{lo}..{hi}]", file, name_tok.line, name_tok.col
-                )
-            atoms |= expand_range(name, lo, hi)
+                cur.fail(f"empty range {name}[{lo}..{hi}]", stmt[0])
+            atoms.update((name, (i,)) for i in range(lo, hi + 1))
         elif cur.at_punct("("):
             cur.take()
-            args = [_data_const(cur)]
-            while cur.at_punct(","):
-                cur.take()
-                args.append(_data_const(cur))
+            args = cur.listed(lambda: _data_const(cur))
             cur.expect_punct(")")
             if not cur.done():
                 cur.fail("unexpected token after atom")
@@ -279,20 +267,12 @@ def _data_const(cur):
     if t.kind == "int":
         cur.take()
         return t.value
-    if t.kind == "punct" and t.value == "-":
-        cur.take()
-        v = cur.peek()
-        if v is None or v.kind != "int":
-            cur.fail("expected integer after '-'")
-        cur.take()
-        return _check_int_range(-v.value, cur.file, t.line, t.col)
+    if cur.at_punct("-"):
+        return cur.negated_int()
     if t.kind == "ident":
         if t.value[0].isupper():
             cur.fail(f"variable {t.value} not allowed in a data file", t)
-        if t.value in KEYWORDS:
-            cur.fail(f"reserved word {t.value!r} cannot be a constant", t)
-        cur.take()
-        return t.value
+        return cur.constant()
     cur.fail("expected constant")
 
 
@@ -343,17 +323,11 @@ def parse_rule_file(text: str, consts: dict[str, str] | None = None, file: str =
 
 def _parse_pred_decl(cur):
     cur.take()  # 'pred'
-    name_tok = cur.expect_ident("predicate name")
-    name = name_tok.value
-    if name in RESERVED_PRED:
-        cur.fail(f"reserved word {name!r} cannot name a predicate", name_tok)
+    name = cur.pred_name()
     arg_types = []
     if cur.at_punct("("):
         cur.take()
-        arg_types.append(cur.expect_ident("type predicate").value)
-        while cur.at_punct(","):
-            cur.take()
-            arg_types.append(cur.expect_ident("type predicate").value)
+        arg_types = cur.listed(lambda: cur.expect_ident("type predicate").value)
         cur.expect_punct(")")
     restriction = None
     if cur.at_punct(":"):
@@ -368,9 +342,9 @@ def _parse_pred_decl(cur):
 
 def _parse_var_decl(cur, var_types, used_consts):
     cur.take()  # 'var'
-    type_tok = cur.expect_ident("type predicate")
-    names = []
-    while True:
+    type_name = cur.expect_ident("type predicate").value
+
+    def declare():
         t = cur.expect_ident("variable name")
         name = t.value
         if name in RESERVED_PRED:
@@ -379,15 +353,13 @@ def _parse_var_decl(cur, var_types, used_consts):
             cur.fail(f"duplicate variable declaration for {name}", t)
         if name in used_consts:
             cur.fail(f"variable {name} declared after use as a constant", t)
-        names.append(name)
-        var_types[name] = type_tok.value
-        if cur.at_punct(","):
-            cur.take()
-            continue
-        break
+        var_types[name] = type_name
+        return name
+
+    names = cur.listed(declare)
     if not cur.done():
         cur.fail("unexpected token in var declaration")
-    return VarDecl(type_tok.value, tuple(names))
+    return VarDecl(type_name, tuple(names))
 
 
 def _note_uses(clause, used_preds, used_consts):
@@ -423,25 +395,14 @@ class _ClauseParser(_Cursor):
         self.var_types = var_types
 
     def parse(self):
-        line = self.toks[0].line
-        body, head = [], []
-        if not self.at_punct("->"):
-            body.append(self.parse_atom())
-            while self.at_punct(","):
-                self.take()
-                body.append(self.parse_atom())
+        body = [] if self.at_punct("->") else self.listed(self.parse_atom)
         self.expect_punct("->")
-        if not self.done():
-            head.append(self.parse_atom())
-            while self.at_punct("|"):
-                self.take()
-                head.append(self.parse_atom())
+        head = [] if self.done() else self.listed(self.parse_atom, "|")
         if not self.done():
             self.fail("expected end of statement")
         if not body and not head:
-            t = self.toks[0]
-            raise ParseError("clause has an empty body and an empty head", self.file, t.line, t.col)
-        return Clause(tuple(body), tuple(head), line=line)
+            self.fail("clause has an empty body and an empty head", self.toks[0])
+        return Clause(tuple(body), tuple(head), line=self.toks[0].line)
 
     # -- atoms ------------------------------------------------------------
 
@@ -457,50 +418,44 @@ class _ClauseParser(_Cursor):
                 self.fail("cardinality bounds must be non-negative", t)
             return self.parse_catom(t.value)
         if t.kind == "ident" and self.at_punct("{", ahead=1):
-            self.fail(
-                f"cardinality bound {t.value!r} is not an integer (substitute it with -c)", t
-            )
+            self.fail_bound(t)
         if t.kind == "ident" and self.at_punct("(", ahead=1) and t.value not in FUNC_NAMES:
             atom = self.parse_pred_atom()
             if self.at_punct(":"):
                 return self.parse_eatom_tail(atom)
             return atom
         if t.kind == "ident" and (self.peek(1) is None or self.at_punct(*_ATOM_END, ahead=1)):
-            # bare identifier: a 0-ary atom, unless it names a variable
-            self.take()
-            if t.value in self.var_types:
-                self.fail(f"variable {t.value} cannot stand alone as an atom", t)
-            if t.value in RESERVED_PRED:
-                self.fail(f"reserved word {t.value!r} cannot name a predicate", t)
-            if t.value[0].isupper():
-                self.fail(f"variable {t.value} not declared", t)
-            return PlainAtom(t.value)
-        left = self.parse_term()
-        op = self.peek()
-        if op is None or op.kind != "punct" or op.value not in COMPARISONS:
-            self.fail("expected comparison operator after term")
-        self.take()
-        right = self.parse_term()
-        return PlainAtom(op.value, (left, right))
+            return self.bare_atom()
+        return self.parse_comparison("expected comparison operator after term")
+
+    def bare_atom(self, variable_message=None):
+        """The 0-ary atom named by the next identifier. If that names a
+        variable, fail with variable_message, or by default with the
+        message for a clause atom."""
+        t = self.peek()
+        if t.value in self.var_types:
+            self.fail(variable_message or f"variable {t.value} cannot stand alone as an atom", t)
+        if t.value[0].isupper():
+            self.fail(variable_message or f"variable {t.value} not declared", t)
+        return PlainAtom(self.pred_name())
 
     def parse_pred_atom(self):
-        name_tok = self.expect_ident("predicate name")
-        name = name_tok.value
-        if name in RESERVED_PRED:
-            self.fail(f"reserved word {name!r} cannot name a predicate", name_tok)
+        name = self.pred_name()
         self.expect_punct("(")
-        args = [self.parse_term()]
-        while self.at_punct(","):
-            self.take()
-            args.append(self.parse_term())
+        args = self.listed(self.parse_term)
         self.expect_punct(")")
         return PlainAtom(name, tuple(args))
 
+    def parse_comparison(self, message):
+        left = self.parse_term()
+        if not self.at_punct(*COMPARISONS):
+            self.fail(message)
+        op = self.take()
+        return PlainAtom(op.value, (left, self.parse_term()))
+
     def parse_eatom_tail(self, atom):
         self.expect_punct(":")
-        dp_tok = self.expect_ident("domain predicate")
-        if dp_tok.value in RESERVED_PRED:
-            self.fail(f"reserved word {dp_tok.value!r} cannot name a predicate", dp_tok)
+        domain = self.pred_name("domain predicate")
         self.expect_punct("(")
         var_tok = self.expect_ident("variable")
         self.expect_punct(")")
@@ -511,66 +466,46 @@ class _ClauseParser(_Cursor):
             self.fail("e-atom binder must equal the final argument", var_tok)
         if any(name in term_variables(t) for t in atom.args[:-1]):
             self.fail(f"e-atom binder {name} may only occur as the final argument", var_tok)
-        return EAtom(atom.pred, atom.args, name, dp_tok.value)
+        return EAtom(atom.pred, atom.args, name, domain)
 
     def parse_catom(self, lo):
         open_tok = self.expect_punct("{")
         first = self.parse_member_atom()
+
+        def list_member():
+            atom = self.parse_member_atom()
+            if atom.args != first.args:
+                self.fail("atoms in a cardinality list must share one argument tuple")
+            return atom.pred
+
+        conds, preds = (), None
         if self.at_punct(":"):
-            conds = []
-            while self.at_punct(":"):
-                self.take()
-                conds.append(self.parse_condition())
-            self.expect_punct("}")
-            hi = self.parse_upper_bound()
-            self._check_bounds(lo, hi, open_tok)
-            return CAtomSchema(first, tuple(conds), lo, hi)
-        if self.at_punct(","):
-            preds = [first.pred]
-            while self.at_punct(","):
-                self.take()
-                nxt = self.parse_member_atom()
-                if nxt.args != first.args:
-                    self.fail("atoms in a cardinality list must share one argument tuple")
-                preds.append(nxt.pred)
-            self.expect_punct("}")
-            hi = self.parse_upper_bound()
-            self._check_bounds(lo, hi, open_tok)
-            return CAtomList(tuple(preds), first.args, lo, hi)
+            self.take()
+            conds = tuple(self.listed(self.parse_condition, ":"))
+        elif self.at_punct(","):
+            self.take()
+            preds = (first.pred, *self.listed(list_member))
         self.expect_punct("}")
         hi = self.parse_upper_bound()
-        self._check_bounds(lo, hi, open_tok)
-        return CAtomSchema(first, (), lo, hi)
+        if lo is not None and hi is not None and lo > hi:
+            self.fail(f"lower bound {lo} exceeds upper bound {hi}", open_tok)
+        if preds:
+            return CAtomList(preds, first.args, lo, hi)
+        return CAtomSchema(first, conds, lo, hi)
 
     def parse_member_atom(self):
         t = self.peek()
         if t is not None and t.kind == "ident" and not self.at_punct("(", ahead=1):
-            self.take()
-            if t.value in self.var_types or t.value[0].isupper():
-                self.fail("cardinality members must be predicate atoms", t)
-            if t.value in RESERVED_PRED:
-                self.fail(f"reserved word {t.value!r} cannot name a predicate", t)
-            return PlainAtom(t.value)
+            return self.bare_atom("cardinality members must be predicate atoms")
         return self.parse_pred_atom()
 
     def parse_condition(self):
         t = self.peek()
         if t is not None and t.kind == "ident" and self.at_punct("(", ahead=1) and t.value not in FUNC_NAMES:
             return self.parse_pred_atom()
-        if t is not None and t.kind == "ident" and (self.at_punct(":", ahead=1) or self.at_punct("}", ahead=1)):
-            self.take()
-            if t.value in self.var_types or t.value[0].isupper():
-                self.fail("conditions must be predicate atoms or comparisons", t)
-            if t.value in RESERVED_PRED:
-                self.fail(f"reserved word {t.value!r} cannot name a predicate", t)
-            return PlainAtom(t.value)
-        left = self.parse_term()
-        op = self.peek()
-        if op is None or op.kind != "punct" or op.value not in COMPARISONS:
-            self.fail("expected comparison operator in condition")
-        self.take()
-        right = self.parse_term()
-        return PlainAtom(op.value, (left, right))
+        if t is not None and t.kind == "ident" and self.at_punct(":", "}", ahead=1):
+            return self.bare_atom("conditions must be predicate atoms or comparisons")
+        return self.parse_comparison("expected comparison operator in condition")
 
     def parse_upper_bound(self):
         t = self.peek()
@@ -579,14 +514,11 @@ class _ClauseParser(_Cursor):
             return t.value
         if t is not None and t.kind == "ident" and (self.peek(1) is None or self.at_punct(*_ATOM_END, ahead=1)):
             # an identifier right after '}' can only be an unsubstituted bound
-            self.fail(
-                f"cardinality bound {t.value!r} is not an integer (substitute it with -c)", t
-            )
+            self.fail_bound(t)
         return None
 
-    def _check_bounds(self, lo, hi, tok):
-        if lo is not None and hi is not None and lo > hi:
-            self.fail(f"lower bound {lo} exceeds upper bound {hi}", tok)
+    def fail_bound(self, t):
+        self.fail(f"cardinality bound {t.value!r} is not an integer (substitute it with -c)", t)
 
     # -- terms -------------------------------------------------------------
     # Each parser below takes the number of parentheses and calls open
@@ -599,20 +531,16 @@ class _ClauseParser(_Cursor):
         return self._sum(0)[0]
 
     def _sum(self, open_):
-        t, depth = self._product(open_)
-        while self.at_punct("+", "-"):
-            op = self.take()
-            right, rdepth = self._product(open_)
-            depth = 1 + max(depth, rdepth)
-            self._check_nesting(op, open_ + depth)
-            t = ArithExpr(op.value, (t, right))
-        return t, depth
+        return self._left_assoc(open_, ("+", "-"), self._product)
 
     def _product(self, open_):
-        t, depth = self._primary(open_)
-        while self.at_punct("*", "/"):
+        return self._left_assoc(open_, ("*", "/"), self._primary)
+
+    def _left_assoc(self, open_, ops, operand):
+        t, depth = operand(open_)
+        while self.at_punct(*ops):
             op = self.take()
-            right, rdepth = self._primary(open_)
+            right, rdepth = operand(open_)
             depth = 1 + max(depth, rdepth)
             self._check_nesting(op, open_ + depth)
             t = ArithExpr(op.value, (t, right))
@@ -630,12 +558,7 @@ class _ClauseParser(_Cursor):
             self.take()
             return t.value, 0
         if self.at_punct("-"):
-            self.take()
-            v = self.peek()
-            if v is None or v.kind != "int":
-                self.fail("expected integer after '-'")
-            self.take()
-            return _check_int_range(-v.value, self.file, t.line, t.col), 0
+            return self.negated_int(), 0
         if self.at_punct("("):
             self._check_nesting(t, open_ + 1)
             self.take()
@@ -648,10 +571,7 @@ class _ClauseParser(_Cursor):
                 self._check_nesting(t, open_ + 1)
                 self.take()
                 self.take()
-                args = [self._sum(open_ + 1)]
-                while self.at_punct(","):
-                    self.take()
-                    args.append(self._sum(open_ + 1))
+                args = self.listed(lambda: self._sum(open_ + 1))
                 self.expect_punct(")")
                 if len(args) != ARITH_OPS[name]:
                     self.fail(f"{name} takes {ARITH_OPS[name]} operand(s)", t)
@@ -660,12 +580,10 @@ class _ClauseParser(_Cursor):
                 return ArithExpr(name, tuple(a for a, _ in args)), depth
             if self.at_punct("(", ahead=1):
                 self.fail(f"predicate {name} cannot appear inside a term", t)
-            self.take()
             if name in self.var_types:
+                self.take()
                 return Variable(name), 0
             if name[0].isupper():
                 self.fail(f"variable {name} not declared", t)
-            if name in KEYWORDS:
-                self.fail(f"reserved word {name!r} cannot be a constant", t)
-            return name, 0
+            return self.constant(), 0
         self.fail("expected term")

@@ -154,28 +154,6 @@ def compile_comparison(atom: PlainAtom, slots):
     return order
 
 
-def _flat(binding):
-    return {name: i for i, name in enumerate(binding)}, list(binding.values())
-
-
-def eval_arith(term, binding) -> int:
-    """Evaluate a term to an integer under a binding of variable names."""
-    slots, vals = _flat(binding)
-    return compile_term(term, slots, arith=True)(vals)
-
-
-def eval_ground_term(term, binding):
-    """Reduce a term to a constant under a binding."""
-    slots, vals = _flat(binding)
-    return compile_term(term, slots)(vals)
-
-
-def eval_predefined(atom: PlainAtom, binding) -> bool:
-    """Evaluate a comparison atom under a binding."""
-    slots, vals = _flat(binding)
-    return compile_comparison(atom, slots)(vals)
-
-
 # ---------------------------------------------------------------------------
 # Interval check: can any evaluation in a clause raise? `ranges` maps each
 # bound variable to the (lo, hi) bounds of its integer values, or to None

@@ -10,7 +10,9 @@ rescan (reference_branch), propagation over every occurrence of an id
 (reference_aspps_stdout), a clause's global and schema-local variables
 by per-atom-kind walks (reference_global_vars, reference_schema_locals)
 and grounding over the full product of the variable domains
-(reference_ground).
+(reference_ground). eval_arith, eval_ground_term and eval_predefined
+evaluate a term or comparison under a dict binding through the package's
+compiled terms.
 """
 
 from __future__ import annotations
@@ -37,7 +39,34 @@ from aspps.model import (
 from aspps.cli import aspps_main
 from aspps.solver import Solver, model_lines
 from aspps.tdc import write_tdc
-from aspps.terms import eval_ground_term, eval_predefined
+from aspps.terms import compile_comparison, compile_term
+
+# ---------------------------------------------------------------------------
+# Term evaluation under a dict binding of variable names, through the
+# package's compiled terms.
+
+
+def _flat(binding):
+    return {name: i for i, name in enumerate(binding)}, list(binding.values())
+
+
+def eval_arith(term, binding) -> int:
+    """Evaluate a term to an integer under a binding of variable names."""
+    slots, vals = _flat(binding)
+    return compile_term(term, slots, arith=True)(vals)
+
+
+def eval_ground_term(term, binding):
+    """Reduce a term to a constant under a binding."""
+    slots, vals = _flat(binding)
+    return compile_term(term, slots)(vals)
+
+
+def eval_predefined(atom: PlainAtom, binding) -> bool:
+    """Evaluate a comparison atom under a binding."""
+    slots, vals = _flat(binding)
+    return compile_comparison(atom, slots)(vals)
+
 
 # ---------------------------------------------------------------------------
 # Naive grounder.

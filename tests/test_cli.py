@@ -1,5 +1,6 @@
 """psgrnd / aspps command-line behaviour, run in-process."""
 
+import importlib.util
 import json
 import os
 import random
@@ -181,6 +182,41 @@ def test_input_not_utf8_exit_2(workdir, capsys, tool, argv):
     main = psgrnd_main if tool == "psgrnd" else aspps_main
     assert main(argv) == 2
     assert capsys.readouterr().err == f"{tool}: cannot read bad.bin: not valid UTF-8\n"
+
+
+# A child that caps its own address space at 150 MB, then runs a tool.
+_CAPPED = """
+import resource, runpy, sys
+cap = 150 * 2**20
+resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+sys.argv = ["aspps", *sys.argv[1:]]
+runpy.run_module("aspps", run_name="__main__")
+"""
+
+
+def _write_huge_tdc(workdir, n_atoms):
+    with open(workdir / "huge.tdc", "w", encoding="utf-8") as fh:
+        fh.write(f"tdc 1\natoms {n_atoms}\n")
+        fh.writelines(f"{i} p({i})\n" for i in range(1, n_atoms + 1))
+        fh.write("cards 0\nclauses 0\n")
+    return "huge.tdc"
+
+
+@pytest.mark.skipif(importlib.util.find_spec("resource") is None, reason="needs the resource module")
+@pytest.mark.parametrize("tool", ["psgrnd", "aspps"])
+def test_out_of_memory_exit_2(workdir, tool):
+    if tool == "psgrnd":
+        _write(workdir, "huge.dt", "p[1..100000000].\n")
+        _write(workdir, "q.rl", "pred q(p).\nvar p X.\n-> q(X).\n")
+        argv = ["-r", "q.rl", "-d", "huge.dt"]
+    else:
+        argv = ["-f", _write_huge_tdc(workdir, 2_000_000)]
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _CAPPED, tool, *argv],
+        cwd=workdir, env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True,
+    )
+    assert (proc.returncode, proc.stderr) == (2, f"{tool}: out of memory\n")
 
 
 def test_aspps_requires_theory_file(workdir, capsys):

@@ -11,10 +11,10 @@ from aspps.grounder import Grounder, _schema_locals, check_program, ground_theor
 from aspps.model import ArithExpr, CAtomSchema, PlainAtom, Variable
 from aspps.parser import parse_data_file, parse_rule_file
 from aspps.tdc import write_tdc
-from aspps.terms import arith_range, eval_arith, eval_predefined
+from aspps.terms import arith_range
 
 from generators import random_program
-from oracles import reference_global_vars, reference_ground, reference_schema_locals
+from oracles import eval_arith, eval_predefined, reference_global_vars, reference_ground, reference_schema_locals
 
 X, Y = Variable("X"), Variable("Y")
 

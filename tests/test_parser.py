@@ -1,5 +1,9 @@
 """Tokenizer, data-file parser and rule-file parser."""
 
+import hashlib
+import random
+import re
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -16,6 +20,9 @@ from aspps.model import (
     program_text,
 )
 from aspps.parser import MAX_TERM_DEPTH, parse_data_file, parse_rule_file, tokenize
+
+from generators import random_program
+from problems import COLOR_RULES, PIGEON_DATA, PIGEON_RULES, QUEENS_DATA, QUEENS_RULES, TRIANGLE_DATA
 
 X, Y, C = Variable("X"), Variable("Y"), Variable("C")
 
@@ -353,3 +360,71 @@ def test_term_render_parse_round_trip(term):
     text = term_text(term)
     prog = parse_rule_file(f"var t X, Y.\np({text}) ->.\n")
     assert prog.clauses[0].body[0].args[0] == term
+
+
+# ---------------------------------------------------------------------------
+# Pinned outcomes: a digest of what the parsers return or raise on seeded
+# mutations of the canonical encodings and of random programs. Any change
+# to a result, a diagnostic or its position changes the digest.
+
+PIN_ALPHABET = "abpqXY_()[]{}:,.|-><=!+*/ \n\t0123456789%→$"
+PIN_WORDS = ("pred", "var", "abs", "mod", "max", "min", "->", "..", "X", "p(X)", "1{", "}2")
+PIN_CONSTS = (
+    {"k": "3", "n": "4", "p": "3", "h": "2"},
+    {"k": "-1", "n": "x"},
+    {"k": "1 2"},
+    {"n": "9" * 20},
+    {},
+)
+
+
+def _pin_mutate(rng, text):
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randint(0, len(text))
+        j = rng.randint(i, min(len(text), i + 12))
+        op = rng.choice(("insert", "delete", "repeat", "keyword"))
+        if op == "insert":
+            text = text[:i] + "".join(rng.choice(PIN_ALPHABET) for _ in range(rng.randint(1, 4))) + text[i:]
+        elif op == "delete":
+            text = text[:i] + text[j:]
+        elif op == "repeat":
+            text = text[:j] + text[i:j] + text[j:]
+        else:
+            text = text[:i] + " " + rng.choice(PIN_WORDS) + " " + text[i:]
+    return text
+
+
+def _pin_outcome(fn, text, consts):
+    try:
+        result = fn(text, consts, "pin")
+    except ParseError as exc:
+        return f"{exc.message} @{exc.file}:{exc.line}:{exc.col}", False
+    if isinstance(result, set):
+        return repr(sorted(map(repr, result))), True
+    return repr(result), True
+
+
+def test_parser_outcomes_pinned():
+    gen = [random_program(random.Random(seed))[:2] for seed in range(40)]
+    rule_seeds = [COLOR_RULES, QUEENS_RULES, PIGEON_RULES] + [r for r, _ in gen]
+    data_seeds = [TRIANGLE_DATA, QUEENS_DATA, PIGEON_DATA, "edge(a,b). w(1,-2).\nc.\n"] + [d for _, d in gen]
+    rng = random.Random(20011)
+    digest = hashlib.sha256()
+    accepted = 0
+    for case in range(4000):
+        kind = case % 3
+        consts = rng.choice(PIN_CONSTS)
+        if kind == 0:
+            fn, text = parse_rule_file, _pin_mutate(rng, rng.choice(rule_seeds))
+        elif kind == 1:
+            text = _pin_mutate(rng, rng.choice(data_seeds))
+            # Cap integer literals at three digits, so ranges stay small to expand.
+            fn, text = parse_data_file, re.sub(r"\d{4,}", lambda m: m.group()[:3], text)
+        else:
+            fn, text = tokenize, _pin_mutate(rng, rng.choice(rule_seeds + data_seeds))
+        outcome, ok = _pin_outcome(fn, text, consts)
+        accepted += ok
+        digest.update(f"{case}\0{outcome}\0".encode())
+    assert (accepted, digest.hexdigest()) == (
+        1378, "8877d0b8e3b9f55f33f01f1b509a478937c2bf618e935fe81ce748fe7d5956d1"
+    )
