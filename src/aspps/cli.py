@@ -151,9 +151,10 @@ def psgrnd_main(argv: list[str]) -> int:
 @_out_of_memory_exits_2("aspps")
 def aspps_main(argv: list[str]) -> int:
     from itertools import compress
+    from time import perf_counter
 
     from .errors import TdcError
-    from .solver import Solver, now_ms, record_stats, stat_line
+    from .solver import Solver, record_stats, stat_line
     from .tdc import print_theory, read_tdc
 
     parser = _arg_parser("aspps", "Search for models of a ground .tdc theory.")
@@ -211,15 +212,15 @@ def aspps_main(argv: list[str]) -> int:
     ]
     found = 0
     writing = 0.0
-    start = now_ms()
+    start = perf_counter()
     solver = Solver(theory)
     for assignment in solver.search(max_models):
         if show:
-            t = now_ms()
+            t = perf_counter()
             sys.stdout.write(("\n" if found else "") + "".join(compress(shown, assignment)))
-            writing += now_ms() - t
+            writing += perf_counter() - t
         found += 1
-    elapsed = int(now_ms() - start - writing)
+    elapsed = int((perf_counter() - start - writing) * 1000)
 
     if not found:
         print("UNSAT")

@@ -85,11 +85,30 @@ def _check_int_range(value, file, line, col):
     return value
 
 
+# A decimal integer in the ASCII forms int() accepts: sign, then digits
+# with single underscores between them.
+_INT_TEXT_RE = re.compile(r"([+-]?)([0-9](?:_?[0-9])*)")
+
+
+def _int_value(text, file, line, col):
+    """int(text, 10), range-checked. A decimal text with more than 19
+    digits after its leading zeros is out of range without converting
+    it: int() refuses a text of more than 4 300 digits."""
+    m = len(text) > 19 and _INT_TEXT_RE.fullmatch(text)
+    if m:
+        digits = m[2].replace("_", "").lstrip("0")
+        if len(digits) > 19:
+            sign = "-" if m[1] == "-" else ""
+            raise ParseError(f"integer constant {sign}{digits} out of 64-bit range", file, line, col)
+        text = m[1] + (digits or "0")
+    return _check_int_range(int(text, 10), file, line, col)
+
+
 def _subst_token(name, raw, file, line, col):
     """Turn a -c value into the token that replaces the constant name."""
     text = raw.strip()
     try:
-        return Token("int", _check_int_range(int(text, 10), file, line, col), line, col)
+        return Token("int", _int_value(text, file, line, col), line, col)
     except ValueError:
         pass
     if _IDENT_RE.fullmatch(text):
@@ -117,7 +136,7 @@ def tokenize(text: str, consts: dict[str, str] | None = None, file: str = "<inpu
             tokens.append(_subst_token(value, consts[value], file, line, col))
             continue
         if kind == "int":
-            value = _check_int_range(int(value, 10), file, line, col)
+            value = _int_value(value, file, line, col)
         elif kind == "bad":
             raise ParseError(f"illegal character {value!r}", file, line, col)
         elif value == "→":  # UTF-8 arrow, synonym for ->

@@ -13,6 +13,19 @@ counters toward that value, and a determined status that contradicts a
 committed value is a conflict. All choices are deterministic (lowest id
 wins ties), so identical inputs yield identical statistics.
 
+A card is queued each time one of its members is set, and evaluated when
+it leaves the queue; two kinds of entry are never made, because their
+evaluation is a no-op. When a committed card forces its undetermined
+members, it is not queued for them: once they are set its status equals
+its committed value. Nor is a card queued whose committed value already
+equals its determined status. Counts only move toward a determined
+status while the trail grows, so a determined status stays so until
+backtracking, and such an evaluation finds nothing to do whenever it
+would run. Every other entry keeps its place in the queue, so the order
+of the effective steps, and with it every counter, is the same as if
+every entry were made. Forcing needs lo <= hi and distinct members,
+which Solver checks.
+
 Branch scores are kept along the trail rather than recomputed per
 decision: every trail entry that makes a literal true bumps its clause's
 count of true literals, and a clause whose count leaves or returns to
@@ -22,7 +35,10 @@ propagation fixpoint, where every card with a determined status has that
 value committed. Propagation reads the same counts: an id whose value
 was just set visits only the clauses it made false that are still
 unsatisfied. A count of the clauses with no true literal lets the branch
-pick skip the scan once every clause holds.
+pick skip the scan once every clause holds; it then takes the lowest
+undetermined atom, searching up from a bound below which every atom is
+set. Each decision keeps the bound that holds once it is flipped, since
+flipping restores the state before it plus the decided atom.
 
 Atoms and cards share one id space: atoms are 1..n_atoms and cards
 follow them, and every per-id table is indexed by the id itself. A
@@ -34,7 +50,6 @@ the top position in one step.
 
 from __future__ import annotations
 
-import time
 from collections import deque
 from collections.abc import Iterator
 from dataclasses import dataclass, field
@@ -67,9 +82,15 @@ class Solver:
         self.theory = theory
         n = theory.n_atoms
         self.n_atoms = n
+        for c in theory.cards:
+            if c.hi != -1 and c.lo > c.hi:
+                raise ValueError(f"card {c.id} has lower bound above its upper bound")
+            if len(set(c.members)) != len(c.members):
+                raise ValueError(f"card {c.id} lists a member twice")
         size = n + len(theory.cards) + 1
-        # assignment[ref]: an atom's value or a card's committed value.
-        self.assignment: list[bool | None] = [None] * size
+        # assignment[ref]: an atom's value or a card's committed value,
+        # then one slot that stays None, so index(None, k) always finds one.
+        self.assignment: list[bool | None] = [None] * (size + 1)
         # Per card id (slots 0..n unused): bounds (an unbounded hi is the
         # member count, which no count exceeds), members, and the counts
         # of true and undetermined members.
@@ -88,6 +109,10 @@ class Solver:
         # trail positions of the decisions not flipped yet.
         self.trail: list[int] = []
         self.decision_pos: list[int] = []
+        # low_atom: every atom below it is set; decision_low: per entry of
+        # decision_pos, the bound that holds once that decision is flipped.
+        self.low_atom = 1
+        self.decision_low: list[int] = []
         self.stats = SolveStats()
         # queue: ids whose value was just set; dirty_cards: card ids.
         self.queue: deque[int] = deque()
@@ -142,6 +167,8 @@ class Solver:
         assignment[ref] = value
         if decision:
             self.decision_pos.append(len(self.trail))
+            low = self.low_atom
+            self.decision_low.append(low + 1 if ref == low else low)
             self.stats.decisions += 1
         elif ref <= self.n_atoms:
             self.stats.propagations += 1
@@ -151,15 +178,35 @@ class Solver:
             self.queue.append(ref)
         if sat_by[value]:
             self._satisfy(sat_by[value])
-        cards = self.member_of[ref]
-        if cards:
-            card_true, card_undec = self.card_true, self.card_undec
-            for cid in cards:
-                card_undec[cid] -= 1
-                if value:
-                    card_true[cid] += 1
-            self.dirty_cards.extend(cards)
+        if self.member_of[ref]:
+            self._count_member(ref, value, 0)
         return None
+
+    def _count_member(self, ref: int, value: bool, skip: int) -> None:
+        """Member ref of each card other than skip was just set to value:
+        update the card's counts and queue it, unless it is settled (its
+        committed value equals its determined status, which no further
+        assignment can change)."""
+        assignment, dirty = self.assignment, self.dirty_cards
+        card_true, card_undec = self.card_true, self.card_undec
+        card_lo, card_hi = self.card_lo, self.card_hi
+        for cid in self.member_of[ref]:
+            if cid == skip:
+                continue
+            uc = card_undec[cid] - 1
+            card_undec[cid] = uc
+            tc = card_true[cid]
+            if value:
+                tc += 1
+                card_true[cid] = tc
+            v = assignment[cid]
+            if v is None:
+                dirty.append(cid)
+            elif v:
+                if tc < card_lo[cid] or tc + uc > card_hi[cid]:
+                    dirty.append(cid)
+            elif tc + uc >= card_lo[cid] and tc <= card_hi[cid]:
+                dirty.append(cid)
 
     def _satisfy(self, clauses: list[int]) -> None:
         """One more true literal in each clause; a clause leaving zero
@@ -187,52 +234,45 @@ class Solver:
                     score[aid] += 1
         self.open_clauses += opened
 
-    def _enforce_members(self, cid: int, value: bool) -> Conflict | None:
-        """Push undetermined members of card cid toward a committed value.
-        Callers guarantee the status is still undetermined."""
+    def _enforce_members(self, cid: int, value: bool) -> None:
+        """Card cid is committed to value and its status is undetermined.
+        When a bound leaves one way to reach value, set every undetermined
+        member that way, each as assign would but without queueing cid,
+        whose status then equals value; cid's counts move once at the
+        end. Needs lo <= hi and distinct members, which __init__ checks."""
         tc, uc = self.card_true[cid], self.card_undec[cid]
         lo, hi = self.card_lo[cid], self.card_hi[cid]
-        force: bool | None = None
         if value:
             if tc == hi:
                 force = False
             elif tc + uc == lo:
                 force = True
+            else:
+                return
+        elif tc + uc == hi + 1 and tc >= lo:
+            force = True
+        elif tc == lo - 1 and tc + uc <= hi:
+            force = False
         else:
-            down = tc < lo
-            up = tc + uc > hi
-            if not down and not up:
-                return Conflict("card", cid)
-            if up and not down and tc + uc == hi + 1:
-                force = True
-            elif down and not up and tc == lo - 1:
-                force = False
-        if force is not None:
-            for m in [m for m in self.card_members[cid] if self.assignment[m] is None]:
-                conf = self.assign(m, force)
-                if conf is not None:
-                    return conf
-        return None
-
-    def _update_card(self, cid: int) -> Conflict | None:
-        tc, lo, hi = self.card_true[cid], self.card_lo[cid], self.card_hi[cid]
-        tu = tc + self.card_undec[cid]
-        if tc >= lo and tu <= hi:
-            st: bool | None = True
-        elif tu < lo or tc > hi:
-            st = False
-        else:
-            st = None
-        v = self.assignment[cid]
-        if v is None:
-            if st is not None:
-                return self.assign(cid, st)
-            return None
-        if st is not None:
-            return None if st == v else Conflict("card", cid)
-        if v and tc != hi and tu != lo:
-            return None  # _enforce_members would force nothing
-        return self._enforce_members(cid, v)
+            return
+        assignment, trail, queue, sat_by = self.assignment, self.trail, self.queue, self.sat_by
+        forced = 0
+        for m in self.card_members[cid]:
+            if assignment[m] is not None:
+                continue
+            assignment[m] = force
+            trail.append(m)
+            sat = sat_by[m]
+            if sat[not force]:
+                queue.append(m)
+            if sat[force]:
+                self._satisfy(sat[force])
+            forced += 1
+            self._count_member(m, force, cid)
+        self.card_undec[cid] = uc - forced
+        if force:
+            self.card_true[cid] = tc + forced
+        self.stats.propagations += forced
 
     def _check_clause(self, ci: int) -> Conflict | None:
         n, assignment = self.n_atoms, self.assignment
@@ -255,31 +295,103 @@ class Solver:
         # unit is undetermined (a card: uncommitted, status open): no conflict.
         ref = abs(unit)
         self.assign(ref, unit > 0)
-        return self._enforce_members(ref, unit > 0) if ref > n else None
+        if ref > n:
+            self._enforce_members(ref, unit > 0)
+        return None
 
     def propagate(self) -> Conflict | None:
-        """Run the queues to a fixpoint. A queued id visits only the
-        clauses its value made false and that no true literal already
-        satisfies: every other clause would check as not unit."""
+        """Run the queues to a fixpoint. A queued card commits a
+        determined status, conflicts with a committed value it
+        contradicts, or forces members toward its committed value. A
+        queued id visits only the clauses its value made false and that
+        no true literal already satisfies: every other clause would
+        check as not unit."""
+        dirty, queue = self.dirty_cards, self.queue
+        assignment, sat_by, sat_count = self.assignment, self.sat_by, self.sat_count
+        card_true, card_undec, card_lo, card_hi = (
+            self.card_true, self.card_undec, self.card_lo, self.card_hi
+        )
+        trail, member_of, card_members = self.trail, self.member_of, self.card_members
         while True:
-            if self.dirty_cards:
-                conf = self._update_card(self.dirty_cards.popleft())
-            elif self.queue:
-                ref = self.queue.popleft()
-                value = self.assignment[ref]
-                conf = None
-                for ci in self.sat_by[ref][not value]:
-                    if not self.sat_count[ci]:
+            if dirty:
+                cid = dirty.popleft()
+                tc, lo, hi = card_true[cid], card_lo[cid], card_hi[cid]
+                tu = tc + card_undec[cid]
+                v = assignment[cid]
+                if tc >= lo and tu <= hi:
+                    st = True
+                elif tu < lo or tc > hi:
+                    st = False
+                else:
+                    # Status open: a committed card forces its members
+                    # when a bound leaves one way to reach its value. The
+                    # same rule and loop as _enforce_members, inlined.
+                    if v is None:
+                        continue
+                    if v:
+                        if tc == hi:
+                            force = False
+                        elif tu == lo:
+                            force = True
+                        else:
+                            continue
+                    elif tu == hi + 1 and tc >= lo:
+                        force = True
+                    elif tc == lo - 1 and tu <= hi:
+                        force = False
+                    else:
+                        continue
+                    forced = 0
+                    for m in card_members[cid]:
+                        if assignment[m] is not None:
+                            continue
+                        assignment[m] = force
+                        trail.append(m)
+                        sat = sat_by[m]
+                        if sat[not force]:
+                            queue.append(m)
+                        if sat[force]:
+                            self._satisfy(sat[force])
+                        forced += 1
+                        for c in member_of[m]:  # _count_member(m, force, cid)
+                            if c == cid:
+                                continue
+                            uc = card_undec[c] - 1
+                            card_undec[c] = uc
+                            t = card_true[c]
+                            if force:
+                                t += 1
+                                card_true[c] = t
+                            w = assignment[c]
+                            if w is None:
+                                dirty.append(c)
+                            elif w:
+                                if t < card_lo[c] or t + uc > card_hi[c]:
+                                    dirty.append(c)
+                            elif t + uc >= card_lo[c] and t <= card_hi[c]:
+                                dirty.append(c)
+                    card_undec[cid] = tu - tc - forced
+                    if force:
+                        card_true[cid] = tc + forced
+                    self.stats.propagations += forced
+                    continue
+                if v is None:
+                    self.assign(cid, st)
+                elif v != st:
+                    return Conflict("card", cid)
+            elif queue:
+                ref = queue.popleft()
+                value = assignment[ref]
+                for ci in sat_by[ref][not value]:
+                    if not sat_count[ci]:
                         conf = self._check_clause(ci)
                         if conf is not None:
-                            break
+                            return conf
             else:
                 return None
-            if conf is not None:
-                return conf
 
     def _initial_propagate(self) -> Conflict | None:
-        self.dirty_cards.extend(range(self.n_atoms + 1, len(self.assignment)))
+        self.dirty_cards.extend(range(self.n_atoms + 1, len(self.card_lo)))
         conf = self.propagate()
         if conf is not None:
             return conf
@@ -301,10 +413,8 @@ class Solver:
         propagation fixpoint (where search calls it): there every card
         with a determined status has that value committed."""
         if not self.open_clauses:  # every score is 0
-            try:
-                return self.assignment.index(None, 1, self.n_atoms + 1)
-            except ValueError:
-                return None
+            aid = self.low_atom = self.assignment.index(None, self.low_atom)
+            return aid if aid <= self.n_atoms else None
         best, best_score = None, -1
         assignment, score = self.assignment, self.score
         for aid in range(1, self.n_atoms + 1):
@@ -321,6 +431,7 @@ class Solver:
         member_of, card_true, card_undec = self.member_of, self.card_true, self.card_undec
         if self.decision_pos:
             pos = self.decision_pos.pop()
+            self.low_atom = self.decision_low.pop()
             aid = trail[pos]
             flipped = not assignment[aid]
         else:
@@ -347,9 +458,9 @@ class Solver:
     def search(self, max_models: int | None = 1) -> Iterator[list[bool | None]]:
         """Run the search, yielding the assignment list each time it is a
         model, until max_models (None: all of them). Index 0 is unused,
-        1..n_atoms hold the atoms' values and the ids above n_atoms the
-        cards' committed values. The list is the solver's own: read it
-        before resuming."""
+        1..n_atoms hold the atoms' values, the card ids above n_atoms the
+        cards' committed values, and the last slot is always None. The
+        list is the solver's own: read it before resuming."""
         found = 0
         conflict = self._initial_propagate()
         while True:
@@ -414,7 +525,3 @@ def record_stats(path: str, line: str) -> None:
     """Append one run line to the statistics file, creating it if needed."""
     with open(path, "a", encoding="utf-8") as fh:
         fh.write(line + "\n")
-
-
-def now_ms() -> float:
-    return time.perf_counter() * 1000.0

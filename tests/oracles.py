@@ -37,7 +37,7 @@ from aspps.model import (
     term_variables,
 )
 from aspps.cli import aspps_main
-from aspps.solver import Solver, model_lines
+from aspps.solver import Conflict, Solver, model_lines
 from aspps.tdc import write_tdc
 from aspps.terms import compile_comparison, compile_term
 
@@ -441,7 +441,8 @@ class ReferenceSolver(Solver):
     every clause that mentions it with either sign, satisfied or not.
     Clauses its value made true, or that are already satisfied, check as
     not unit, so models, model order and every counter must equal the
-    solver's."""
+    solver's. A queued card is evaluated by the separate status read of
+    _update_card, not the one inlined in Solver.propagate."""
 
     def __init__(self, theory):
         super().__init__(theory)
@@ -465,6 +466,26 @@ class ReferenceSolver(Solver):
                 return None
             if conf is not None:
                 return conf
+
+    def _update_card(self, cid: int) -> Conflict | None:
+        tc, lo, hi = self.card_true[cid], self.card_lo[cid], self.card_hi[cid]
+        tu = tc + self.card_undec[cid]
+        if tc >= lo and tu <= hi:
+            st: bool | None = True
+        elif tu < lo or tc > hi:
+            st = False
+        else:
+            st = None
+        v = self.assignment[cid]
+        if v is None:
+            if st is not None:
+                return self.assign(cid, st)
+            return None
+        if st is not None:
+            return None if st == v else Conflict("card", cid)
+        if v and tc != hi and tu != lo:
+            return None  # _enforce_members would force nothing
+        return self._enforce_members(cid, v)
 
 
 # ---------------------------------------------------------------------------

@@ -114,6 +114,18 @@ def test_psgrnd_missing_file_exit_2(workdir, capsys):
     assert "absent.rl" in capsys.readouterr().err
 
 
+def test_psgrnd_integer_past_the_conversion_limit_exit_2(workdir, capsys):
+    nines = "9" * 5000
+    rl = _write(workdir, "p.rl", "pred q(d).\nvar d X.\nq(X) ->.\n")
+    dt = _write(workdir, "big.dt", f"d({nines}).\n")
+    assert psgrnd_main(["-r", rl, "-d", dt]) == 2
+    assert capsys.readouterr().err == f"big.dt:1:3: integer constant {nines} out of 64-bit range\n"
+    dt = _write(workdir, "n.dt", "d[1..n].\n")
+    assert psgrnd_main(["-c", f"n={nines}", "-r", rl, "-d", dt]) == 2
+    assert capsys.readouterr().err == f"n.dt:1:6: integer constant {nines} out of 64-bit range\n"
+    assert not list(workdir.glob("*.tdc"))
+
+
 def test_psgrnd_ground_error_exit_2(workdir, capsys):
     rl = _write(workdir, "div.rl", "pred p(d).\nvar d X.\nX / 0 == 1 -> p(X).\n")
     dt = _write(workdir, "g.dt", "d(1).\n")

@@ -67,6 +67,21 @@ def test_tokenize_rejects_out_of_range_and_illegal():
         tokenize("p($).")
 
 
+def test_tokenize_integers_past_the_conversion_limit():
+    # int() refuses more than 4 300 digits; leading zeros count there too
+    nines, zeros = "9" * 5000, "0" * 5000
+    with pytest.raises(ParseError) as exc:
+        tokenize(f"p(\n {nines}).")
+    err = exc.value
+    assert (err.message, err.line, err.col) == (f"integer constant {nines} out of 64-bit range", 2, 2)
+    assert tokenize(f"p({zeros}7).")[2].value == 7
+    for raw, want in ((nines, nines), (f"-{zeros}1{nines}", f"-1{nines}")):
+        with pytest.raises(ParseError) as exc:
+            tokenize("p(n).", {"n": raw})
+        assert exc.value.message == f"integer constant {want} out of 64-bit range"
+    assert tokenize("p(n).", {"n": f" -{zeros}7 "})[2].value == -7
+
+
 # ---------------------------------------------------------------------------
 # Data files.
 

@@ -3,6 +3,7 @@
 import random
 import tracemalloc
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from aspps.solver import Solver, model_lines, solve, stat_line
@@ -86,6 +87,20 @@ def test_card_unsatisfiable_bounds_detected():
     # 3 {a1,a2} asserted: only 2 members, status false immediately
     res = solve(_theory(2, cards=[(3, -1, (1, 2))], clauses=[(3,)]))
     assert not res.sat
+
+
+@pytest.mark.parametrize(
+    "card, clauses, message",
+    [
+        ((2, 1, (1, 2, 3)), [(4,)], "card 4 has lower bound above its upper bound"),
+        ((1, 2, (1, 1, 2, 3)), [(4,), (1,)], "card 4 lists a member twice"),
+    ],
+    ids=["lo-above-hi", "member-twice"],
+)
+def test_solver_rejects_degenerate_cards(card, clauses, message):
+    # read_tdc refuses both shapes; a library caller can still build them
+    with pytest.raises(ValueError, match=message):
+        Solver(_theory(3, cards=[card], clauses=clauses))
 
 
 def test_enumeration_exact_models():
@@ -204,22 +219,35 @@ def test_first_model_valid_and_counted(seed):
 
 class _CheckedSolver(Solver):
     """Checks the trail-kept scores against a full rescan at every branch,
-    that propagation left no clause unit or falsified, that every card
-    with a determined status has that value committed, that the count of
-    open clauses is exact, and that the decision stack holds exactly the
-    trail positions of the atoms assigned as decisions."""
+    that propagation left no clause unit or falsified, that every card's
+    true and undetermined counts match its members' values, that every
+    card with a determined status has that value committed, that the
+    count of open clauses is exact, that no atom below low_atom is
+    undetermined, and that the decision stack holds exactly the trail
+    positions of the decisions not undone. Members a card forces are set
+    without going through assign, so decisions are recorded where assign
+    makes them and dropped where a backtrack cuts the trail below them."""
 
     def __init__(self, theory):
         super().__init__(theory)
-        self.by_decision = [False] * len(self.assignment)
+        self.decided = []  # (trail position, id) of each decision in place
 
     def assign(self, ref, value, decision=False):
-        if self.assignment[ref] is None:
-            self.by_decision[ref] = decision
+        if decision and self.assignment[ref] is None:
+            self.decided.append((len(self.trail), ref))
         return super().assign(ref, value, decision)
 
+    def _backtrack_flip(self):
+        more = super()._backtrack_flip()
+        # the flipped decision is now the last trail entry, not a decision
+        self.decided = [(pos, ref) for pos, ref in self.decided if pos < len(self.trail) - 1]
+        return more
+
     def choose_branch(self):
-        for cid in range(self.n_atoms + 1, len(self.assignment)):
+        for cid in range(self.n_atoms + 1, self.n_atoms + 1 + len(self.theory.cards)):
+            values = [self.assignment[m] for m in self.card_members[cid]]
+            counts = (self.card_true[cid], self.card_undec[cid])
+            assert counts == (values.count(True), values.count(None)), (cid, counts, values)
             status = self.card_status(cid)
             assert status is None or self.assignment[cid] == status, (cid, status)
         for ci, cl in enumerate(self.theory.clauses):
@@ -231,7 +259,9 @@ class _CheckedSolver(Solver):
             values = [lit_value(self, lit) for lit in cl]
             assert True in values or values.count(None) >= 2, (ci, cl, values)
         assert self.open_clauses == self.sat_count.count(0)
-        decided = [pos for pos, ref in enumerate(self.trail) if self.by_decision[ref]]
+        assert None not in self.assignment[1 : min(self.low_atom, self.n_atoms + 1)], self.low_atom
+        assert all(self.trail[pos] == ref for pos, ref in self.decided), (self.decided, self.trail)
+        decided = [pos for pos, _ in self.decided]
         assert self.decision_pos == decided, (self.decision_pos, self.trail)
         aid = super().choose_branch()
         assert aid == reference_branch(self)
