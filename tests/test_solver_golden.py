@@ -32,10 +32,15 @@ def _ground(rules: str, data: str, consts: dict[str, str]):
         ("queens.rl", "board.dt", {"n": "8"}, 1, (6, 96, 3, 1)),
         ("queens.rl", "board.dt", {"n": "10"}, 1, (25, 429, 22, 1)),
         ("queens.rl", "board.dt", {"n": "6"}, None, (31, 524, 28, 4)),
+        ("queens.rl", "board.dt", {"n": "14"}, 1, (169, 3861, 163, 1)),
+        ("queens.rl", "board.dt", {"n": "8"}, None, (409, 6850, 318, 92)),
         ("pigeon.rl", "pigeon.dt", {"p": "6", "h": "5"}, 1, (119, 1130, 120, 0)),
         ("pigeon.rl", "pigeon.dt", {"p": "5", "h": "5"}, None, (119, 805, 0, 120)),
     ],
-    ids=["queens8", "queens10", "queens6-all", "pigeon6-5", "pigeon5-5-all"],
+    ids=[
+        "queens8", "queens10", "queens6-all", "queens14", "queens8-all",
+        "pigeon6-5", "pigeon5-5-all",
+    ],
 )
 def test_search_statistics_pinned(rules, data, consts, max_models, expected):
     res = solve(_ground(rules, data, consts), max_models=max_models)
