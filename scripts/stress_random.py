@@ -5,7 +5,9 @@ Grounds random typed programs and compares against the brute-force
 substitution oracle and, byte for byte, against grounding by full
 substitution; solves random ground theories and compares against model
 enumeration over all assignments and, model order and search counters
-included, against propagation over every occurrence of an id; and
+included, against propagation over every occurrence of an id and against
+a solver that checks its own state, branch scores included, at every
+branch pick and backtrack; and
 checks that what aspps prints under -A -C, -S <pred> -C and -A -C 3
 equals those models rendered through model_lines:
 
@@ -30,6 +32,7 @@ from aspps.theory import GroundAtom, GroundTheory
 
 from generators import random_ground_theory, random_program
 from oracles import (
+    CheckedSolver,
     ReferenceSolver,
     aspps_stdout_mismatch,
     enumerate_models,
@@ -86,6 +89,17 @@ def stress_solver(n, rng, max_atoms):
         if res.models != ref.models or res.stats != ref.stats:
             print(f"[solver {i}] models, model order or counters differ from"
                   f" full-occurrence propagation: {res.stats} vs {ref.stats}")
+            print(write_tdc(theory))
+            return False
+        try:
+            checked = CheckedSolver(theory).run(None)
+        except AssertionError as exc:
+            print(f"[solver {i}] solver state check failed: {exc!r}")
+            print(write_tdc(theory))
+            return False
+        if res.models != checked.models or res.stats != checked.stats:
+            print(f"[solver {i}] models, model order or counters differ under"
+                  f" the state checks: {res.stats} vs {checked.stats}")
             print(write_tdc(theory))
             return False
     print(f"solver: {n} theories agree ({time.perf_counter() - t0:.2f}s)")

@@ -8,7 +8,8 @@ newline ends a line; any other character is illegal. Statements end with
 span lines (data atoms must fit on one line):
 
   data file   p(c1,...,cn).        ground atom, constants only
-              p[m..n].             range, expands to p(m),...,p(n)
+              p[m..n].             range, expands to p(m),...,p(n);
+                                   at most MAX_RANGE_LEN atoms
   rule file   pred q(d1,...,dn).   program predicate declaration
               pred q(...): dm.     declaration with restriction predicate
               var d X, Y.          variable declarations, typed by d
@@ -55,6 +56,9 @@ from .model import (
 KEYWORDS = frozenset({"pred", "var"})
 FUNC_NAMES = frozenset({"abs", "mod", "max", "min"})
 MAX_TERM_DEPTH = 100
+# A data range p[m..n] holds at most this many atoms, so a typo in a
+# bound fails here instead of expanding until memory runs out.
+MAX_RANGE_LEN = 1_000_000
 RESERVED_PRED = KEYWORDS | FUNC_NAMES
 
 _IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
@@ -254,6 +258,12 @@ def parse_data_file(text: str, consts: dict[str, str] | None = None, file: str =
                 cur.fail("unexpected token after range")
             if lo > hi:
                 cur.fail(f"empty range {name}[{lo}..{hi}]", stmt[0])
+            if hi - lo >= MAX_RANGE_LEN:
+                cur.fail(
+                    f"range {name}[{lo}..{hi}] has {hi - lo + 1} elements,"
+                    f" more than {MAX_RANGE_LEN}",
+                    stmt[0],
+                )
             atoms.update((name, (i,)) for i in range(lo, hi + 1))
         elif cur.at_punct("("):
             cur.take()

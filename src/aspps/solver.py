@@ -27,18 +27,29 @@ every entry were made. Forcing needs lo <= hi and distinct members,
 which Solver checks.
 
 Branch scores are kept along the trail rather than recomputed per
-decision: every trail entry that makes a literal true bumps its clause's
-count of true literals, and a clause whose count leaves or returns to
-zero moves the score of each atom it mentions. The count reads a card's
-committed value, not its status, so the scores are exact at a
-propagation fixpoint, where every card with a determined status has that
-value committed. Propagation reads the same counts: an id whose value
-was just set visits only the clauses it made false that are still
-unsatisfied. A count of the clauses with no true literal lets the branch
-pick skip the scan once every clause holds; it then takes the lowest
-undetermined atom, searching up from a bound below which every atom is
-set. Each decision keeps the bound that holds once it is flipped, since
-flipping restores the state before it plus the decided atom.
+decision, and counted only when a branch is picked. A trail entry whose
+value makes some literal true goes on a pending list. Just before each
+branch pick, search counts the pending entries: each bumps the count of
+true literals of the clauses its value makes true, and a clause whose
+count leaves zero takes every atom it mentions out of the scores.
+Backtracking undoes the counts of the entries it removes, and skips the
+pending ones, which were never counted; pending is empty at every
+decision, so all of them lie past the cut. A propagation round that
+ends in a conflict is undone before any branch pick, so its entries are
+neither counted nor uncounted.
+The count reads a card's committed value, not its status, so the scores
+are exact at a propagation fixpoint, where every card with a determined
+status has that value committed. Propagation reads the same counts: an
+id whose value was just set visits only the clauses it made false whose
+count is 0. A positive count comes only from counted entries still on
+the trail, so every clause skipped has a true literal and would check as
+not unit; a clause that only pending entries satisfy is visited and
+checks as not unit. A count of the clauses with no true literal lets the
+branch pick skip the scan once every clause holds; it then takes the
+lowest undetermined atom, searching up from a bound below which every
+atom is set. Each decision keeps the bound that holds once it is
+flipped, since flipping restores the state before it plus the decided
+atom.
 
 Atoms and cards share one id space: atoms are 1..n_atoms and cards
 follow them, and every per-id table is indexed by the id itself. A
@@ -51,7 +62,7 @@ the top position in one step.
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 
 from .theory import GroundTheory
@@ -100,11 +111,17 @@ class Solver:
         self.card_members = [()] * (n + 1) + [c.members for c in theory.cards]
         self.card_true = [0] * size
         self.card_undec = pad + [len(c.members) for c in theory.cards]
-        # member_of[ref]: ids of the cards with ref as a member.
-        self.member_of: list[list[int]] = [[] for _ in range(size)]
+        # member_of[ref]: ids of the cards with ref as a member. Ids in no
+        # card share one empty tuple; an entry becomes a list when first
+        # appended to, so an id that occurs nowhere costs no list.
+        member_of: list[Sequence[int]] = [()] * size
         for c in theory.cards:
             for m in c.members:
-                self.member_of[m].append(c.id)
+                if member_of[m]:
+                    member_of[m].append(c.id)
+                else:
+                    member_of[m] = [c.id]
+        self.member_of = member_of
         # trail: ids in the order their values were set; decision_pos:
         # trail positions of the decisions not flipped yet.
         self.trail: list[int] = []
@@ -118,15 +135,19 @@ class Solver:
         self.queue: deque[int] = deque()
         self.dirty_cards: deque[int] = deque()
         # sat_by[ref][value]: clauses whose literal on ref that value makes
-        # true; sat_by[ref][not value] are those it makes false.
+        # true; sat_by[ref][not value] are those it makes false. Ids in no
+        # clause share one pair of empty tuples.
         # branch_atoms[ci]: the atoms clause ci mentions, card literals
         # expanded into their members, repeats kept.
-        # sat_count[ci]: true literals of clause ci on the trail;
-        # open_clauses: the clauses with sat_count 0.
+        # pending: trail entries with a make-true list, not yet counted.
+        # sat_count[ci]: true literals of clause ci among the counted
+        # trail entries; open_clauses: the clauses with sat_count 0.
         # score[aid]: occurrences of aid in branch_atoms of the clauses
         # with sat_count 0.
-        self.sat_by: list[tuple[list[int], list[int]]] = [([], []) for _ in range(size)]
+        unused: tuple[Sequence[int], Sequence[int]] = ((), ())
+        sat_by = self.sat_by = [unused] * size
         self.clause_lits = theory.clauses
+        self.pending: list[int] = []
         self.branch_atoms: list[list[int]] = []
         self.sat_count = [0] * len(theory.clauses)
         self.open_clauses = len(theory.clauses)
@@ -135,7 +156,9 @@ class Solver:
             atoms: list[int] = []
             for lit in lits:
                 ref = abs(lit)
-                self.sat_by[ref][lit > 0].append(ci)
+                if sat_by[ref] is unused:
+                    sat_by[ref] = ([], [])
+                sat_by[ref][lit > 0].append(ci)
                 if ref <= n:
                     atoms.append(ref)
                 else:
@@ -177,7 +200,7 @@ class Solver:
         if sat_by[not value]:
             self.queue.append(ref)
         if sat_by[value]:
-            self._satisfy(sat_by[value])
+            self.pending.append(ref)
         if self.member_of[ref]:
             self._count_member(ref, value, 0)
         return None
@@ -208,22 +231,26 @@ class Solver:
             elif tc + uc >= card_lo[cid] and tc <= card_hi[cid]:
                 dirty.append(cid)
 
-    def _satisfy(self, clauses: list[int]) -> None:
-        """One more true literal in each clause; a clause leaving zero
-        is no longer open and takes its atoms' occurrences out of the
-        branch scores."""
+    def _count_pending(self) -> None:
+        """Count the pending ids' true literals, in trail order: one more
+        in each clause an id's value makes true; a clause leaving zero is
+        no longer open and takes its atoms' occurrences out of the branch
+        scores."""
         sat_count, score, branch_atoms = self.sat_count, self.score, self.branch_atoms
+        assignment, sat_by = self.assignment, self.sat_by
         closed = 0
-        for ci in clauses:
-            sat_count[ci] += 1
-            if sat_count[ci] == 1:
-                closed += 1
-                for aid in branch_atoms[ci]:
-                    score[aid] -= 1
+        for ref in self.pending:
+            for ci in sat_by[ref][assignment[ref]]:
+                sat_count[ci] += 1
+                if sat_count[ci] == 1:
+                    closed += 1
+                    for aid in branch_atoms[ci]:
+                        score[aid] -= 1
         self.open_clauses -= closed
+        self.pending.clear()
 
     def _unsatisfy(self, clauses: list[int]) -> None:
-        """Undo _satisfy for the same clauses."""
+        """Undo _count_pending's count of one id's true literals."""
         sat_count, score, branch_atoms = self.sat_count, self.score, self.branch_atoms
         opened = 0
         for ci in clauses:
@@ -256,6 +283,7 @@ class Solver:
         else:
             return
         assignment, trail, queue, sat_by = self.assignment, self.trail, self.queue, self.sat_by
+        pending = self.pending
         forced = 0
         for m in self.card_members[cid]:
             if assignment[m] is not None:
@@ -266,7 +294,7 @@ class Solver:
             if sat[not force]:
                 queue.append(m)
             if sat[force]:
-                self._satisfy(sat[force])
+                pending.append(m)
             forced += 1
             self._count_member(m, force, cid)
         self.card_undec[cid] = uc - forced
@@ -304,14 +332,15 @@ class Solver:
         determined status, conflicts with a committed value it
         contradicts, or forces members toward its committed value. A
         queued id visits only the clauses its value made false and that
-        no true literal already satisfies: every other clause would
-        check as not unit."""
+        no counted trail entry satisfies: every other clause would check
+        as not unit."""
         dirty, queue = self.dirty_cards, self.queue
         assignment, sat_by, sat_count = self.assignment, self.sat_by, self.sat_count
         card_true, card_undec, card_lo, card_hi = (
             self.card_true, self.card_undec, self.card_lo, self.card_hi
         )
         trail, member_of, card_members = self.trail, self.member_of, self.card_members
+        pending = self.pending
         while True:
             if dirty:
                 cid = dirty.popleft()
@@ -351,7 +380,7 @@ class Solver:
                         if sat[not force]:
                             queue.append(m)
                         if sat[force]:
-                            self._satisfy(sat[force])
+                            pending.append(m)
                         forced += 1
                         for c in member_of[m]:  # _count_member(m, force, cid)
                             if c == cid:
@@ -409,9 +438,13 @@ class Solver:
         breaks ties. With every clause satisfied, the lowest undetermined
         atom; None once the assignment is total.
 
-        Reads the scores kept along the trail, so it is exact only at a
-        propagation fixpoint (where search calls it): there every card
-        with a determined status has that value committed."""
+        Reads the scores kept along the trail. Search counts the pending
+        trail entries right before calling it, at a propagation fixpoint,
+        so every entry is counted and every card with a determined status
+        has that value committed: the scores are exact there. A count is
+        undone only when backtracking removes a counted entry, so while
+        entries are pending, a positive count still means a true literal,
+        which keeps propagation's skip of such clauses sound."""
         if not self.open_clauses:  # every score is 0
             aid = self.low_atom = self.assignment.index(None, self.low_atom)
             return aid if aid <= self.n_atoms else None
@@ -429,6 +462,11 @@ class Solver:
         self.dirty_cards.clear()
         trail, assignment, sat_by = self.trail, self.assignment, self.sat_by
         member_of, card_true, card_undec = self.member_of, self.card_true, self.card_undec
+        # The pending ids were never counted. They are the last trail
+        # entries with a make-true list, and all lie past the cut, since
+        # pending is empty at every decision.
+        pending = self.pending
+        uncounted = len(pending)
         if self.decision_pos:
             pos = self.decision_pos.pop()
             self.low_atom = self.decision_low.pop()
@@ -441,12 +479,17 @@ class Solver:
             assignment[ref] = None
             sat = sat_by[ref][value]
             if sat:
-                self._unsatisfy(sat)
+                if uncounted:
+                    uncounted -= 1
+                else:
+                    self._unsatisfy(sat)
             for cid in member_of[ref]:
                 card_undec[cid] += 1
                 if value:
                     card_true[cid] -= 1
         del trail[pos:]
+        if pending:
+            pending.clear()
         if aid is None:
             return False
         self.assign(aid, flipped)  # counted as a propagation
@@ -470,6 +513,8 @@ class Solver:
                     return
                 conflict = self.propagate()
                 continue
+            if self.pending:
+                self._count_pending()
             aid = self.choose_branch()
             if aid is None:
                 yield self.assignment

@@ -10,9 +10,11 @@ rescan (reference_branch), propagation over every occurrence of an id
 (reference_aspps_stdout), a clause's global and schema-local variables
 by per-atom-kind walks (reference_global_vars, reference_schema_locals)
 and grounding over the full product of the variable domains
-(reference_ground). eval_arith, eval_ground_term and eval_predefined
-evaluate a term or comparison under a dict binding through the package's
-compiled terms.
+(reference_ground). counted_scores recounts the branch scores from the
+trail, and CheckedSolver checks them, with the rest of the solver's
+state, at every branch and backtrack. eval_arith, eval_ground_term and
+eval_predefined evaluate a term or comparison under a dict binding
+through the package's compiled terms.
 """
 
 from __future__ import annotations
@@ -486,6 +488,83 @@ class ReferenceSolver(Solver):
         if v and tc != hi and tu != lo:
             return None  # _enforce_members would force nothing
         return self._enforce_members(cid, v)
+
+
+def counted_scores(solver) -> tuple[list[int], list[int], int]:
+    """The solver's sat_count, score and open_clauses recomputed from the
+    trail entries it has counted, which are all but the pending ones: per
+    clause its literals those entries make true, per atom its occurrences
+    in the clauses with none, a card literal counting through its
+    members, and the number of such clauses."""
+    counted = set(solver.trail) - set(solver.pending)
+    members = {c.id: c.members for c in solver.theory.cards}
+    sat_count = []
+    score = [0] * (solver.n_atoms + 1)
+    for cl in solver.theory.clauses:
+        true_lits = sum(abs(l) in counted and solver.assignment[abs(l)] == (l > 0) for l in cl)
+        sat_count.append(true_lits)
+        if not true_lits:
+            for lit in cl:
+                for aid in members.get(abs(lit), (abs(lit),)):
+                    score[aid] += 1
+    return sat_count, score, sat_count.count(0)
+
+
+class CheckedSolver(Solver):
+    """Checks that no id is left pending when a branch is picked, that
+    the counts behind the branch scores match a rescan of the counted
+    trail entries right after every backtrack and at every branch, the
+    branch itself against a full rescan, that propagation left no clause
+    unit or falsified, that every card's true and undetermined counts
+    match its members' values, that every card with a determined status
+    has that value committed, that the count of open clauses is exact,
+    that no atom below low_atom is undetermined, and that the decision
+    stack holds exactly the trail positions of the decisions not undone.
+    Members a card forces are set without going through assign, so
+    decisions are recorded where assign makes them and dropped where a
+    backtrack cuts the trail below them."""
+
+    def __init__(self, theory):
+        super().__init__(theory)
+        self.decided = []  # (trail position, id) of each decision in place
+
+    def assign(self, ref, value, decision=False):
+        if decision and self.assignment[ref] is None:
+            self.decided.append((len(self.trail), ref))
+        return super().assign(ref, value, decision)
+
+    def _backtrack_flip(self):
+        more = super()._backtrack_flip()
+        assert (self.sat_count, self.score, self.open_clauses) == counted_scores(self)
+        # the flipped decision is now the last trail entry, not a decision
+        self.decided = [(pos, ref) for pos, ref in self.decided if pos < len(self.trail) - 1]
+        return more
+
+    def choose_branch(self):
+        assert not self.pending, self.pending
+        assert (self.sat_count, self.score, self.open_clauses) == counted_scores(self)
+        for cid in range(self.n_atoms + 1, self.n_atoms + 1 + len(self.theory.cards)):
+            values = [self.assignment[m] for m in self.card_members[cid]]
+            counts = (self.card_true[cid], self.card_undec[cid])
+            assert counts == (values.count(True), values.count(None)), (cid, counts, values)
+            status = self.card_status(cid)
+            assert status is None or self.assignment[cid] == status, (cid, status)
+        for ci, cl in enumerate(self.theory.clauses):
+            true_lits = 0
+            for lit in cl:
+                v = self.assignment[abs(lit)]
+                true_lits += v is not None and v == (lit > 0)
+            assert self.sat_count[ci] == true_lits
+            values = [lit_value(self, lit) for lit in cl]
+            assert True in values or values.count(None) >= 2, (ci, cl, values)
+        assert self.open_clauses == self.sat_count.count(0)
+        assert None not in self.assignment[1 : min(self.low_atom, self.n_atoms + 1)], self.low_atom
+        assert all(self.trail[pos] == ref for pos, ref in self.decided), (self.decided, self.trail)
+        decided = [pos for pos, _ in self.decided]
+        assert self.decision_pos == decided, (self.decision_pos, self.trail)
+        aid = super().choose_branch()
+        assert aid == reference_branch(self)
+        return aid
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ import pytest
 import aspps
 from aspps.cli import STAT_FILE, aspps_main, psgrnd_main
 from aspps.grounder import MAX_CLAUSE_VARS
-from aspps.parser import MAX_TERM_DEPTH
+from aspps.parser import MAX_RANGE_LEN, MAX_TERM_DEPTH
 from aspps.theory import GroundAtom, GroundTheory
 
 from generators import random_ground_theory
@@ -214,21 +214,43 @@ def _write_huge_tdc(workdir, n_atoms):
     return "huge.tdc"
 
 
-@pytest.mark.skipif(importlib.util.find_spec("resource") is None, reason="needs the resource module")
+def _run_capped(workdir, tool, argv):
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c", _CAPPED, tool, *argv],
+        cwd=workdir, env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True,
+    )
+
+
+_needs_resource = pytest.mark.skipif(
+    importlib.util.find_spec("resource") is None, reason="needs the resource module"
+)
+
+
+@_needs_resource
 @pytest.mark.parametrize("tool", ["psgrnd", "aspps"])
 def test_out_of_memory_exit_2(workdir, tool):
     if tool == "psgrnd":
-        _write(workdir, "huge.dt", "p[1..100000000].\n")
+        # 10**8 atoms, as ranges within the length limit
+        ranges = (f"p[{k + 1}..{k + MAX_RANGE_LEN}].\n" for k in range(0, 10**8, MAX_RANGE_LEN))
+        _write(workdir, "huge.dt", "".join(ranges))
         _write(workdir, "q.rl", "pred q(p).\nvar p X.\n-> q(X).\n")
         argv = ["-r", "q.rl", "-d", "huge.dt"]
     else:
         argv = ["-f", _write_huge_tdc(workdir, 2_000_000)]
-    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", _CAPPED, tool, *argv],
-        cwd=workdir, env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True,
-    )
+    proc = _run_capped(workdir, tool, argv)
     assert (proc.returncode, proc.stderr) == (2, f"{tool}: out of memory\n")
+
+
+@_needs_resource
+def test_psgrnd_rejects_range_over_the_length_limit(workdir):
+    # capped, so that without the limit the range ends in out of memory
+    _write(workdir, "q.rl", "pred q(p).\nvar p X.\n-> q(X).\n")
+    _write(workdir, "huge.dt", "p(0).\np[1..100000000].\n")
+    proc = _run_capped(workdir, "psgrnd", ["-r", "q.rl", "-d", "huge.dt"])
+    want = f"range p[1..100000000] has 100000000 elements, more than {MAX_RANGE_LEN}"
+    assert (proc.returncode, proc.stderr) == (2, f"huge.dt:2:1: {want}\n")
+    assert not list(workdir.glob("*.tdc"))
 
 
 def test_aspps_requires_theory_file(workdir, capsys):

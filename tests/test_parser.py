@@ -19,6 +19,7 @@ from aspps.model import (
     Variable,
     program_text,
 )
+from aspps import parser
 from aspps.parser import MAX_TERM_DEPTH, parse_data_file, parse_rule_file, tokenize
 
 from generators import random_program
@@ -96,6 +97,13 @@ def test_data_atoms_ranges_and_dedup():
 
 def test_data_degenerate_range():
     assert parse_data_file("p[5..5].") == {("p", (5,))}
+
+
+def test_data_range_length_limit(monkeypatch):
+    monkeypatch.setattr(parser, "MAX_RANGE_LEN", 3)
+    assert parse_data_file("p[2..4].") == {("p", (2,)), ("p", (3,)), ("p", (4,))}
+    with pytest.raises(ParseError, match=r"1:1: range p\[2\.\.5\] has 4 elements, more than 3$"):
+        parse_data_file("p[2..5].")
 
 
 def test_data_constant_substitution():

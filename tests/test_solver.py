@@ -11,7 +11,7 @@ from aspps.tdc import check_model
 from aspps.theory import CardConstruct, GroundAtom, GroundTheory
 
 from generators import random_ground_theory
-from oracles import ReferenceSolver, enumerate_models, lit_value, reference_branch
+from oracles import CheckedSolver, ReferenceSolver, counted_scores, enumerate_models
 
 
 def _atoms(n):
@@ -146,6 +146,36 @@ def test_branching_prefers_frequent_atom():
     assert s3.choose_branch() == 1
 
 
+def test_backtrack_skips_the_uncounted_round():
+    # a5 is counted before the decision a1; a1, a2 and a3 make clauses
+    # true in a round that ends in the conflict (-2 | -3) and are still
+    # pending when it is undone, and the flipped -a1 is pending after it.
+    t = _theory(6, clauses=[(5,), (5, 6), (1, 4), (-1, 2), (-1, 3), (-2, -3), (2, 4), (3, 6)])
+    s = Solver(t)
+    assert s._initial_propagate() is None
+    s._count_pending()
+    s.assign(1, True, decision=True)
+    assert s.propagate() is not None
+    assert s.pending == [1, 2, 3]
+    assert s._backtrack_flip()
+    assert (s.trail, s.pending) == ([5, 1], [1])
+    assert (s.sat_count, s.score, s.open_clauses) == counted_scores(s)
+    assert s.sat_count == [1, 1, 0, 0, 0, 0, 0, 0]
+
+
+def test_unused_ids_share_empty_tables():
+    # 200 000 atoms in no clause and no card: each costs its slots in the
+    # flat tables, and no list of its own
+    t = _theory(200_000)
+    tracemalloc.start()
+    try:
+        Solver(t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 25_000_000, peak
+
+
 def _peak_bytes_drawing(theory, count):
     tracemalloc.start()
     try:
@@ -217,63 +247,12 @@ def test_first_model_valid_and_counted(seed):
         assert not enumerate_models(t)
 
 
-class _CheckedSolver(Solver):
-    """Checks the trail-kept scores against a full rescan at every branch,
-    that propagation left no clause unit or falsified, that every card's
-    true and undetermined counts match its members' values, that every
-    card with a determined status has that value committed, that the
-    count of open clauses is exact, that no atom below low_atom is
-    undetermined, and that the decision stack holds exactly the trail
-    positions of the decisions not undone. Members a card forces are set
-    without going through assign, so decisions are recorded where assign
-    makes them and dropped where a backtrack cuts the trail below them."""
-
-    def __init__(self, theory):
-        super().__init__(theory)
-        self.decided = []  # (trail position, id) of each decision in place
-
-    def assign(self, ref, value, decision=False):
-        if decision and self.assignment[ref] is None:
-            self.decided.append((len(self.trail), ref))
-        return super().assign(ref, value, decision)
-
-    def _backtrack_flip(self):
-        more = super()._backtrack_flip()
-        # the flipped decision is now the last trail entry, not a decision
-        self.decided = [(pos, ref) for pos, ref in self.decided if pos < len(self.trail) - 1]
-        return more
-
-    def choose_branch(self):
-        for cid in range(self.n_atoms + 1, self.n_atoms + 1 + len(self.theory.cards)):
-            values = [self.assignment[m] for m in self.card_members[cid]]
-            counts = (self.card_true[cid], self.card_undec[cid])
-            assert counts == (values.count(True), values.count(None)), (cid, counts, values)
-            status = self.card_status(cid)
-            assert status is None or self.assignment[cid] == status, (cid, status)
-        for ci, cl in enumerate(self.theory.clauses):
-            true_lits = 0
-            for lit in cl:
-                v = self.assignment[abs(lit)]
-                true_lits += v is not None and v == (lit > 0)
-            assert self.sat_count[ci] == true_lits
-            values = [lit_value(self, lit) for lit in cl]
-            assert True in values or values.count(None) >= 2, (ci, cl, values)
-        assert self.open_clauses == self.sat_count.count(0)
-        assert None not in self.assignment[1 : min(self.low_atom, self.n_atoms + 1)], self.low_atom
-        assert all(self.trail[pos] == ref for pos, ref in self.decided), (self.decided, self.trail)
-        decided = [pos for pos, _ in self.decided]
-        assert self.decision_pos == decided, (self.decision_pos, self.trail)
-        aid = super().choose_branch()
-        assert aid == reference_branch(self)
-        return aid
-
-
 @settings(max_examples=150, deadline=None)
 @given(st.integers(0, 10**6))
 def test_incremental_branch_matches_rescan(seed):
     t = random_ground_theory(random.Random(seed), max_atoms=10, max_cards=4)
     for max_models in (None, 1):
-        got = _CheckedSolver(t).run(max_models)
+        got = CheckedSolver(t).run(max_models)
         want = ReferenceSolver(t).run(max_models)
         assert got.models == want.models
         assert got.stats == want.stats
