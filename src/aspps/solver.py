@@ -32,24 +32,24 @@ value makes some literal true goes on a pending list. Just before each
 branch pick, search counts the pending entries: each bumps the count of
 true literals of the clauses its value makes true, and a clause whose
 count leaves zero takes every atom it mentions out of the scores.
-Backtracking undoes the counts of the entries it removes, and skips the
+Backtracking undoes the counts of the entries it removes and skips the
 pending ones, which were never counted; pending is empty at every
-decision, so all of them lie past the cut. A propagation round that
-ends in a conflict is undone before any branch pick, so its entries are
-neither counted nor uncounted.
-The count reads a card's committed value, not its status, so the scores
-are exact at a propagation fixpoint, where every card with a determined
-status has that value committed. Propagation reads the same counts: an
-id whose value was just set visits only the clauses it made false whose
-count is 0. A positive count comes only from counted entries still on
-the trail, so every clause skipped has a true literal and would check as
-not unit; a clause that only pending entries satisfy is visited and
-checks as not unit. A count of the clauses with no true literal lets the
-branch pick skip the scan once every clause holds; it then takes the
-lowest undetermined atom, searching up from a bound below which every
-atom is set. Each decision keeps the bound that holds once it is
-flipped, since flipping restores the state before it plus the decided
-atom.
+decision, so they all lie past the cut. A propagation round that ends in
+a conflict is undone before any branch pick, so its entries are neither
+counted nor uncounted. The count reads a card's committed value, not its
+status, so the scores are exact at a propagation fixpoint, where every
+card with a determined status has that value committed.
+
+Propagation reads the same counts: an id whose value was just set visits
+only the clauses it made false whose count is 0. A positive count comes
+only from counted entries still on the trail, so every clause skipped
+has a true literal and would check as not unit; a clause that only
+pending entries satisfy is visited and checks as not unit. A count of
+the clauses with no true literal lets the branch pick skip the scan once
+every clause holds; it then takes the lowest undetermined atom,
+searching up from a bound below which every atom is set. Each decision
+keeps the bound that holds once it is flipped, since flipping restores
+the state before it plus the decided atom.
 
 Atoms and cards share one id space: atoms are 1..n_atoms and cards
 follow them, and every per-id table is indexed by the id itself. A
