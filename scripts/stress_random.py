@@ -7,9 +7,10 @@ substitution; solves random ground theories and compares against model
 enumeration over all assignments and, model order and search counters
 included, against propagation over every occurrence of an id and against
 a solver that checks its own state, branch scores included, at every
-branch pick and backtrack; and
-checks that what aspps prints under -A -C, -S <pred> -C and -A -C 3
-equals those models rendered through model_lines:
+branch pick and backtrack, among them that no committed card is left
+with members it should have forced; and checks that what aspps prints
+under -A -C, -S <pred> -C and -A -C 3 equals those models rendered
+through model_lines:
 
     python3 scripts/stress_random.py -n 2000 --seed 7
 """

@@ -13,18 +13,25 @@ counters toward that value, and a determined status that contradicts a
 committed value is a conflict. All choices are deterministic (lowest id
 wins ties), so identical inputs yield identical statistics.
 
-A card is queued each time one of its members is set, and evaluated when
-it leaves the queue; two kinds of entry are never made, because their
-evaluation is a no-op. When a committed card forces its undetermined
-members, it is not queued for them: once they are set its status equals
-its committed value. Nor is a card queued whose committed value already
-equals its determined status. Counts only move toward a determined
-status while the trail grows, so a determined status stays so until
-backtracking, and such an evaluation finds nothing to do whenever it
-would run. Every other entry keeps its place in the queue, so the order
-of the effective steps, and with it every counter, is the same as if
-every entry were made. Forcing needs lo <= hi and distinct members,
-which Solver checks.
+Cards are evaluated at one site, in propagate: only there is a card's
+status committed, checked against its committed value, or used to force
+members. A card is evaluated when it leaves the queue, and a card that a
+clause has just committed as its unit literal at once, before the next
+clause is checked. That fixes the order of propagation the counters
+record: queueing the card reaches the same fixpoint, but a round that
+ends in a conflict can then set other atoms first. A card is queued each
+time one of its members is set; two kinds of entry are never made,
+because their evaluation is a no-op. When a committed card forces its
+undetermined members, it is not queued for them: once they are set its
+status equals its committed value. Nor is a card queued whose committed
+value already equals its determined status. Counts only move toward a
+determined status while the trail grows, so a determined status stays so
+until backtracking, and such an evaluation finds nothing to do whenever
+it would run. Every other entry keeps its place in the queue, so the
+order of the effective steps, and with it every counter, is the same as
+if every entry were made. Forcing needs lo <= hi and distinct members;
+Solver checks both, as read_tdc does, and also that card ids are dense,
+members are atom ids and literals are in range.
 
 Branch scores are kept along the trail rather than recomputed per
 decision, and counted only when a branch is picked. A trail entry whose
@@ -93,9 +100,14 @@ class Solver:
         self.theory = theory
         n = theory.n_atoms
         self.n_atoms = n
-        for c in theory.cards:
+        for i, c in enumerate(theory.cards):
+            if c.id != n + i + 1:
+                raise ValueError(f"card ids must be dense, expected {n + i + 1} got {c.id}")
             if c.hi != -1 and c.lo > c.hi:
                 raise ValueError(f"card {c.id} has lower bound above its upper bound")
+            for m in c.members:
+                if not 1 <= m <= n:
+                    raise ValueError(f"card {c.id} member {m} is not an atom id")
             if len(set(c.members)) != len(c.members):
                 raise ValueError(f"card {c.id} lists a member twice")
         size = n + len(theory.cards) + 1
@@ -156,6 +168,8 @@ class Solver:
             atoms: list[int] = []
             for lit in lits:
                 ref = abs(lit)
+                if not 0 < ref < size:
+                    raise ValueError(f"literal {lit} out of range")
                 if sat_by[ref] is unused:
                     sat_by[ref] = ([], [])
                 sat_by[ref][lit > 0].append(ci)
@@ -201,35 +215,29 @@ class Solver:
             self.queue.append(ref)
         if sat_by[value]:
             self.pending.append(ref)
-        if self.member_of[ref]:
-            self._count_member(ref, value, 0)
-        return None
-
-    def _count_member(self, ref: int, value: bool, skip: int) -> None:
-        """Member ref of each card other than skip was just set to value:
-        update the card's counts and queue it, unless it is settled (its
-        committed value equals its determined status, which no further
-        assignment can change)."""
-        assignment, dirty = self.assignment, self.dirty_cards
-        card_true, card_undec = self.card_true, self.card_undec
-        card_lo, card_hi = self.card_lo, self.card_hi
-        for cid in self.member_of[ref]:
-            if cid == skip:
-                continue
-            uc = card_undec[cid] - 1
-            card_undec[cid] = uc
-            tc = card_true[cid]
-            if value:
-                tc += 1
-                card_true[cid] = tc
-            v = assignment[cid]
-            if v is None:
-                dirty.append(cid)
-            elif v:
-                if tc < card_lo[cid] or tc + uc > card_hi[cid]:
+        cards = self.member_of[ref]
+        if cards:
+            # Count ref in each card it is a member of, and queue the card
+            # unless it is settled: its committed value equals its
+            # determined status, which no further assignment can change.
+            dirty, card_true, card_undec = self.dirty_cards, self.card_true, self.card_undec
+            card_lo, card_hi = self.card_lo, self.card_hi
+            for cid in cards:
+                uc = card_undec[cid] - 1
+                card_undec[cid] = uc
+                tc = card_true[cid]
+                if value:
+                    tc += 1
+                    card_true[cid] = tc
+                v = assignment[cid]
+                if v is None:
                     dirty.append(cid)
-            elif tc + uc >= card_lo[cid] and tc <= card_hi[cid]:
-                dirty.append(cid)
+                elif v:
+                    if tc < card_lo[cid] or tc + uc > card_hi[cid]:
+                        dirty.append(cid)
+                elif tc + uc >= card_lo[cid] and tc <= card_hi[cid]:
+                    dirty.append(cid)
+        return None
 
     def _count_pending(self) -> None:
         """Count the pending ids' true literals, in trail order: one more
@@ -261,48 +269,10 @@ class Solver:
                     score[aid] += 1
         self.open_clauses += opened
 
-    def _enforce_members(self, cid: int, value: bool) -> None:
-        """Card cid is committed to value and its status is undetermined.
-        When a bound leaves one way to reach value, set every undetermined
-        member that way, each as assign would but without queueing cid,
-        whose status then equals value; cid's counts move once at the
-        end. Needs lo <= hi and distinct members, which __init__ checks."""
-        tc, uc = self.card_true[cid], self.card_undec[cid]
-        lo, hi = self.card_lo[cid], self.card_hi[cid]
-        if value:
-            if tc == hi:
-                force = False
-            elif tc + uc == lo:
-                force = True
-            else:
-                return
-        elif tc + uc == hi + 1 and tc >= lo:
-            force = True
-        elif tc == lo - 1 and tc + uc <= hi:
-            force = False
-        else:
-            return
-        assignment, trail, queue, sat_by = self.assignment, self.trail, self.queue, self.sat_by
-        pending = self.pending
-        forced = 0
-        for m in self.card_members[cid]:
-            if assignment[m] is not None:
-                continue
-            assignment[m] = force
-            trail.append(m)
-            sat = sat_by[m]
-            if sat[not force]:
-                queue.append(m)
-            if sat[force]:
-                pending.append(m)
-            forced += 1
-            self._count_member(m, force, cid)
-        self.card_undec[cid] = uc - forced
-        if force:
-            self.card_true[cid] = tc + forced
-        self.stats.propagations += forced
-
-    def _check_clause(self, ci: int) -> Conflict | None:
+    def _check_clause(self, ci: int) -> Conflict | int | None:
+        """Check clause ci: a conflict when every literal is false. With
+        one literal open and none true, set that literal's id; when it is
+        a card, return its id, for propagate to evaluate at once."""
         n, assignment = self.n_atoms, self.assignment
         unit = None
         open_count = 0
@@ -323,17 +293,17 @@ class Solver:
         # unit is undetermined (a card: uncommitted, status open): no conflict.
         ref = abs(unit)
         self.assign(ref, unit > 0)
-        if ref > n:
-            self._enforce_members(ref, unit > 0)
-        return None
+        return ref if ref > n else None
 
     def propagate(self) -> Conflict | None:
-        """Run the queues to a fixpoint. A queued card commits a
-        determined status, conflicts with a committed value it
-        contradicts, or forces members toward its committed value. A
-        queued id visits only the clauses its value made false and that
-        no counted trail entry satisfies: every other clause would check
-        as not unit."""
+        """Run the queues to a fixpoint. A queued id visits only the
+        clauses its value made false and that no counted trail entry
+        satisfies: every other clause would check as not unit. This is
+        the one site that evaluates cards: one off the queue, and one a
+        clause just committed, before the id's next clause, which keeps
+        the propagation order the counters record. An evaluation commits
+        a determined status, conflicts with a committed value it
+        contradicts, or forces members toward the committed value."""
         dirty, queue = self.dirty_cards, self.queue
         assignment, sat_by, sat_count = self.assignment, self.sat_by, self.sat_count
         card_true, card_undec, card_lo, card_hi = (
@@ -341,94 +311,105 @@ class Solver:
         )
         trail, member_of, card_members = self.trail, self.member_of, self.card_members
         pending = self.pending
+        clauses: Iterator[int] = iter(())  # the rest of the visited id's clauses
         while True:
-            if dirty:
-                cid = dirty.popleft()
-                tc, lo, hi = card_true[cid], card_lo[cid], card_hi[cid]
-                tu = tc + card_undec[cid]
-                v = assignment[cid]
-                if tc >= lo and tu <= hi:
-                    st = True
-                elif tu < lo or tc > hi:
-                    st = False
+            for ci in clauses:
+                if not sat_count[ci]:
+                    cid = self._check_clause(ci)
+                    if cid is not None:
+                        if isinstance(cid, Conflict):
+                            return cid
+                        break
+            else:
+                if dirty:
+                    cid = dirty.popleft()
+                elif queue:
+                    ref = queue.popleft()
+                    clauses = iter(sat_by[ref][not assignment[ref]])
+                    continue
                 else:
-                    # Status open: a committed card forces its members
-                    # when a bound leaves one way to reach its value. The
-                    # same rule and loop as _enforce_members, inlined.
-                    if v is None:
-                        continue
-                    if v:
-                        if tc == hi:
-                            force = False
-                        elif tu == lo:
-                            force = True
-                        else:
-                            continue
-                    elif tu == hi + 1 and tc >= lo:
-                        force = True
-                    elif tc == lo - 1 and tu <= hi:
+                    return None
+            tc, lo, hi = card_true[cid], card_lo[cid], card_hi[cid]
+            tu = tc + card_undec[cid]
+            v = assignment[cid]
+            if tc >= lo and tu <= hi:
+                st = True
+            elif tu < lo or tc > hi:
+                st = False
+            else:
+                # Status open: a committed card forces its members when a
+                # bound leaves one way to reach its value. Needs lo <= hi
+                # and distinct members, which __init__ checks. Each member
+                # is set as assign would, but without queueing cid, whose
+                # status then equals v; cid's counts move once at the end.
+                if v is None:
+                    continue
+                if v:
+                    if tc == hi:
                         force = False
+                    elif tu == lo:
+                        force = True
                     else:
                         continue
-                    forced = 0
-                    for m in card_members[cid]:
-                        if assignment[m] is not None:
-                            continue
-                        assignment[m] = force
-                        trail.append(m)
-                        sat = sat_by[m]
-                        if sat[not force]:
-                            queue.append(m)
-                        if sat[force]:
-                            pending.append(m)
-                        forced += 1
-                        for c in member_of[m]:  # _count_member(m, force, cid)
-                            if c == cid:
-                                continue
-                            uc = card_undec[c] - 1
-                            card_undec[c] = uc
-                            t = card_true[c]
-                            if force:
-                                t += 1
-                                card_true[c] = t
-                            w = assignment[c]
-                            if w is None:
-                                dirty.append(c)
-                            elif w:
-                                if t < card_lo[c] or t + uc > card_hi[c]:
-                                    dirty.append(c)
-                            elif t + uc >= card_lo[c] and t <= card_hi[c]:
-                                dirty.append(c)
-                    card_undec[cid] = tu - tc - forced
-                    if force:
-                        card_true[cid] = tc + forced
-                    self.stats.propagations += forced
+                elif tu == hi + 1 and tc >= lo:
+                    force = True
+                elif tc == lo - 1 and tu <= hi:
+                    force = False
+                else:
                     continue
-                if v is None:
-                    self.assign(cid, st)
-                elif v != st:
-                    return Conflict("card", cid)
-            elif queue:
-                ref = queue.popleft()
-                value = assignment[ref]
-                for ci in sat_by[ref][not value]:
-                    if not sat_count[ci]:
-                        conf = self._check_clause(ci)
-                        if conf is not None:
-                            return conf
-            else:
-                return None
+                forced = 0
+                for m in card_members[cid]:
+                    if assignment[m] is not None:
+                        continue
+                    assignment[m] = force
+                    trail.append(m)
+                    sat = sat_by[m]
+                    if sat[not force]:
+                        queue.append(m)
+                    if sat[force]:
+                        pending.append(m)
+                    forced += 1
+                    for c in member_of[m]:  # as in assign, skipping cid
+                        if c == cid:
+                            continue
+                        uc = card_undec[c] - 1
+                        card_undec[c] = uc
+                        t = card_true[c]
+                        if force:
+                            t += 1
+                            card_true[c] = t
+                        w = assignment[c]
+                        if w is None:
+                            dirty.append(c)
+                        elif w:
+                            if t < card_lo[c] or t + uc > card_hi[c]:
+                                dirty.append(c)
+                        elif t + uc >= card_lo[c] and t <= card_hi[c]:
+                            dirty.append(c)
+                card_undec[cid] = tu - tc - forced
+                if force:
+                    card_true[cid] = tc + forced
+                self.stats.propagations += forced
+                continue
+            if v is None:
+                self.assign(cid, st)
+            elif v != st:
+                return Conflict("card", cid)
 
     def _initial_propagate(self) -> Conflict | None:
-        self.dirty_cards.extend(range(self.n_atoms + 1, len(self.card_lo)))
+        dirty = self.dirty_cards
+        dirty.extend(range(self.n_atoms + 1, len(self.card_lo)))
         conf = self.propagate()
-        if conf is not None:
-            return conf
         for ci in range(len(self.clause_lits)):
-            conf = self._check_clause(ci) or self.propagate()
             if conf is not None:
                 return conf
-        return None
+            cid = self._check_clause(ci)
+            if isinstance(cid, Conflict):
+                return cid
+            if cid is not None:
+                dirty.append(cid)  # the queue is empty after propagate
+            conf = self.propagate()
+        return conf
 
     # -- search -----------------------------------------------------------
 

@@ -3,18 +3,19 @@
 The naive grounder, model enumeration and status computation share no
 logic with the package beyond the AST/theory data types: they are
 re-derived from the definitions, the slow and obvious way. Five further
-references keep the package's own earlier, plainer algorithm next to
-the optimized one and reuse its primitives: branch selection by full
-rescan (reference_branch), propagation over every occurrence of an id
-(ReferenceSolver), model printing through model_lines
+references keep the package's own earlier, plainer algorithm next to the
+optimized one and reuse its primitives: branch selection by full rescan
+(reference_branch), propagation over every occurrence of an id with
+cards forced member by member through assign (ReferenceSolver, forcing
+by the rule of forced_value), model printing through model_lines
 (reference_aspps_stdout), a clause's global and schema-local variables
 by per-atom-kind walks (reference_global_vars, reference_schema_locals)
 and grounding over the full product of the variable domains
 (reference_ground). counted_scores recounts the branch scores from the
 trail, and CheckedSolver checks them, with the rest of the solver's
-state, at every branch and backtrack. eval_arith, eval_ground_term and
-eval_predefined evaluate a term or comparison under a dict binding
-through the package's compiled terms.
+state, forcing left undone included, at every branch and backtrack.
+eval_arith, eval_ground_term and eval_predefined evaluate a term or
+comparison under a dict binding through the package's compiled terms.
 """
 
 from __future__ import annotations
@@ -438,13 +439,40 @@ def reference_branch(solver) -> int | None:
     return None
 
 
+def forced_value(solver, cid: int) -> bool | None:
+    """The value card cid forces on its undetermined members, if any. A
+    committed card whose status is open forces x when one member set to
+    not x would leave no count, over the completions of the members,
+    that gives the card its committed value. Read from the members'
+    values and the card's bounds, not from the solver's counters."""
+    v = solver.assignment[cid]
+    card = solver.theory.card_by_id(cid)
+    values = [solver.assignment[m] for m in card.members]
+    if v is None or status_by_completion(card.lo, card.hi, values) is not None:
+        return None
+    tc = values.count(True)
+    tu = tc + values.count(None)
+
+    def holds(k):  # the card's truth with exactly k members true
+        return card.lo <= k and (card.hi == -1 or k <= card.hi)
+
+    if not any(holds(k) == v for k in range(tc + 1, tu + 1)):  # a member set true
+        return False
+    if not any(holds(k) == v for k in range(tc, tu)):  # a member set false
+        return True
+    return None
+
+
 class ReferenceSolver(Solver):
     """The solver with full-occurrence propagation: a queued id checks
     every clause that mentions it with either sign, satisfied or not.
     Clauses its value made true, or that are already satisfied, check as
     not unit, so models, model order and every counter must equal the
-    solver's. A queued card is evaluated by the separate status read of
-    _update_card, not the one inlined in Solver.propagate."""
+    solver's. A card, queued or just committed by a clause, is evaluated
+    by _update_card, which forces by forced_value and sets each member
+    through assign, not by Solver.propagate's fused loop. assign then
+    queues the forcing card for its own members too; those evaluations
+    find nothing to do."""
 
     def __init__(self, theory):
         super().__init__(theory)
@@ -462,6 +490,8 @@ class ReferenceSolver(Solver):
                 conf = None
                 for ci in self.occ[qid]:
                     conf = self._check_clause(ci)
+                    if isinstance(conf, int):  # a card the clause committed
+                        conf = self._update_card(conf)
                     if conf is not None:
                         break
             else:
@@ -485,9 +515,12 @@ class ReferenceSolver(Solver):
             return None
         if st is not None:
             return None if st == v else Conflict("card", cid)
-        if v and tc != hi and tu != lo:
-            return None  # _enforce_members would force nothing
-        return self._enforce_members(cid, v)
+        force = forced_value(self, cid)
+        if force is not None:
+            for m in self.card_members[cid]:
+                if self.assignment[m] is None:
+                    self.assign(m, force)
+        return None
 
 
 def counted_scores(solver) -> tuple[list[int], list[int], int]:
@@ -517,12 +550,13 @@ class CheckedSolver(Solver):
     branch itself against a full rescan, that propagation left no clause
     unit or falsified, that every card's true and undetermined counts
     match its members' values, that every card with a determined status
-    has that value committed, that the count of open clauses is exact,
-    that no atom below low_atom is undetermined, and that the decision
-    stack holds exactly the trail positions of the decisions not undone.
-    Members a card forces are set without going through assign, so
-    decisions are recorded where assign makes them and dropped where a
-    backtrack cuts the trail below them."""
+    has that value committed, that no committed card with an open status
+    has members left to force (forced_value), that the count of open
+    clauses is exact, that no atom below low_atom is undetermined, and
+    that the decision stack holds exactly the trail positions of the
+    decisions not undone. Members a card forces are set without going
+    through assign, so decisions are recorded where assign makes them
+    and dropped where a backtrack cuts the trail below them."""
 
     def __init__(self, theory):
         super().__init__(theory)
@@ -549,6 +583,7 @@ class CheckedSolver(Solver):
             assert counts == (values.count(True), values.count(None)), (cid, counts, values)
             status = self.card_status(cid)
             assert status is None or self.assignment[cid] == status, (cid, status)
+            assert forced_value(self, cid) is None, (cid, "forcing left undone")
         for ci, cl in enumerate(self.theory.clauses):
             true_lits = 0
             for lit in cl:

@@ -90,17 +90,33 @@ def test_card_unsatisfiable_bounds_detected():
 
 
 @pytest.mark.parametrize(
-    "card, clauses, message",
+    "theory, message",
     [
-        ((2, 1, (1, 2, 3)), [(4,)], "card 4 has lower bound above its upper bound"),
-        ((1, 2, (1, 1, 2, 3)), [(4,), (1,)], "card 4 lists a member twice"),
+        (_theory(3, [(2, 1, (1, 2, 3))], [(4,)]), "card 4 has lower bound above its upper bound"),
+        (_theory(3, [(1, 2, (1, 1, 2, 3))], [(4,), (1,)]), "card 4 lists a member twice"),
+        (_theory(3, [(1, 1, (0, 1))], [(4,)]), "card 4 member 0 is not an atom id"),
+        (_theory(3, [(1, 1, (1, 4))], [(4,)]), "card 4 member 4 is not an atom id"),
+        (
+            GroundTheory(_atoms(3), (CardConstruct(5, 1, 1, (1, 2)),), ((5,),)),
+            "card ids must be dense, expected 4 got 5",
+        ),
+        (_theory(3, clauses=[(0, 1)]), "literal 0 out of range"),
+        (_theory(3, [(1, 1, (1, 2))], [(-5,)]), "literal -5 out of range"),
     ],
-    ids=["lo-above-hi", "member-twice"],
+    ids=[
+        "lo-above-hi",
+        "member-twice",
+        "member-zero",
+        "member-not-atom",
+        "card-ids-not-dense",
+        "literal-zero",
+        "literal-above-ids",
+    ],
 )
-def test_solver_rejects_degenerate_cards(card, clauses, message):
-    # read_tdc refuses both shapes; a library caller can still build them
+def test_solver_rejects_degenerate_cards(theory, message):
+    # read_tdc refuses every one of these; a library caller can build them
     with pytest.raises(ValueError, match=message):
-        Solver(_theory(3, cards=[card], clauses=clauses))
+        Solver(theory)
 
 
 def test_enumeration_exact_models():
