@@ -2,7 +2,8 @@
 
 random_program emits rule/data *text*, so the parser is exercised on the
 way to the grounder; random_ground_theory builds ground theories
-directly. Both are deterministic functions of the supplied rng.
+directly; mutate_text garbles a text a little. All are deterministic
+functions of the supplied rng.
 """
 
 from __future__ import annotations
@@ -254,3 +255,28 @@ def random_ground_theory(
         picked = rng.sample(refs, length)
         clauses.append(tuple(r if rng.random() < 0.5 else -r for r in picked))
     return GroundTheory(atoms, tuple(cards), tuple(clauses))
+
+
+# ---------------------------------------------------------------------------
+# Small random edits of a source text, for the pinned-outcome tests.
+
+MUTATION_ALPHABET = "abpqXY_()[]{}:,.|-><=!+*/ \n\t0123456789%→$"
+MUTATION_WORDS = ("pred", "var", "abs", "mod", "max", "min", "->", "..", "X", "p(X)", "1{", "}2")
+
+
+def mutate_text(rng: random.Random, text: str, words=MUTATION_WORDS) -> str:
+    """One to three random edits: insert characters, delete or repeat a
+    span, or insert one of words."""
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randint(0, len(text))
+        j = rng.randint(i, min(len(text), i + 12))
+        op = rng.choice(("insert", "delete", "repeat", "keyword"))
+        if op == "insert":
+            text = text[:i] + "".join(rng.choice(MUTATION_ALPHABET) for _ in range(rng.randint(1, 4))) + text[i:]
+        elif op == "delete":
+            text = text[:i] + text[j:]
+        elif op == "repeat":
+            text = text[:j] + text[i:j] + text[j:]
+        else:
+            text = text[:i] + " " + rng.choice(words) + " " + text[i:]
+    return text

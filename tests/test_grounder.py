@@ -1,20 +1,22 @@
 """Arithmetic evaluation, program checking and grounding."""
 
+import hashlib
 import random
 
 import pytest
 from hypothesis import given, strategies as st
 
 from aspps.database import build_database
-from aspps.errors import GroundError
+from aspps.errors import GroundError, ParseError
 from aspps.grounder import Grounder, _schema_locals, check_program, ground_theory, output_name
 from aspps.model import ArithExpr, CAtomSchema, PlainAtom, Variable
 from aspps.parser import parse_data_file, parse_rule_file
 from aspps.tdc import write_tdc
 from aspps.terms import arith_range
 
-from generators import random_program
+from generators import mutate_text, random_program
 from oracles import eval_arith, eval_predefined, reference_global_vars, reference_ground, reference_schema_locals
+from problems import COLOR_RULES, PIGEON_DATA, PIGEON_RULES, QUEENS_DATA, QUEENS_RULES, TRIANGLE_DATA
 
 X, Y = Variable("X"), Variable("Y")
 
@@ -553,6 +555,52 @@ def test_variable_walk_matches_reference_on_random_programs():
     for seed in range(2000):
         rules, _data, _tags = random_program(random.Random(seed))
         _assert_walk_matches_reference(rules)
+
+
+# ---------------------------------------------------------------------------
+# Pinned outcomes: a digest of what check_program reports, and of what the
+# grounder writes or raises on the programs it passes, over seeded
+# mutations of the canonical encodings and of random programs. Any change
+# to a diagnostic, a ground error or a .tdc byte changes the digest.
+
+CHECK_PIN_WORDS = (
+    "pred", "var", "->", "|", ":", "1{", "}2", "m{", "}m",
+    "p1", "t1", "e2", "q", "col", "edge", "vtx",
+)
+CHECK_PIN_CONSTS = {"k": "3", "n": "4", "p": "3", "h": "2", "m": "-1"}
+
+
+def _check_outcome(text, db):
+    try:
+        prog = parse_rule_file(text, CHECK_PIN_CONSTS, "pin")
+    except ParseError:
+        return "parse error", "parse"
+    diags = check_program(prog, db)
+    if diags:
+        return repr(diags), "diagnostics"
+    try:
+        tdc = write_tdc(Grounder(prog, db).ground())
+    except GroundError as exc:
+        return f"GroundError: {exc}", "ground error"
+    return hashlib.sha256(tdc.encode()).hexdigest(), "grounded"
+
+
+def test_check_outcomes_pinned():
+    seeds = [(COLOR_RULES, TRIANGLE_DATA), (QUEENS_RULES, QUEENS_DATA), (PIGEON_RULES, PIGEON_DATA)]
+    seeds += [random_program(random.Random(seed))[:2] for seed in range(200)]
+    seeds = [(rules, build_database(parse_data_file(data, CHECK_PIN_CONSTS))) for rules, data in seeds]
+    rng = random.Random(20012)
+    digest = hashlib.sha256()
+    kinds = dict.fromkeys(("parse", "diagnostics", "ground error", "grounded"), 0)
+    for case in range(6000):
+        rules, db = rng.choice(seeds)
+        outcome, kind = _check_outcome(mutate_text(rng, rules, CHECK_PIN_WORDS), db)
+        kinds[kind] += 1
+        digest.update(f"{case}\0{outcome}\0".encode())
+    assert (kinds, digest.hexdigest()) == (
+        {"parse": 5738, "diagnostics": 32, "ground error": 5, "grounded": 225},
+        "23d21c183336317fd98a282098582ca18ba2e2099f8b6a77307fda64d54bde2e",
+    )
 
 
 # ---------------------------------------------------------------------------

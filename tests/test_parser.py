@@ -22,7 +22,7 @@ from aspps.model import (
 from aspps import parser
 from aspps.parser import MAX_TERM_DEPTH, parse_data_file, parse_rule_file, tokenize
 
-from generators import random_program
+from generators import mutate_text, random_program
 from problems import COLOR_RULES, PIGEON_DATA, PIGEON_RULES, QUEENS_DATA, QUEENS_RULES, TRIANGLE_DATA
 
 X, Y, C = Variable("X"), Variable("Y"), Variable("C")
@@ -390,8 +390,6 @@ def test_term_render_parse_round_trip(term):
 # mutations of the canonical encodings and of random programs. Any change
 # to a result, a diagnostic or its position changes the digest.
 
-PIN_ALPHABET = "abpqXY_()[]{}:,.|-><=!+*/ \n\t0123456789%→$"
-PIN_WORDS = ("pred", "var", "abs", "mod", "max", "min", "->", "..", "X", "p(X)", "1{", "}2")
 PIN_CONSTS = (
     {"k": "3", "n": "4", "p": "3", "h": "2"},
     {"k": "-1", "n": "x"},
@@ -399,22 +397,6 @@ PIN_CONSTS = (
     {"n": "9" * 20},
     {},
 )
-
-
-def _pin_mutate(rng, text):
-    for _ in range(rng.randint(1, 3)):
-        i = rng.randint(0, len(text))
-        j = rng.randint(i, min(len(text), i + 12))
-        op = rng.choice(("insert", "delete", "repeat", "keyword"))
-        if op == "insert":
-            text = text[:i] + "".join(rng.choice(PIN_ALPHABET) for _ in range(rng.randint(1, 4))) + text[i:]
-        elif op == "delete":
-            text = text[:i] + text[j:]
-        elif op == "repeat":
-            text = text[:j] + text[i:j] + text[j:]
-        else:
-            text = text[:i] + " " + rng.choice(PIN_WORDS) + " " + text[i:]
-    return text
 
 
 def _pin_outcome(fn, text, consts):
@@ -438,13 +420,13 @@ def test_parser_outcomes_pinned():
         kind = case % 3
         consts = rng.choice(PIN_CONSTS)
         if kind == 0:
-            fn, text = parse_rule_file, _pin_mutate(rng, rng.choice(rule_seeds))
+            fn, text = parse_rule_file, mutate_text(rng, rng.choice(rule_seeds))
         elif kind == 1:
-            text = _pin_mutate(rng, rng.choice(data_seeds))
+            text = mutate_text(rng, rng.choice(data_seeds))
             # Cap integer literals at three digits, so ranges stay small to expand.
             fn, text = parse_data_file, re.sub(r"\d{4,}", lambda m: m.group()[:3], text)
         else:
-            fn, text = tokenize, _pin_mutate(rng, rng.choice(rule_seeds + data_seeds))
+            fn, text = tokenize, mutate_text(rng, rng.choice(rule_seeds + data_seeds))
         outcome, ok = _pin_outcome(fn, text, consts)
         accepted += ok
         digest.update(f"{case}\0{outcome}\0".encode())
