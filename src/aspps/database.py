@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .errors import GroundError
 from .model import Const
 from .parser import DataAtom
 
@@ -30,15 +29,13 @@ class DataDatabase:
         return tuple(args) in self.extensions.get((pred, len(args)), _EMPTY)
 
     def unary_domain(self, pred: str) -> list[Const]:
-        """The unary extension of pred in deterministic order; empty when
-        the predicate has no unary facts at all. Sorted once per
-        predicate; each call returns a fresh list."""
+        """The unary extension of pred in deterministic order, empty when
+        it has none (check_program rejects such a type if it has facts).
+        Sorted once per predicate; each call returns a fresh list."""
         domain = self._domains.get(pred)
         if domain is None:
             ext = self.extensions.get((pred, 1))
             if ext is None:
-                if any(name == pred for name, _ in self.extensions):
-                    raise GroundError(f"type predicate {pred} has no unary extension")
                 return []
             domain = self._domains[pred] = tuple(sorted((row[0] for row in ext), key=_const_key))
         return list(domain)

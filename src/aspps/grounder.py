@@ -72,16 +72,12 @@ MAX_CLAUSE_VARS = 256
 
 
 def check_program(prog: Program, db: DataDatabase) -> list[str]:
-    """Validate declarations, arities and variable usage against the
-    data. Returns a list of diagnostics; empty means the program may be
-    grounded."""
+    """Validate a Program from parse_rule_file against the data, for the
+    rules that need the data or every declaration; the rest is the
+    parser's (see aspps.parser). Returns a list of diagnostics; empty
+    means the program may be grounded."""
     diags: list[str] = []
-    decls: dict[str, object] = {}
-    for d in prog.pred_decls:
-        if d.name in decls:
-            diags.append(f"predicate {d.name} declared twice")
-        decls[d.name] = d
-
+    decls = {d.name: d for d in prog.pred_decls}
     data_names = db.predicate_names()
     for d in prog.pred_decls:
         if d.name in data_names:
@@ -99,12 +95,7 @@ def check_program(prog: Program, db: DataDatabase) -> list[str]:
                     " is not defined by the data"
                 )
 
-    var_types: dict[str, str] = {}
     for v in prog.var_decls:
-        for name in v.var_names:
-            if name in var_types:
-                diags.append(f"variable {name} declared twice")
-            var_types[name] = v.type_pred
         diags.extend(_check_type_pred(v.type_pred, decls, db, f"declaration of {v.var_names[0]}"))
 
     for idx, clause in enumerate(prog.clauses, 1):
@@ -112,7 +103,7 @@ def check_program(prog: Program, db: DataDatabase) -> list[str]:
         n_vars = len({v for atom in clause.body + clause.head for v in atom_variables(atom)})
         if n_vars > MAX_CLAUSE_VARS:
             diags.append(f"{n_vars} variables in {where}, more than {MAX_CLAUSE_VARS}")
-        diags.extend(_check_clause(clause, where, decls, var_types, db))
+        diags.extend(_check_clause(clause, where, decls, db))
     return diags
 
 
@@ -124,41 +115,16 @@ def _check_type_pred(ty, decls, db, where):
     return []
 
 
-def _check_clause(clause, where, decls, var_types, db):
+def _check_clause(clause, where, decls, db):
     diags = []
     atoms = clause.body + clause.head
 
-    def check_vars(terms):
-        for t in terms:
-            for v in term_variables(t):
-                if v not in var_types:
-                    diags.append(f"variable {v} not declared in {where}")
-
-    def check_plain(a, role="atom"):
-        if a.pred in COMPARISONS:
-            if len(a.args) != 2:
-                diags.append(f"predefined {a.pred} takes 2 operands in {where}")
-        elif a.pred in decls:
-            if role == "condition":
-                diags.append(
-                    f"condition {a.pred} in {where} must use a data or predefined predicate"
-                )
-            elif len(a.args) != len(decls[a.pred].arg_types):
-                diags.append(
-                    f"predicate {a.pred} expects {len(decls[a.pred].arg_types)}"
-                    f" argument(s), got {len(a.args)} in {where}"
-                )
-        check_vars(a.args)
-
-    def check_bounds(a):
-        if a.lo is not None and a.lo < 0:
-            diags.append(f"negative cardinality bound in {where}")
-        if a.lo is not None and a.hi is not None and a.lo > a.hi:
-            diags.append(f"lower bound {a.lo} exceeds upper bound {a.hi} in {where}")
-
-    def check_member_pred(pred, nargs, what):
+    def check_pred(pred, nargs, what=None):
+        """The arity of a program predicate; an atom named by what must
+        have one."""
         if pred not in decls:
-            diags.append(f"{what} {pred} in {where} must be a declared program predicate")
+            if what:
+                diags.append(f"{what} {pred} in {where} must be a declared program predicate")
         elif len(decls[pred].arg_types) != nargs:
             diags.append(
                 f"predicate {pred} expects {len(decls[pred].arg_types)}"
@@ -167,24 +133,15 @@ def _check_clause(clause, where, decls, var_types, db):
 
     for pos, atom in enumerate(atoms):
         if isinstance(atom, PlainAtom):
-            check_plain(atom)
+            check_pred(atom.pred, len(atom.args))
         elif isinstance(atom, EAtom):
-            check_member_pred(atom.pred, len(atom.args), "e-atom predicate")
+            check_pred(atom.pred, len(atom.args), "e-atom predicate")
             if atom.domain_pred in decls:
                 diags.append(
                     f"e-atom domain {atom.domain_pred} in {where} must be a data predicate"
                 )
             else:
                 diags.extend(_check_type_pred(atom.domain_pred, decls, db, where))
-            if atom.bound_var not in var_types:
-                diags.append(f"variable {atom.bound_var} not declared in {where}")
-            if not atom.args or atom.args[-1] != Variable(atom.bound_var):
-                diags.append(f"e-atom binder must be the final argument in {where}")
-            check_vars(atom.args[:-1])
-            if any(atom.bound_var in term_variables(t) for t in atom.args[:-1]):
-                diags.append(
-                    f"e-atom binder {atom.bound_var} may only occur as the final argument in {where}"
-                )
             for other_pos, other in enumerate(atoms):
                 if other_pos != pos and atom.bound_var in atom_variables(other):
                     diags.append(
@@ -192,16 +149,15 @@ def _check_clause(clause, where, decls, var_types, db):
                     )
                     break
         elif isinstance(atom, CAtomSchema):
-            check_member_pred(atom.member.pred, len(atom.member.args), "cardinality member")
-            check_vars(atom.member.args)
-            for c in atom.conds:
-                check_plain(c, role="condition")
-            check_bounds(atom)
+            check_pred(atom.member.pred, len(atom.member.args), "cardinality member")
+            diags.extend(
+                f"condition {c.pred} in {where} must use a data or predefined predicate"
+                for c in atom.conds
+                if c.pred in decls
+            )
         else:
             for p in atom.preds:
-                check_member_pred(p, len(atom.args), "cardinality member")
-            check_vars(atom.args)
-            check_bounds(atom)
+                check_pred(p, len(atom.args), "cardinality member")
     return diags
 
 
@@ -210,7 +166,8 @@ def _check_clause(clause, where, decls, var_types, db):
 
 
 class Grounder:
-    """Holds the interning tables while a program is ground.
+    """Holds the interning tables while grounding a program that passed
+    check_program, which nothing here checks again.
 
     Atom ids are final as soon as they are interned; cardinality
     constructs are numbered after the total atom count is known.

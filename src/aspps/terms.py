@@ -2,10 +2,9 @@
 
 A term compiles once into a closure over a flat list of variable values,
 so evaluating it under a binding builds no dict and walks no tree. The
-closures raise the same GroundError, with the same message, wherever
-evaluation goes wrong: a symbolic value in arithmetic or in an order
-comparison, an unbound variable, a zero divisor or a result outside the
-64-bit range. Division truncates toward zero and mod(a,b) = a - b*trunc(a/b).
+closures raise GroundError wherever evaluation under a binding goes
+wrong: a symbolic value in arithmetic or in an order comparison, a zero
+divisor or a result outside the 64-bit range. Every variable has a slot. Division truncates toward zero and mod(a,b) = a - b*trunc(a/b).
 
 The interval bounds decide ahead of time, over whole variable domains,
 that none of those errors can happen.
@@ -79,12 +78,10 @@ def _const(value):
 def compile_term(term, slots, arith=False):
     """A closure computing term's value. In arithmetic context a symbolic
     value is an error. Division truncates toward zero and mod(a,b) =
-    a - b*trunc(a/b); anything unbound, overflowing or divided by zero
-    is an error too."""
+    a - b*trunc(a/b); anything overflowing or divided by zero is an
+    error too."""
     if isinstance(term, Variable):
-        i = slots.get(term.name)
-        if i is None:
-            return _raiser(f"variable {term.name} is not bound")
+        i = slots[term.name]
         if not arith:
             return itemgetter(i)
 
@@ -136,8 +133,6 @@ def compile_args(terms, slots):
 def compile_comparison(atom: PlainAtom, slots):
     """A closure deciding a comparison atom. == works on any constants
     by identity; the order comparisons require integers."""
-    if atom.pred not in COMPARISONS or len(atom.args) != 2:
-        return _raiser(f"malformed predefined atom {atom.pred}/{len(atom.args)}")
     fa, fb = (compile_term(t, slots) for t in atom.args)
     if atom.pred == "==":
         return lambda vals: fa(vals) == fb(vals)
@@ -220,8 +215,6 @@ def _plain_atom_safe(atom: PlainAtom, ranges):
     comparison, cannot raise."""
     if atom.pred not in COMPARISONS:
         return all(_term_safe(t, ranges) for t in atom.args)
-    if len(atom.args) != 2:
-        return False
     if atom.pred == "==":
         return all(_term_safe(t, ranges) for t in atom.args)
     return all(arith_range(t, ranges) is not None for t in atom.args)

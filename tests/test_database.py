@@ -1,9 +1,6 @@
 """Closed-world data storage."""
 
-import pytest
-
 from aspps.database import build_database
-from aspps.errors import GroundError
 
 
 def test_build_and_contains():
@@ -38,11 +35,8 @@ def test_unary_domain_callers_cannot_change_it():
     assert db.unary_domain("d") is not db.unary_domain("d")
 
 
-def test_unary_domain_requires_unary_extension():
+def test_unary_domain_of_absent_predicate_is_empty():
     db = build_database({("edge", (1, 2))})
-    with pytest.raises(GroundError, match="no unary extension"):
-        db.unary_domain("edge")
-    # entirely absent predicates give the empty domain instead
     assert db.unary_domain("vtx") == []
 
 
