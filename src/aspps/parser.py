@@ -25,6 +25,13 @@ and must be declared before use; any other undeclared identifier is a
 symbolic constant or predicate name. Command-line constants are
 substituted token by token before parsing, so positions in diagnostics
 always refer to the original text.
+
+check_program and the grounder rely on these guarantees of a Program
+from parse_rule_file and do not check them again: each predicate and
+variable is declared once; every variable in a clause is declared; an
+e-atom's binder is its final argument and occurs nowhere else in it; a
+comparison has two operands; cardinality bounds are non-negative, the
+lower at most the upper; terms nest at most MAX_TERM_DEPTH levels.
 """
 
 from __future__ import annotations
@@ -442,10 +449,7 @@ class _ClauseParser(_Cursor):
         if self.at_punct("{"):
             return self.parse_catom(None)
         if t.kind == "int" and self.at_punct("{", ahead=1):
-            self.take()
-            if t.value < 0:
-                self.fail("cardinality bounds must be non-negative", t)
-            return self.parse_catom(t.value)
+            return self.parse_catom(self.bound())
         if t.kind == "ident" and self.at_punct("{", ahead=1):
             self.fail_bound(t)
         if t.kind == "ident" and self.at_punct("(", ahead=1) and t.value not in FUNC_NAMES:
@@ -539,12 +543,18 @@ class _ClauseParser(_Cursor):
     def parse_upper_bound(self):
         t = self.peek()
         if t is not None and t.kind == "int":
-            self.take()
-            return t.value
+            return self.bound()
         if t is not None and t.kind == "ident" and (self.peek(1) is None or self.at_punct(*_ATOM_END, ahead=1)):
             # an identifier right after '}' can only be an unsubstituted bound
             self.fail_bound(t)
         return None
+
+    def bound(self):
+        """The value of the integer token at hand, a cardinality bound."""
+        t = self.take()
+        if t.value < 0:
+            self.fail("cardinality bounds must be non-negative", t)
+        return t.value
 
     def fail_bound(self, t):
         self.fail(f"cardinality bound {t.value!r} is not an integer (substitute it with -c)", t)

@@ -108,6 +108,14 @@ def test_psgrnd_check_diagnostics_exit_2(workdir, capsys):
     assert not list(workdir.glob("*.tdc"))
 
 
+def test_psgrnd_negative_cardinality_bound_exit_2(workdir, capsys):
+    rl = _write(workdir, "neg.rl", "pred p(d).\nvar d X.\n-> {p(X) : d(X)} n.\n")
+    dt = _write(workdir, "g.dt", "d[1..2].\n")
+    assert psgrnd_main(["-c", "n=-1", "-r", rl, "-d", dt]) == 2
+    assert capsys.readouterr().err == "neg.rl:3:18: cardinality bounds must be non-negative\n"
+    assert not list(workdir.glob("*.tdc"))
+
+
 def test_psgrnd_missing_file_exit_2(workdir, capsys):
     dt = _write(workdir, "g.dt", "d(1).\n")
     assert psgrnd_main(["-r", "absent.rl", "-d", dt]) == 2

@@ -167,6 +167,20 @@ def test_check_eatom_binder_reuse():
     assert any("may not occur outside its atom" in d for d in diags)
 
 
+@pytest.mark.parametrize(
+    "clause, what",
+    [
+        ("-> r(X):t(X).", "e-atom predicate r"),
+        ("-> 1 {r(X) : t(X)} 1.", "cardinality member r"),
+        ("-> 1 {p(X), r(X)} 1.", "cardinality member r"),
+    ],
+    ids=["e-atom", "schema", "list"],
+)
+def test_check_member_must_be_declared(clause, what):
+    diags = _diags(f"pred p(t).\nvar t X.\n{clause}", "t[1..2]. r(1).")
+    assert diags == [f"{what} in clause 1 (line 3) must be a declared program predicate"]
+
+
 def test_check_eatom_domain_must_be_data():
     diags = _diags("pred p(t).\npred d(t).\nvar t X.\n-> p(X):d(X).", "t[1..2].")
     assert any("must be a data predicate" in d for d in diags)

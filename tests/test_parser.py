@@ -263,6 +263,18 @@ def test_catom_bound_errors():
     prog = parse_rule_file("pred p(t).\nvar t X.\n-> n {p(X)} m.", {"n": "0", "m": "1"})
     assert prog.clauses[0].head[0].lo == 0
     assert prog.clauses[0].head[0].hi == 1
+    # but only when non-negative, reported at the bound, in either form
+    preamble = "pred p(t).\npred q(t).\nvar t X.\n"
+    for clause, col in [
+        ("-> n {p(X)} 2.", 4),
+        ("-> 1 {p(X)} n.", 13),
+        ("-> n {p(X), q(X)} 2.", 4),
+        ("-> 1 {p(X), q(X)} n.", 19),
+    ]:
+        for n in ("-1", "-2"):
+            with pytest.raises(ParseError, match="cardinality bounds must be non-negative") as exc:
+                parse_rule_file(preamble + clause, {"n": n})
+            assert (exc.value.line, exc.value.col) == (4, col)
 
 
 def test_catom_member_errors():
@@ -326,6 +338,9 @@ def test_term_nesting_limit(nest):
 def test_comparison_requires_operator():
     with pytest.raises(ParseError, match="expected comparison operator"):
         _clause("X + 1 ->.")
+    # a comparison has exactly two operands: no chains
+    with pytest.raises(ParseError, match="expected '->'"):
+        _clause("X == 1 == 2 ->.")
 
 
 # ---------------------------------------------------------------------------
