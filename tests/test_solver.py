@@ -263,12 +263,13 @@ def test_first_model_valid_and_counted(seed):
         assert not enumerate_models(t)
 
 
-@settings(max_examples=150, deadline=None)
-@given(st.integers(0, 10**6))
-def test_incremental_branch_matches_rescan(seed):
-    t = random_ground_theory(random.Random(seed), max_atoms=10, max_cards=4)
-    for max_models in (None, 1):
-        got = CheckedSolver(t).run(max_models)
-        want = ReferenceSolver(t).run(max_models)
-        assert got.models == want.models
-        assert got.stats == want.stats
+def test_incremental_branch_matches_rescan():
+    # Fixed seeds, so a change of propagation order fails on every run:
+    # evaluating a clause-committed card later instead of at once changes
+    # the counters on ten of them, 15648 among them.
+    for seed in [*range(1000), 15648]:
+        t = random_ground_theory(random.Random(seed), max_atoms=10, max_cards=4)
+        for max_models in (None, 1):
+            got = CheckedSolver(t).run(max_models)
+            want = ReferenceSolver(t).run(max_models)
+            assert (got.models, got.stats) == (want.models, want.stats), seed
