@@ -120,8 +120,8 @@ def _check_clause(clause, where, decls, db):
     atoms = clause.body + clause.head
 
     def check_pred(pred, nargs, what=None):
-        """The arity of a program predicate; an atom named by what must
-        have one."""
+        """Check a program atom's arity; when what names the atom, pred
+        must be a program predicate."""
         if pred not in decls:
             if what:
                 diags.append(f"{what} {pred} in {where} must be a declared program predicate")

@@ -449,7 +449,7 @@ class _ClauseParser(_Cursor):
         if self.at_punct("{"):
             return self.parse_catom(None)
         if t.kind == "int" and self.at_punct("{", ahead=1):
-            return self.parse_catom(self.bound())
+            return self.parse_catom(self.parse_bound())
         if t.kind == "ident" and self.at_punct("{", ahead=1):
             self.fail_bound(t)
         if t.kind == "ident" and self.at_punct("(", ahead=1) and t.value not in FUNC_NAMES:
@@ -543,13 +543,13 @@ class _ClauseParser(_Cursor):
     def parse_upper_bound(self):
         t = self.peek()
         if t is not None and t.kind == "int":
-            return self.bound()
+            return self.parse_bound()
         if t is not None and t.kind == "ident" and (self.peek(1) is None or self.at_punct(*_ATOM_END, ahead=1)):
             # an identifier right after '}' can only be an unsubstituted bound
             self.fail_bound(t)
         return None
 
-    def bound(self):
+    def parse_bound(self):
         """The value of the integer token at hand, a cardinality bound."""
         t = self.take()
         if t.value < 0:

@@ -4,7 +4,9 @@ A term compiles once into a closure over a flat list of variable values,
 so evaluating it under a binding builds no dict and walks no tree. The
 closures raise GroundError wherever evaluation under a binding goes
 wrong: a symbolic value in arithmetic or in an order comparison, a zero
-divisor or a result outside the 64-bit range. Every variable has a slot. Division truncates toward zero and mod(a,b) = a - b*trunc(a/b).
+divisor or a result outside the 64-bit range. Every variable of a term
+must have a slot. Division truncates toward zero and mod(a,b) =
+a - b*trunc(a/b).
 
 The interval bounds decide ahead of time, over whole variable domains,
 that none of those errors can happen.
