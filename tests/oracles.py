@@ -15,13 +15,16 @@ and grounding over the full product of the variable domains
 trail, and CheckedSolver checks them, with the rest of the solver's
 state, forcing left undone included, at every branch and backtrack.
 eval_arith, eval_ground_term and eval_predefined evaluate a term or
-comparison under a dict binding through the package's compiled terms.
+comparison under a dict binding through compile_term and
+compile_comparison, the grounder's earlier evaluator: each term becomes
+a tree of closures over a flat value list, with every check at its node.
 """
 
 from __future__ import annotations
 
 import io
 import itertools
+import operator
 import os
 import tempfile
 from collections import Counter
@@ -31,6 +34,8 @@ from aspps.errors import GroundError
 from aspps.grounder import Grounder
 from aspps.model import (
     COMPARISONS,
+    INT_MAX,
+    INT_MIN,
     ArithExpr,
     CAtomList,
     CAtomSchema,
@@ -42,11 +47,124 @@ from aspps.model import (
 from aspps.cli import aspps_main
 from aspps.solver import Conflict, Solver, model_lines
 from aspps.tdc import write_tdc
-from aspps.terms import compile_comparison, compile_term
+
+# ---------------------------------------------------------------------------
+# Terms compiled to closures. A term compiles into a closure over a flat
+# list of variable values; `slots` maps each bound variable name to its
+# index. The closures raise GroundError wherever evaluation goes wrong: a
+# symbolic value in arithmetic or in an order comparison, a zero divisor
+# or a result outside the 64-bit range.
+
+
+def _trunc_div(a, b):
+    q = a // b
+    if q < 0 and q * b != a:
+        q += 1
+    return q
+
+
+def _div(a, b):
+    if b == 0:
+        raise GroundError("division by zero")
+    return _trunc_div(a, b)
+
+
+def _mod(a, b):
+    if b == 0:
+        raise GroundError("mod by zero")
+    return a - b * _trunc_div(a, b)
+
+
+_BINARY = {
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+    "/": _div,
+    "mod": _mod,
+    "max": max,
+    "min": min,
+}
+
+_ORDER = {"<=": operator.le, ">=": operator.ge, "<": operator.lt, ">": operator.gt}
+
+
+def _raiser(message):
+    def fail(vals):
+        raise GroundError(message)
+
+    return fail
+
+
+def _const(value):
+    return lambda vals: value
+
+
+def compile_term(term, slots, arith=False):
+    """A closure computing term's value. In arithmetic context a symbolic
+    value is an error. Division truncates toward zero and mod(a,b) =
+    a - b*trunc(a/b); anything overflowing or divided by zero is an
+    error too."""
+    if isinstance(term, Variable):
+        i = slots[term.name]
+        if not arith:
+            return lambda vals: vals[i]
+
+        def var(vals):
+            v = vals[i]
+            if isinstance(v, str):
+                raise GroundError(f"symbolic constant {v!r} in arithmetic")
+            return v
+
+        return var
+    if isinstance(term, ArithExpr):
+        fa = compile_term(term.operands[0], slots, True)
+        if term.op == "abs":
+
+            def unary(vals):
+                a = fa(vals)
+                r = -a if a < 0 else a
+                if r > INT_MAX:
+                    raise GroundError("arithmetic overflow")
+                return r
+
+            return unary
+        fb = compile_term(term.operands[1], slots, True)
+        op = _BINARY[term.op]
+
+        def binary(vals):
+            r = op(fa(vals), fb(vals))
+            if INT_MIN <= r <= INT_MAX:
+                return r
+            raise GroundError("arithmetic overflow")
+
+        return binary
+    if arith and isinstance(term, str):
+        return _raiser(f"symbolic constant {term!r} in arithmetic")
+    return _const(term)
+
+
+def compile_comparison(atom: PlainAtom, slots):
+    """A closure deciding a comparison atom. == works on any constants
+    by identity; the order comparisons require integers."""
+    fa, fb = (compile_term(t, slots) for t in atom.args)
+    if atom.pred == "==":
+        return lambda vals: fa(vals) == fb(vals)
+    cmp = _ORDER[atom.pred]
+    message = f"order comparison {atom.pred} on symbolic constants"
+
+    def order(vals):
+        a = fa(vals)
+        b = fb(vals)
+        if isinstance(a, str) or isinstance(b, str):
+            raise GroundError(message)
+        return cmp(a, b)
+
+    return order
+
 
 # ---------------------------------------------------------------------------
 # Term evaluation under a dict binding of variable names, through the
-# package's compiled terms.
+# compiled terms above.
 
 
 def _flat(binding):
