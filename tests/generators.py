@@ -2,13 +2,15 @@
 
 random_program emits rule/data *text*, so the parser is exercised on the
 way to the grounder; random_ground_theory builds ground theories
-directly; mutate_text garbles a text a little. All are deterministic
+directly; mutate_text garbles a text a little, and mutate_terms edits
+the terms of a rule text's clauses token by token. All are deterministic
 functions of the supplied rng.
 """
 
 from __future__ import annotations
 
 import random
+import re
 
 from aspps.theory import CardConstruct, GroundAtom, GroundTheory
 
@@ -280,3 +282,58 @@ def mutate_text(rng: random.Random, text: str, words=MUTATION_WORDS) -> str:
         else:
             text = text[:i] + " " + rng.choice(words) + " " + text[i:]
     return text
+
+
+# Token-level edits of the clauses of a rule text, most of which still
+# parse: each swaps an integer, an operator or a declared variable, or
+# rewrites one term t as abs(t), mod(t, d), max(t, d), t / 0 or
+# t * 2**62, which make some clauses raise when they are grounded.
+
+_CLAUSE_TOKEN = re.compile(r"\s+|->|==|<=|>=|[A-Za-z][A-Za-z0-9_]*|[0-9]+|.")
+_COMPARE_OPS = ("==", "<=", ">=", "<", ">")
+_ARITH_OPS = ("+", "-", "*", "/")
+_SMALL_INTS = ("0", "1", "2", "3")
+
+
+def mutate_terms(rng: random.Random, text: str) -> str:
+    """One to three token edits in the clauses of a rule text."""
+    lines = text.split("\n")
+    declared = [n for line in lines if line.startswith("var ") for n in re.findall(r"[A-Za-z]\w*", line)[2:]]
+    binders = set(re.findall(r"(\w+)\):\w+\(\1\)", text))
+    declared = [n for n in declared if n not in binders]
+    clause_rows = [i for i, line in enumerate(lines) if line.strip() and not line.startswith(("pred ", "var "))]
+    if not clause_rows or not declared:
+        return text
+    for _ in range(rng.randint(1, 3)):
+        row = rng.choice(clause_rows)
+        toks = _CLAUSE_TOKEN.findall(lines[row])
+        solid = [i for i, t in enumerate(toks) if not t.isspace()]
+        # a term: not an e-atom binder, a negative literal's digits or a
+        # cardinality bound next to a brace
+        terms = [
+            i for n, i in enumerate(solid)
+            if (toks[i] in declared or toks[i].isdigit() and toks[i - 1] != "-")
+            and "}" not in (toks[solid[n - 1]] if n else "")
+            and "{" not in (toks[solid[n + 1]] if n + 1 < len(solid) else "")
+        ]
+        ops = [i for i, t in enumerate(toks) if t in _COMPARE_OPS or t in _ARITH_OPS]
+        edit = rng.choice(("int", "op", "var", "wrap", "zero", "big"))
+        if edit == "op" and ops:
+            i = rng.choice(ops)
+            toks[i] = rng.choice(_COMPARE_OPS if toks[i] in _COMPARE_OPS else _ARITH_OPS)
+        elif terms:
+            i = rng.choice(terms)
+            t = toks[i]
+            if edit == "int":
+                toks[i] = rng.choice(_SMALL_INTS) if t.isdigit() else t
+            elif edit == "var":
+                toks[i] = rng.choice(declared)
+            elif edit == "wrap":
+                other = rng.choice(_SMALL_INTS + (rng.choice(declared),))
+                toks[i] = rng.choice((f"abs({t})", f"mod({t}, {other})", f"max({t}, {other})"))
+            elif edit == "zero":
+                toks[i] = f"{t} / 0"
+            else:
+                toks[i] = f"{t} * 4611686018427387904"
+        lines[row] = "".join(toks)
+    return "\n".join(lines)

@@ -14,7 +14,7 @@ from aspps.parser import parse_data_file, parse_rule_file
 from aspps.tdc import write_tdc
 from aspps.terms import arith_range
 
-from generators import mutate_text, random_program
+from generators import mutate_terms, mutate_text, random_program
 from oracles import eval_arith, eval_predefined, reference_global_vars, reference_ground, reference_schema_locals
 from problems import COLOR_RULES, PIGEON_DATA, PIGEON_RULES, QUEENS_DATA, QUEENS_RULES, TRIANGLE_DATA
 
@@ -612,6 +612,26 @@ def test_check_outcomes_pinned():
     assert (kinds, digest.hexdigest()) == (
         {"parse": 5738, "diagnostics": 32, "ground error": 5, "grounded": 225},
         "23d21c183336317fd98a282098582ca18ba2e2099f8b6a77307fda64d54bde2e",
+    )
+
+
+def test_ground_outcomes_pinned():
+    # token edits that mostly parse, so this pin grounds what the one
+    # above rejects: terms wrapped in abs/mod/max, zero divisors, 2**62
+    seeds = [(COLOR_RULES, TRIANGLE_DATA), (QUEENS_RULES, QUEENS_DATA), (PIGEON_RULES, PIGEON_DATA)]
+    seeds += [random_program(random.Random(seed))[:2] for seed in range(200)]
+    seeds = [(rules, build_database(parse_data_file(data, CHECK_PIN_CONSTS))) for rules, data in seeds]
+    rng = random.Random(20014)
+    digest = hashlib.sha256()
+    kinds = dict.fromkeys(("parse", "diagnostics", "ground error", "grounded"), 0)
+    for case in range(1500):
+        rules, db = rng.choice(seeds)
+        outcome, kind = _check_outcome(mutate_terms(rng, rules), db)
+        kinds[kind] += 1
+        digest.update(f"{case}\0{outcome}\0".encode())
+    assert (kinds, digest.hexdigest()) == (
+        {"parse": 180, "diagnostics": 0, "ground error": 611, "grounded": 709},
+        "d3338030bf3a6d35539b6fe7fb3af0d6a2fb14e04c02bc30c7eef52addd99134",
     )
 
 
