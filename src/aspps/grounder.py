@@ -13,10 +13,14 @@ else in the clause are local to the schema and enumerate its members;
 all other variables (including ones occurring only in the member atom)
 are global to the clause. The binder of an e-atom is local to it.
 
-A clause is compiled once into a plan: its terms become closures over a
-flat list of variable values, and its bindings are walked as nested
-loops in global-variable order, so instances come out in the order of
-the full cross product. A data or predefined atom is tested at the
+Each clause runs as one kernel: Python source generated from the clause,
+compiled and run once. It has one loop per global variable, in
+first-occurrence order, so instances come out in the order of the full
+cross product; CPython compiles at most 20 nested blocks, so the loops
+run in chained nests of at most 16, each calling the next. Terms are
+expressions over the loop variables (see aspps.terms), and constants,
+predicate names, extensions and indexes reach the kernel as arguments,
+never as source text. A data or predefined atom is tested at the
 first loop level where its variables are bound, and when it already
 satisfies the instance the loops below it are skipped. Skipping is
 allowed only where the skipped bindings could have no effect at all:
@@ -51,7 +55,7 @@ from .model import (
     atom_variables,
     term_variables,
 )
-from .terms import atom_cannot_raise, compile_args, compile_comparison, domain_range
+from .terms import NAMESPACE, Emitter, atom_cannot_raise, domain_range
 from .theory import CardConstruct, GroundAtom, GroundTheory, ground_atom_text
 
 _EMPTY: frozenset = frozenset()
@@ -65,10 +69,12 @@ _CARD = 1 << 62
 # Static checks.
 
 
-# Each variable of a clause can be one level of the grounder's recursive
-# binding walk; with terms at most MAX_TERM_DEPTH deep, this keeps
-# grounding well under Python's default recursion limit.
+# Each global variable of a clause is one loop of its kernel. CPython
+# compiles at most 20 statically nested blocks, so a kernel chains nests
+# of at most _NEST loops, each calling the next; a clause at the limit
+# runs 16 nests.
 MAX_CLAUSE_VARS = 256
+_NEST = 16
 
 
 def check_program(prog: Program, db: DataDatabase) -> list[str]:
@@ -223,16 +229,6 @@ class Grounder:
             self._sizes[pred] = size
         return size
 
-    def _members(self, instances):
-        """Distinct ids of the (pred, args) instances that resolve."""
-        members, seen = [], set()
-        for pred, args in instances:
-            aid = self.resolve_program_atom(pred, args)
-            if aid is not None and aid not in seen:
-                seen.add(aid)
-                members.append(aid)
-        return members
-
     def _make_card(self, lo, hi, members):
         """Fold a member set with bounds into True, False or an interned
         construct; upper bounds clamp to the member count."""
@@ -255,84 +251,27 @@ class Grounder:
             self.card_list.append((lo, hi, tuple(sorted(members))))
         return _CARD + idx
 
-    # -- compiled atoms -----------------------------------------------------
-    # Each closure takes the flat value list and returns True/False for a
-    # constant atom, otherwise a reference.
+    def _fold(self, lo, hi, instances):
+        """The construct over the distinct ids of the (pred, args)
+        instances that resolve."""
+        members, seen = [], set()
+        for pred, args in instances:
+            aid = self.resolve_program_atom(pred, args)
+            if aid is not None and aid not in seen:
+                seen.add(aid)
+                members.append(aid)
+        return self._make_card(lo, hi, members)
 
-    def _compile_atom(self, atom, slots, bound):
-        if isinstance(atom, PlainAtom):
-            if atom.pred not in self.pred_decls:
-                return self._compile_test(atom, slots)
-            pred, args = atom.pred, compile_args(atom.args, slots)
-            resolve = self.resolve_program_atom
+    def _eatom(self, pred, domain, prefix):
+        """An e-atom is 1{...} over the instances drawn from its domain,
+        so with none it is plain false."""
+        return self._fold(1, None, ((pred, prefix + (y,)) for y in domain))
 
-            def program(vals):
-                aid = resolve(pred, args(vals))
-                return False if aid is None else aid
-
-            return program
-        if isinstance(atom, EAtom):
-            return self._compile_eatom(atom, slots)
-        if isinstance(atom, CAtomList):
-            return self._compile_list(atom, slots)
-        return self._compile_schema(atom, slots, _schema_locals(atom, bound))
-
-    def _compile_test(self, atom: PlainAtom, slots):
-        """A data or predefined atom."""
-        if atom.pred in COMPARISONS:
-            return compile_comparison(atom, slots)
-        args = compile_args(atom.args, slots)
-        ext = self.db.extensions.get((atom.pred, len(atom.args)), _EMPTY)
-        return lambda vals: args(vals) in ext
-
-    def _compile_eatom(self, atom: EAtom, slots):
-        """An e-atom becomes a 1{...} construct over the instances drawn
-        from the domain predicate; with no instances it is plain false."""
-        prefix = compile_args(atom.args[:-1], slots)
-
-        def value(vals):
-            pre = prefix(vals)
-            domain = self.db.unary_domain(atom.domain_pred)
-            members = self._members((atom.pred, pre + (y,)) for y in domain)
-            return self._make_card(1, None, members) if members else False
-
-        return value
-
-    def _compile_list(self, atom: CAtomList, slots):
-        args = compile_args(atom.args, slots)
-
-        def value(vals):
-            a = args(vals)
-            return self._make_card(atom.lo, atom.hi, self._members((p, a) for p in atom.preds))
-
-        return value
-
-    def _compile_schema(self, atom: CAtomSchema, slots, locals_):
-        """Members range over the local variables' domains, filtered by
-        the conditions; locals take the slots after the globals."""
-        pred = atom.member.pred
-        member = compile_args(atom.member.args, slots)
-        conds = [self._compile_test(c, slots) for c in atom.conds]
-        local_slots = [slots[v] for v in locals_]
-
-        def value(vals):
-            domains = [self.db.unary_domain(self.var_types[v]) for v in locals_]
-
-            def instances():
-                for combo in product(*domains):
-                    for s, c in zip(local_slots, combo):
-                        vals[s] = c
-                    if all(cond(vals) for cond in conds):
-                        yield pred, member(vals)
-
-            return self._make_card(atom.lo, atom.hi, self._members(instances()))
-
-        return value
-
-    def _candidates(self, atom: PlainAtom, var, domain, slots):
-        """For a data atom whose last unbound variable is var: a closure
-        from the bound values to the values of var, in domain order, that
-        occur in the atom's extension beside them."""
+    def _index(self, atom: PlainAtom, var, domain):
+        """For a data atom whose last unbound variable is var: a table
+        from the other arguments' values to the values of var, in domain
+        order, that occur in the atom's extension beside them; and the
+        terms of those other arguments."""
         var_pos = atom.args.index(Variable(var))
         key_pos = tuple(p for p, t in enumerate(atom.args) if var not in term_variables(t))
         cache_key = (atom.pred, len(atom.args), key_pos, var_pos, self.var_types[var])
@@ -345,8 +284,7 @@ class Grounder:
                     groups.setdefault(tuple(row[p] for p in key_pos), set()).add(row[var_pos])
             table = {k: sorted(vs, key=rank.__getitem__) for k, vs in groups.items()}
             self._indexes[cache_key] = table
-        key = compile_args(tuple(atom.args[p] for p in key_pos), slots)
-        return lambda vals: table.get(key(vals), ())
+        return table, tuple(atom.args[p] for p in key_pos)
 
     # -- clauses ----------------------------------------------------------
 
@@ -372,101 +310,28 @@ class Grounder:
         return self._assemble()
 
     def _ground_clause(self, clause: Clause, gvars, domains):
-        """Walk the bindings of one clause and keep its unsatisfied
-        instances: body atoms contribute negated literals, head atoms
-        positive ones, and () is the empty clause."""
-        atoms = clause.body + clause.head
-        nbody = len(clause.body)
-        n = len(gvars)
-        bound = set(gvars)
-        slots = {v: i for i, v in enumerate(gvars)}
-        ranges = {v: domain_range(d) for v, d in zip(gvars, domains)}
-        for atom in atoms:
-            if isinstance(atom, CAtomSchema):
-                for v in _schema_locals(atom, bound):
-                    slots.setdefault(v, len(slots))
-                    ranges[v] = domain_range(self.db.unary_domain(self.var_types[v]))
-        safe = all(atom_cannot_raise(atom, ranges) for atom in atoms)
-        vals = [None] * len(slots)
-
-        # A data or predefined atom is tested after binding its last
-        # variable (tests[0]: before the loops) when the clause cannot
-        # raise; every other atom is evaluated per binding, in order.
-        tests: list[list] = [[] for _ in range(n + 1)]
-        rest = []
-        for pos, atom in enumerate(atoms):
-            positive = pos >= nbody
-            if safe and isinstance(atom, PlainAtom) and atom.pred not in self.pred_decls:
-                level = max((slots[v] + 1 for t in atom.args for v in term_variables(t)), default=0)
-                tests[level].append((self._compile_test(atom, slots), positive, atom))
-            else:
-                rest.append((positive, self._compile_atom(atom, slots, bound)))
-
-        prunable = safe and all(isinstance(a, PlainAtom) for a in atoms)
-        preds = {a.pred for a in atoms if a.pred in self.pred_decls} if prunable else set()
-        candidates = [None] * n
-        if prunable:
-            for i, v in enumerate(gvars):
-                for _test, positive, atom in tests[i + 1]:
-                    if not positive and atom.pred not in COMPARISONS and Variable(v) in atom.args:
-                        candidates[i] = self._candidates(atom, v, domains[i], slots)
-                        break
-        tests = [[(test, positive) for test, positive, _atom in level] for level in tests]
-
-        atom_keys, raw = self.atom_keys, self.raw_clauses
+        """Generate the clause's kernel, compile it and run it once."""
+        kernel = _Kernel(self, clause, gvars, domains)
+        source = kernel.source()
+        atom_keys = self.atom_keys
+        preds = kernel.preds
         saturated, checked_at = False, -1
 
         def can_prune():
             """Skipping bindings is safe: nothing in them can raise or
-            intern a new atom."""
+            intern a new atom. Called only when the clause is prunable."""
             nonlocal saturated, checked_at
-            if saturated or not prunable:
-                return saturated
-            if checked_at != len(atom_keys):
+            if not saturated and checked_at != len(atom_keys):
                 checked_at = len(atom_keys)
                 saturated = all(self.interned[p] == self._size(p) for p in preds)
             return saturated
 
-        def emit(sat):
-            lits, seen = [], set()
-            for positive, value in rest:
-                val = value(vals)
-                if val is True or val is False:
-                    if val is positive:
-                        sat = True
-                    continue
-                lit = val if positive else -val
-                if -lit in seen:
-                    sat = True
-                if lit not in seen:
-                    seen.add(lit)
-                    lits.append(lit)
-            if not sat:
-                raw.append(tuple(lits))
-
-        def walk(i, sat):
-            if i == n:
-                emit(sat)
-                return
-            pick = candidates[i]
-            values = pick(vals) if pick is not None and can_prune() else domains[i]
-            level_tests = tests[i + 1]
-            for v in values:
-                vals[i] = v
-                s = sat
-                if not s:
-                    for test, positive in level_tests:
-                        if test(vals) is positive:
-                            s = True
-                            break
-                if s and can_prune():
-                    continue
-                walk(i + 1, s)
-
-        sat = any(test(vals) is positive for test, positive in tests[0])
-        if not (sat and can_prune()):
-            walk(0, sat)
-        walk = None  # it refers to itself; free the plan now, not at the next collection
+        namespace = dict(NAMESPACE)
+        exec(compile(source, "<kernel>", "exec"), namespace)
+        namespace.pop("make")(
+            self.atom_ids.get, self.resolve_program_atom, self.raw_clauses.append,
+            can_prune, self._fold, self._eatom, product, *kernel.em.consts,
+        )()
 
     def _assemble(self) -> GroundTheory:
         n = len(self.atom_keys)
@@ -489,6 +354,148 @@ class Grounder:
             for lits in self.raw_clauses
         )
         return GroundTheory(atoms, cards, clauses)
+
+
+class _Kernel:
+    """The source of one clause's kernel: `make(...)` takes the grounder's
+    tables and closures, then the constants k0, k1, ... of `em`, and
+    returns nest0, which walks the clause's bindings and keeps its
+    unsatisfied instances: body atoms contribute negated literals, head
+    atoms positive ones, and () is the empty clause."""
+
+    def __init__(self, g: Grounder, clause: Clause, gvars, domains):
+        self.g, self.gvars, self.domains = g, gvars, domains
+        atoms = clause.body + clause.head
+        self.bound = set(gvars)
+        self.slots = {v: i for i, v in enumerate(gvars)}
+        ranges = {v: domain_range(d) for v, d in zip(gvars, domains)}
+        self.local_domains = {}
+        for atom in atoms:
+            if isinstance(atom, CAtomSchema):
+                for v in _schema_locals(atom, self.bound):
+                    self.slots.setdefault(v, len(self.slots))
+                    self.local_domains[v] = g.db.unary_domain(g.var_types[v])
+                    ranges[v] = domain_range(self.local_domains[v])
+        safe = all(atom_cannot_raise(atom, ranges) for atom in atoms)
+        self.prunable = safe and all(isinstance(a, PlainAtom) for a in atoms)
+        self.preds = {a.pred for a in atoms if a.pred in g.pred_decls} if self.prunable else set()
+        self.em = Emitter({v: f"v{i}" for v, i in self.slots.items()}, ranges)
+
+        # A data or predefined atom is tested after binding its last
+        # variable (tests[0]: before the loops) when the clause cannot
+        # raise; every other atom is evaluated per binding, in order.
+        self.tests: list[list] = [[] for _ in range(len(gvars) + 1)]
+        self.rest = []
+        for pos, atom in enumerate(atoms):
+            positive = pos >= len(clause.body)
+            if safe and isinstance(atom, PlainAtom) and atom.pred not in g.pred_decls:
+                level = max((self.slots[v] + 1 for v in atom_variables(atom)), default=0)
+                self.tests[level].append((atom, positive))
+            else:
+                self.rest.append((atom, positive))
+        self.defs: list[str] = []
+        self.lines: list[str] = []
+
+    def source(self) -> str:
+        """Nests of at most _NEST loops, each calling the next with the
+        values bound so far."""
+        n, lines = len(self.gvars), self.lines
+        sat = "False"  # the name of the satisfied flag, or the constant
+        for c, start in enumerate(range(0, max(n, 1), _NEST)):
+            params = [f"v{i}" for i in range(start)] + [sat][: sat != "False"]
+            lines.append(f" def nest{c}({', '.join(params)}):")
+            if c == 0 and self.tests[0]:
+                lines.append(f"  s0 = {' or '.join(self.test(a, p) for a, p in self.tests[0])}")
+                sat = "s0"
+                if self.prunable:
+                    lines.append("  if s0 and can_prune(): return")
+            stop = min(start + _NEST, n)
+            depth, sat = self.loops(start, stop, sat)
+            if stop < n:
+                args = [f"v{i}" for i in range(stop)] + [sat][: sat != "False"]
+                lines.append(f"{' ' * depth}nest{c + 1}({', '.join(args)})")
+            else:
+                self.body(depth, sat)
+        consts = "".join(f", k{i}" for i in range(len(self.em.consts)))
+        head = f"def make(ids_get, resolve, raw_append, can_prune, fold, eatom, product{consts}):"
+        return "\n".join([head, *self.defs, *lines, " return nest0\n"])
+
+    def test(self, atom: PlainAtom, positive) -> str:
+        """An expression that is true when a data or predefined atom
+        satisfies the instance."""
+        em = self.em
+        if atom.pred in COMPARISONS:
+            e = em.comparison(atom)
+        else:
+            ext = self.g.db.extensions.get((atom.pred, len(atom.args)), _EMPTY)
+            e = f"({em.args(atom.args)} in {em.const(ext)})"
+        return e if positive else f"not {e}"
+
+    def loops(self, start, stop, sat):
+        """Loops over gvars[start:stop] in a nest; returns the depth
+        inside them and the satisfied flag there."""
+        em, depth = self.em, 2
+        for i in range(start, stop):
+            values = em.const(self.domains[i])
+            for atom, positive in self.tests[i + 1] if self.prunable else ():
+                if not positive and atom.pred not in COMPARISONS and Variable(self.gvars[i]) in atom.args:
+                    table, key = self.g._index(atom, self.gvars[i], self.domains[i])
+                    values = f"({em.const(table)}.get({em.args(key)}, ()) if can_prune() else {values})"
+                    break
+            self.lines.append(f"{' ' * depth}for v{i} in {values}:")
+            depth += 1
+            level = [self.test(a, p) for a, p in self.tests[i + 1]]
+            if level:
+                self.lines.append(f"{' ' * depth}s{i + 1} = {' or '.join([sat][: sat != 'False'] + level)}")
+                sat = f"s{i + 1}"
+            if self.prunable and sat != "False":
+                self.lines.append(f"{' ' * depth}if {sat} and can_prune(): continue")
+        return depth, sat
+
+    def body(self, depth, sat):
+        """Evaluate the other atoms in clause order, then keep the
+        instance unless an atom or a complementary pair satisfies it."""
+        pad = " " * depth
+        lines = self.lines
+        lines += [f"{pad}sat = {sat}", f"{pad}lits = []"]
+        for atom, positive in self.rest:
+            lit, neg = ("val", "-val") if positive else ("-val", "val")
+            lines.extend(pad + line for line in self.value(atom))
+            lines.append(f"{pad}if val is {not positive}: pass")
+            lines.append(f"{pad}elif val is {positive} or {neg} in lits: sat = True")
+            lines.append(f"{pad}elif {lit} not in lits: lits.append({lit})")
+        lines.append(f"{pad}if not sat: raw_append(tuple(lits))")
+
+    def value(self, atom) -> list[str]:
+        """Statements setting val to the atom's True, False or reference."""
+        em, g = self.em, self.g
+        if isinstance(atom, PlainAtom) and atom.pred not in g.pred_decls:
+            return [f"val = {self.test(atom, True)}"]
+        if isinstance(atom, PlainAtom):
+            key = f"key = ({em.const(atom.pred)}, {em.args(atom.args)})"
+            return [key, "val = ids_get(key)", "if val is None: val = resolve(*key) or False"]
+        if isinstance(atom, EAtom):
+            domain = em.const(g.db.unary_domain(atom.domain_pred))
+            return [f"val = eatom({em.const(atom.pred)}, {domain}, {em.args(atom.args[:-1])})"]
+        bounds = f"{em.const(atom.lo)}, {em.const(atom.hi)}"
+        if isinstance(atom, CAtomList):
+            pairs = "".join(f"({em.const(p)}, key), " for p in atom.preds)
+            return [f"key = {em.args(atom.args)}", f"val = fold({bounds}, ({pairs}))"]
+        # a schema lists its members in a function of the globals it uses
+        params = ", ".join(f"v{self.slots[v]}" for v in atom_variables(atom) if v in self.bound)
+        locals_ = _schema_locals(atom, self.bound)
+        names = ", ".join(f"v{self.slots[v]}" for v in locals_)
+        doms = ", ".join(em.const(self.local_domains[v]) for v in locals_)
+        member = f"({em.const(atom.member.pred)}, {em.args(atom.member.args)})"
+        conds = " and ".join(self.test(c, True) for c in atom.conds) or "True"
+        if not locals_:
+            members = f"[{member}] if {conds} else []"
+        else:
+            loop = doms if len(locals_) == 1 else f"product({doms})"
+            members = f"[{member} for {names} in {loop} if {conds}]"
+        name = f"schema{len(self.defs)}"
+        self.defs.append(f" def {name}({params}):\n  return {members}")
+        return [f"val = fold({bounds}, {name}({params}))"]
 
 
 def _schema_locals(atom: CAtomSchema, bound) -> list[str]:

@@ -17,7 +17,7 @@ from typing import Iterator, Union
 Const = Union[int, str]
 
 # Arity of each arithmetic operator. Division truncates toward zero and
-# mod is the matching remainder; both are evaluated in terms.compile_term.
+# mod is the matching remainder; see aspps.terms.
 ARITH_OPS = {"+": 2, "-": 2, "*": 2, "/": 2, "abs": 1, "mod": 2, "max": 2, "min": 2}
 
 COMPARISONS = ("==", "<=", ">=", "<", ">")

@@ -1,21 +1,22 @@
-"""Terms compiled to closures, and interval bounds on their values.
-
-A term compiles once into a closure over a flat list of variable values,
-so evaluating it under a binding builds no dict and walks no tree. The
-closures raise GroundError wherever evaluation under a binding goes
-wrong: a symbolic value in arithmetic or in an order comparison, a zero
-divisor or a result outside the 64-bit range. Every variable of a term
-must have a slot. Division truncates toward zero and mod(a,b) =
-a - b*trunc(a/b).
+"""Interval bounds on term values, and terms emitted as Python source.
 
 The interval bounds decide ahead of time, over whole variable domains,
-that none of those errors can happen.
+that evaluating a term cannot raise GroundError: a symbolic value in
+arithmetic or in an order comparison, a zero divisor or a result outside
+the 64-bit range.
+
+Emitter writes terms as Python expressions over the loop variables of a
+clause's kernel (see aspps.grounder). A term the bounds prove safe is
+plain arithmetic; elsewhere each operation calls a checked helper of
+NAMESPACE that raises GroundError, operands first, so errors surface in
+the order of a left-to-right evaluation. Division truncates toward zero
+and mod(a,b) = a - b*trunc(a/b). Constants never appear in the source:
+each is an entry of Emitter.consts, named k<i>.
 """
 
 from __future__ import annotations
 
 import operator
-from operator import itemgetter
 
 from .errors import GroundError
 from .model import (
@@ -30,131 +31,133 @@ from .model import (
 )
 
 # ---------------------------------------------------------------------------
-# Compiled terms. A term compiles into a closure over a flat list of
-# variable values; `slots` maps each bound variable name to its index.
+# Emitted terms, and the helpers their source calls.
 
 
-def _trunc_div(a, b):
+def _tdiv(a, b):
     q = a // b
     if q < 0 and q * b != a:
         q += 1
     return q
 
 
+def _tmod(a, b):
+    return a - b * _tdiv(a, b)
+
+
+def _fit(r):
+    if INT_MIN <= r <= INT_MAX:
+        return r
+    raise GroundError("arithmetic overflow")
+
+
+def _num(v):
+    if isinstance(v, str):
+        raise GroundError(f"symbolic constant {v!r} in arithmetic")
+    return v
+
+
+def _sym(c):
+    raise GroundError(f"symbolic constant {c!r} in arithmetic")
+
+
 def _div(a, b):
     if b == 0:
         raise GroundError("division by zero")
-    return _trunc_div(a, b)
+    return _fit(_tdiv(a, b))
 
 
 def _mod(a, b):
     if b == 0:
         raise GroundError("mod by zero")
-    return a - b * _trunc_div(a, b)
+    return _tmod(a, b)
 
 
-_BINARY = {
-    "+": operator.add,
-    "-": operator.sub,
-    "*": operator.mul,
-    "/": _div,
-    "mod": _mod,
-    "max": max,
-    "min": min,
-}
-
-_ORDER = {"<=": operator.le, ">=": operator.ge, "<": operator.lt, ">": operator.gt}
+def _abs(a):
+    return _fit(-a) if a < 0 else a
 
 
-def _raiser(message):
-    def fail(vals):
-        raise GroundError(message)
+def _order(op, cmp):
+    message = f"order comparison {op} on symbolic constants"
 
-    return fail
-
-
-def _const(value):
-    return lambda vals: value
-
-
-def compile_term(term, slots, arith=False):
-    """A closure computing term's value. In arithmetic context a symbolic
-    value is an error. Division truncates toward zero and mod(a,b) =
-    a - b*trunc(a/b); anything overflowing or divided by zero is an
-    error too."""
-    if isinstance(term, Variable):
-        i = slots[term.name]
-        if not arith:
-            return itemgetter(i)
-
-        def var(vals):
-            v = vals[i]
-            if isinstance(v, str):
-                raise GroundError(f"symbolic constant {v!r} in arithmetic")
-            return v
-
-        return var
-    if isinstance(term, ArithExpr):
-        fa = compile_term(term.operands[0], slots, True)
-        if term.op == "abs":
-
-            def unary(vals):
-                a = fa(vals)
-                r = -a if a < 0 else a
-                if r > INT_MAX:
-                    raise GroundError("arithmetic overflow")
-                return r
-
-            return unary
-        fb = compile_term(term.operands[1], slots, True)
-        op = _BINARY[term.op]
-
-        def binary(vals):
-            r = op(fa(vals), fb(vals))
-            if INT_MIN <= r <= INT_MAX:
-                return r
-            raise GroundError("arithmetic overflow")
-
-        return binary
-    if arith and isinstance(term, str):
-        return _raiser(f"symbolic constant {term!r} in arithmetic")
-    return _const(term)
-
-
-def compile_args(terms, slots):
-    """A closure computing the tuple of an atom's arguments."""
-    if terms and all(isinstance(t, Variable) and t.name in slots for t in terms):
-        if len(terms) == 1:
-            i = slots[terms[0].name]
-            return lambda vals: (vals[i],)
-        return itemgetter(*(slots[t.name] for t in terms))
-    fs = [compile_term(t, slots) for t in terms]
-    return lambda vals: tuple([f(vals) for f in fs])
-
-
-def compile_comparison(atom: PlainAtom, slots):
-    """A closure deciding a comparison atom. == works on any constants
-    by identity; the order comparisons require integers."""
-    fa, fb = (compile_term(t, slots) for t in atom.args)
-    if atom.pred == "==":
-        return lambda vals: fa(vals) == fb(vals)
-    cmp = _ORDER[atom.pred]
-    message = f"order comparison {atom.pred} on symbolic constants"
-
-    def order(vals):
-        a = fa(vals)
-        b = fb(vals)
+    def check(a, b):
         if isinstance(a, str) or isinstance(b, str):
             raise GroundError(message)
         return cmp(a, b)
 
-    return order
+    return check
+
+
+_ORDER = {"<=": operator.le, ">=": operator.ge, "<": operator.lt, ">": operator.gt}
+_ORDER_HELPER = {op: f"_order{i}" for i, op in enumerate(_ORDER)}
+_ORDER_PLAIN = {op: f"({{}} {op} {{}})" for op in _ORDER}
+
+# The globals of generated source.
+NAMESPACE = {
+    "_tdiv": _tdiv, "_tmod": _tmod, "_fit": _fit, "_num": _num, "_sym": _sym, "_div": _div, "_mod": _mod,
+    "_abs": _abs, **{_ORDER_HELPER[op]: _order(op, cmp) for op, cmp in _ORDER.items()},
+}
+
+# Operator -> source template: _PLAIN where the bounds prove the term
+# safe, _CHECKED elsewhere. The operands are integers by then (a checked
+# operand raises first), so max and min of them need no check.
+_PLAIN = {
+    "+": "({} + {})", "-": "({} - {})", "*": "({} * {})", "/": "_tdiv({}, {})",
+    "mod": "_tmod({}, {})", "max": "max({}, {})", "min": "min({}, {})", "abs": "abs({})",
+}
+_CHECKED = {
+    **_PLAIN, "+": "_fit({} + {})", "-": "_fit({} - {})", "*": "_fit({} * {})",
+    "/": "_div({}, {})", "mod": "_mod({}, {})", "abs": "_abs({})",
+}
+
+
+class Emitter:
+    """Source for terms whose variables are named by `names`; `ranges`
+    are the bounds that decide which terms need no checks."""
+
+    def __init__(self, names, ranges):
+        self.names = names
+        self.ranges = ranges
+        self.consts: list = []
+
+    def const(self, value) -> str:
+        self.consts.append(value)
+        return f"k{len(self.consts) - 1}"
+
+    def term(self, term, arith=False) -> str:
+        if isinstance(term, Variable):
+            name = self.names[term.name]
+            return f"_num({name})" if arith and self.ranges.get(term.name) is None else name
+        if isinstance(term, ArithExpr):
+            ops = [self.term(t, True) for t in term.operands]
+            safe = arith_range(term, self.ranges) is not None
+            return (_PLAIN if safe else _CHECKED)[term.op].format(*ops)
+        if arith and isinstance(term, str):
+            return f"_sym({self.const(term)})"
+        return self.const(term)
+
+    def args(self, terms) -> str:
+        """A tuple of terms."""
+        return "(" + "".join(f"{self.term(t)}, " for t in terms) + ")"
+
+    def comparison(self, atom: PlainAtom) -> str:
+        """== works on any constants; the order comparisons require
+        integers."""
+        a, b = (self.term(t) for t in atom.args)
+        if atom.pred == "==":
+            return f"({a} == {b})"
+        if all(arith_range(t, self.ranges) is not None for t in atom.args):
+            return _ORDER_PLAIN[atom.pred].format(a, b)
+        return f"{_ORDER_HELPER[atom.pred]}({a}, {b})"
 
 
 # ---------------------------------------------------------------------------
 # Interval check: can any evaluation in a clause raise? `ranges` maps each
 # bound variable to the (lo, hi) bounds of its integer values, or to None
 # when its domain holds a symbol or nothing at all.
+
+
+_CORNER = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": _tdiv, "max": max, "min": min}
 
 
 def domain_range(values):
@@ -192,11 +195,11 @@ def arith_range(term, ranges):
             m = max(-blo, bhi) - 1
             lo, hi = (max(alo, -m) if alo < 0 else 0), (min(ahi, m) if ahi > 0 else 0)
         elif op in ("max", "min"):
-            f = _BINARY[op]
+            f = _CORNER[op]
             lo, hi = f(alo, blo), f(ahi, bhi)
         else:
             # +, -, * and truncating / away from 0 take extremes at corners
-            corners = [_BINARY[op](x, y) for x in (alo, ahi) for y in (blo, bhi)]
+            corners = [_CORNER[op](x, y) for x in (alo, ahi) for y in (blo, bhi)]
             lo, hi = min(corners), max(corners)
     if lo < INT_MIN or hi > INT_MAX:
         return None

@@ -101,10 +101,12 @@ def test_psgrnd_parse_error_reports_position(workdir, capsys):
 
 
 def test_psgrnd_check_diagnostics_exit_2(workdir, capsys):
-    rl = _write(workdir, "bad.rl", "pred p(d).\nvar d X.\n-> p(Y).\n")
-    dt = _write(workdir, "g.dt", "d(1).\n")
+    # parses, but check_program rejects it: the data also defines p
+    rl = _write(workdir, "bad.rl", "pred p(d).\nvar d X.\n-> p(X).\n")
+    dt = _write(workdir, "g.dt", "d(1).\np(1).\n")
     assert psgrnd_main(["-r", rl, "-d", dt]) == 2
-    assert "variable Y not declared" in capsys.readouterr().err
+    want = "bad.rl: predicate p is declared as a program predicate but also defined by data\n"
+    assert capsys.readouterr().err == want
     assert not list(workdir.glob("*.tdc"))
 
 

@@ -10,7 +10,7 @@ from aspps.database import build_database
 from aspps.errors import GroundError, ParseError
 from aspps.grounder import Grounder, _schema_locals, check_program, ground_theory, output_name
 from aspps.model import ArithExpr, CAtomSchema, PlainAtom, Variable
-from aspps.parser import parse_data_file, parse_rule_file
+from aspps.parser import MAX_TERM_DEPTH, parse_data_file, parse_rule_file
 from aspps.tdc import write_tdc
 from aspps.terms import arith_range
 
@@ -508,6 +508,80 @@ def test_ground_matches_reference_on_random_programs():
     for seed in range(1200):
         rules, data, _ = random_program(random.Random(seed))
         _assert_matches_reference(rules, data)
+
+
+# ---------------------------------------------------------------------------
+# The kernel's limits against full substitution: clauses past CPython's 20
+# nested blocks, terms at the nesting limit, and rule-file names spelled
+# like the kernel's own identifiers.
+
+
+def _wide_clause(tail, saturate=True):
+    """A clause over 22 global variables X0..X21 and then tail. X0 and
+    X16..X21 range over two values and the rest over one, so the loops
+    run in two chained nests while the full product stays at 128."""
+    two = ["X0"] + [f"X{i}" for i in range(16, 22)]
+    one = [f"X{i}" for i in range(1, 16)]
+    body = ", ".join(f"p(X{i})" for i in range(22))
+    return (
+        f"pred p(t).\nvar t Y, L, Z, {', '.join(two)}.\nvar u {', '.join(one)}.\n"
+        + ("-> p(Y).\n" if saturate else "")
+        + f"{body}, {tail}.\n"
+    )
+
+
+WIDE_DATA = "t[1..2]. u(1). e(2,1). e(1,2). e(2,2)."
+
+
+@pytest.mark.parametrize(
+    "rules, data, outcome",
+    [
+        # a comparison prunes at the deepest level, saturated or not
+        (_wide_clause("X20 < X21 ->"), WIDE_DATA, "grounded"),
+        (_wide_clause("X20 < X21 ->", saturate=False), WIDE_DATA, "grounded"),
+        # the last loop draws its values from an index of e
+        (_wide_clause("e(X21, X20) ->"), WIDE_DATA, "grounded"),
+        # cardinality constructs over the deep variables
+        (_wide_clause("X16 < X21 -> 1 {p(L) : t(L) : L < X21} 1 | r(X20, Z):t(Z)").replace(
+            "pred p(t).", "pred p(t).\npred r(t, t)."), WIDE_DATA, "grounded"),
+        # a zero divisor at a deep binding
+        (_wide_clause("X0 < X21 / (X20 - 1) ->"), WIDE_DATA, "GroundError: division by zero"),
+        # terms MAX_TERM_DEPTH deep: a symbol in the domain, a zero divisor
+        (
+            "pred q(d).\nvar d X.\nq(X" + " - 1" * (MAX_TERM_DEPTH - 1) + ") ->.",
+            "d(1). d(a).",
+            "GroundError: symbolic constant 'a' in arithmetic",
+        ),
+        (
+            "pred q(d).\nvar d X.\nq(" + "mod(" * (MAX_TERM_DEPTH - 1) + "X" + ", 2)" * (MAX_TERM_DEPTH - 2) + ", X - 1)) ->.",
+            "d[1..2].",
+            "GroundError: mod by zero",
+        ),
+        (
+            "pred q(d).\nvar d X, Y.\nq(X), " + "abs(" * (MAX_TERM_DEPTH - 1) + "X - Y" + ")" * (MAX_TERM_DEPTH - 1)
+            + " < " + "max(" * (MAX_TERM_DEPTH - 1) + "Y" + ", 1)" * (MAX_TERM_DEPTH - 1) + " -> {q(Y) : d(Y + X * 0)}.",
+            "d[1..3].",
+            "grounded",
+        ),
+        # constants, predicates and variables named like kernel identifiers
+        (
+            "pred vals(t).\npred resolve(t, t).\npred fold(t).\nvar t v0, sat, key, ids.\n"
+            "-> vals(v0) | resolve(v0, abs) | fold(k0).\n"
+            "vals(v0), resolve(v0, sat), sat == k0 -> {vals(key) : t(key) : key == abs} | resolve(sat, ids):t(ids).",
+            "t(vals). t(ids). t(abs). t(k0). t(lits). t(nest0).",
+            "grounded",
+        ),
+        ("pred vals(t).\nvar t v0.\nvals(v0), v0 < abs ->.", "t(vals). t(abs).",
+         "GroundError: order comparison < on symbolic constants"),
+    ],
+    ids=["prune-deep", "prune-unsaturated", "index-deep", "cards-deep", "raise-deep",
+         "deep-symbol", "deep-mod", "deep-safe", "names", "names-raise"],
+)
+def test_ground_matches_reference_at_the_kernel_limits(rules, data, outcome):
+    _assert_matches_reference(rules, data)
+    got = _tdc_or_error(ground_theory, parse_rule_file(rules), build_database(parse_data_file(data)))
+    assert got.startswith("GroundError") == outcome.startswith("GroundError")
+    assert outcome == "grounded" or got == outcome
 
 
 # ---------------------------------------------------------------------------
