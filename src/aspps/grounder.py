@@ -71,10 +71,12 @@ _CARD = 1 << 62
 
 # Each global variable of a clause is one loop of its kernel. CPython
 # compiles at most 20 statically nested blocks, so a kernel chains nests
-# of at most _NEST loops, each calling the next; a clause at the limit
-# runs 16 nests.
+# of at most _NEST loops, each calling the next: 16 nests at the limit.
 MAX_CLAUSE_VARS = 256
 _NEST = 16
+# A kernel keeps a True from can_prune() in `saturated`: saturation is
+# final for the clause, so it asks again only while the answer is no.
+_PRUNE = "(saturated or (saturated := can_prune()))"
 
 
 def check_program(prog: Program, db: DataDatabase) -> list[str]:
@@ -312,9 +314,7 @@ class Grounder:
     def _ground_clause(self, clause: Clause, gvars, domains):
         """Generate the clause's kernel, compile it and run it once."""
         kernel = _Kernel(self, clause, gvars, domains)
-        source = kernel.source()
         atom_keys = self.atom_keys
-        preds = kernel.preds
         saturated, checked_at = False, -1
 
         def can_prune():
@@ -323,11 +323,11 @@ class Grounder:
             nonlocal saturated, checked_at
             if not saturated and checked_at != len(atom_keys):
                 checked_at = len(atom_keys)
-                saturated = all(self.interned[p] == self._size(p) for p in preds)
+                saturated = all(self.interned[p] == self._size(p) for p in kernel.preds)
             return saturated
 
         namespace = dict(NAMESPACE)
-        exec(compile(source, "<kernel>", "exec"), namespace)
+        exec(compile(kernel.source(), "<kernel>", "exec"), namespace)
         namespace.pop("make")(
             self.atom_ids.get, self.resolve_program_atom, self.raw_clauses.append,
             can_prune, self._fold, self._eatom, product, *kernel.em.consts,
@@ -357,11 +357,11 @@ class Grounder:
 
 
 class _Kernel:
-    """The source of one clause's kernel: `make(...)` takes the grounder's
-    tables and closures, then the constants k0, k1, ... of `em`, and
-    returns nest0, which walks the clause's bindings and keeps its
-    unsatisfied instances: body atoms contribute negated literals, head
-    atoms positive ones, and () is the empty clause."""
+    """The source of one clause's kernel: make(...) takes the grounder's
+    callbacks, then the constants k0, k1, ... of em, and returns nest0,
+    which keeps the clause's unsatisfied instances: body atoms contribute
+    negated literals, head atoms positive ones, and () is the empty
+    clause."""
 
     def __init__(self, g: Grounder, clause: Clause, gvars, domains):
         self.g, self.gvars, self.domains = g, gvars, domains
@@ -400,20 +400,18 @@ class _Kernel:
         """Nests of at most _NEST loops, each calling the next with the
         values bound so far."""
         n, lines = len(self.gvars), self.lines
-        sat = "False"  # the name of the satisfied flag, or the constant
+        lines.append(" def nest0(saturated=False):")
+        lines.append(f"  s0 = {' or '.join(self.test(a, p) for a, p in self.tests[0]) or False}")
+        if self.prunable:
+            lines.append("  if s0 and can_prune(): return")
+        sat = "s0"  # the name of the satisfied flag
         for c, start in enumerate(range(0, max(n, 1), _NEST)):
-            params = [f"v{i}" for i in range(start)] + [sat][: sat != "False"]
-            lines.append(f" def nest{c}({', '.join(params)}):")
-            if c == 0 and self.tests[0]:
-                lines.append(f"  s0 = {' or '.join(self.test(a, p) for a, p in self.tests[0])}")
-                sat = "s0"
-                if self.prunable:
-                    lines.append("  if s0 and can_prune(): return")
+            if c:
+                lines.append(f" def nest{c}({''.join(f'v{i}, ' for i in range(start))}{sat}, saturated):")
             stop = min(start + _NEST, n)
             depth, sat = self.loops(start, stop, sat)
             if stop < n:
-                args = [f"v{i}" for i in range(stop)] + [sat][: sat != "False"]
-                lines.append(f"{' ' * depth}nest{c + 1}({', '.join(args)})")
+                lines.append(f"{' ' * depth}nest{c + 1}({''.join(f'v{i}, ' for i in range(stop))}{sat}, saturated)")
             else:
                 self.body(depth, sat)
         consts = "".join(f", k{i}" for i in range(len(self.em.consts)))
@@ -440,16 +438,16 @@ class _Kernel:
             for atom, positive in self.tests[i + 1] if self.prunable else ():
                 if not positive and atom.pred not in COMPARISONS and Variable(self.gvars[i]) in atom.args:
                     table, key = self.g._index(atom, self.gvars[i], self.domains[i])
-                    values = f"({em.const(table)}.get({em.args(key)}, ()) if can_prune() else {values})"
+                    values = f"({em.const(table)}.get({em.args(key)}, ()) if {_PRUNE} else {values})"
                     break
             self.lines.append(f"{' ' * depth}for v{i} in {values}:")
             depth += 1
             level = [self.test(a, p) for a, p in self.tests[i + 1]]
             if level:
-                self.lines.append(f"{' ' * depth}s{i + 1} = {' or '.join([sat][: sat != 'False'] + level)}")
+                self.lines.append(f"{' ' * depth}s{i + 1} = {' or '.join([sat] + level)}")
                 sat = f"s{i + 1}"
-            if self.prunable and sat != "False":
-                self.lines.append(f"{' ' * depth}if {sat} and can_prune(): continue")
+            if self.prunable:
+                self.lines.append(f"{' ' * depth}if {sat} and {_PRUNE}: continue")
         return depth, sat
 
     def body(self, depth, sat):

@@ -57,10 +57,6 @@ def _num(v):
     return v
 
 
-def _sym(c):
-    raise GroundError(f"symbolic constant {c!r} in arithmetic")
-
-
 def _div(a, b):
     if b == 0:
         raise GroundError("division by zero")
@@ -71,10 +67,6 @@ def _mod(a, b):
     if b == 0:
         raise GroundError("mod by zero")
     return _tmod(a, b)
-
-
-def _abs(a):
-    return _fit(-a) if a < 0 else a
 
 
 def _order(op, cmp):
@@ -94,8 +86,8 @@ _ORDER_PLAIN = {op: f"({{}} {op} {{}})" for op in _ORDER}
 
 # The globals of generated source.
 NAMESPACE = {
-    "_tdiv": _tdiv, "_tmod": _tmod, "_fit": _fit, "_num": _num, "_sym": _sym, "_div": _div, "_mod": _mod,
-    "_abs": _abs, **{_ORDER_HELPER[op]: _order(op, cmp) for op, cmp in _ORDER.items()},
+    "_tdiv": _tdiv, "_tmod": _tmod, "_fit": _fit, "_num": _num, "_div": _div, "_mod": _mod,
+    **{_ORDER_HELPER[op]: _order(op, cmp) for op, cmp in _ORDER.items()},
 }
 
 # Operator -> source template: _PLAIN where the bounds prove the term
@@ -107,7 +99,7 @@ _PLAIN = {
 }
 _CHECKED = {
     **_PLAIN, "+": "_fit({} + {})", "-": "_fit({} - {})", "*": "_fit({} * {})",
-    "/": "_div({}, {})", "mod": "_mod({}, {})", "abs": "_abs({})",
+    "/": "_div({}, {})", "mod": "_mod({}, {})", "abs": "_fit(abs({}))",
 }
 
 
@@ -133,7 +125,7 @@ class Emitter:
             safe = arith_range(term, self.ranges) is not None
             return (_PLAIN if safe else _CHECKED)[term.op].format(*ops)
         if arith and isinstance(term, str):
-            return f"_sym({self.const(term)})"
+            return f"_num({self.const(term)})"
         return self.const(term)
 
     def args(self, terms) -> str:

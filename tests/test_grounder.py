@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 
 from aspps.database import build_database
 from aspps.errors import GroundError, ParseError
-from aspps.grounder import Grounder, _schema_locals, check_program, ground_theory, output_name
+from aspps.grounder import Grounder, _Kernel, _schema_locals, check_program, ground_theory, output_name
 from aspps.model import ArithExpr, CAtomSchema, PlainAtom, Variable
 from aspps.parser import MAX_TERM_DEPTH, parse_data_file, parse_rule_file
 from aspps.tdc import write_tdc
@@ -582,6 +582,19 @@ def test_ground_matches_reference_at_the_kernel_limits(rules, data, outcome):
     got = _tdc_or_error(ground_theory, parse_rule_file(rules), build_database(parse_data_file(data)))
     assert got.startswith("GroundError") == outcome.startswith("GroundError")
     assert outcome == "grounded" or got == outcome
+
+
+def test_kernel_source_holds_no_rule_file_text():
+    rules = (
+        "pred qqp(qqt).\npred qqr(qqt, qqt).\nvar qqt Qqx, Qqy, Qqb.\n"
+        "qqp(Qqx), Qqx < Qqy + 987654, qqe(Qqx, qqc) -> 1 {qqp(Qqy) : qqt(Qqy) : Qqy == qqc} | qqr(Qqx, Qqb):qqt(Qqb)."
+    )
+    prog = parse_rule_file(rules)
+    g = Grounder(prog, build_database(parse_data_file("qqt(qqc). qqt(5). qqe(5, qqc).")))
+    for clause in prog.clauses:
+        gvars = g.global_vars(clause)
+        source = _Kernel(g, clause, gvars, [g.db.unary_domain("qqt") for _ in gvars]).source()
+        assert "qq" not in source.lower() and "987654" not in source, source
 
 
 # ---------------------------------------------------------------------------
