@@ -57,6 +57,10 @@ def _num(v):
     return v
 
 
+def _abs(a):
+    return _fit(abs(a))
+
+
 def _div(a, b):
     if b == 0:
         raise GroundError("division by zero")
@@ -86,20 +90,22 @@ _ORDER_PLAIN = {op: f"({{}} {op} {{}})" for op in _ORDER}
 
 # The globals of generated source.
 NAMESPACE = {
-    "_tdiv": _tdiv, "_tmod": _tmod, "_fit": _fit, "_num": _num, "_div": _div, "_mod": _mod,
+    "_tdiv": _tdiv, "_tmod": _tmod, "_fit": _fit, "_num": _num, "_abs": _abs, "_div": _div, "_mod": _mod,
     **{_ORDER_HELPER[op]: _order(op, cmp) for op, cmp in _ORDER.items()},
 }
 
 # Operator -> source template: _PLAIN where the bounds prove the term
-# safe, _CHECKED elsewhere. The operands are integers by then (a checked
-# operand raises first), so max and min of them need no check.
+# safe, _CHECKED elsewhere. Each operation opens one parenthesis, so a
+# term MAX_TERM_DEPTH deep stays within the compiler's nesting limit. The
+# operands are integers by then (a checked operand raises first), so max
+# and min of them need no check.
 _PLAIN = {
     "+": "({} + {})", "-": "({} - {})", "*": "({} * {})", "/": "_tdiv({}, {})",
     "mod": "_tmod({}, {})", "max": "max({}, {})", "min": "min({}, {})", "abs": "abs({})",
 }
 _CHECKED = {
     **_PLAIN, "+": "_fit({} + {})", "-": "_fit({} - {})", "*": "_fit({} * {})",
-    "/": "_div({}, {})", "mod": "_mod({}, {})", "abs": "_fit(abs({}))",
+    "/": "_div({}, {})", "mod": "_mod({}, {})", "abs": "_abs({})",
 }
 
 

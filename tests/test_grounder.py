@@ -558,6 +558,11 @@ WIDE_DATA = "t[1..2]. u(1). e(2,1). e(1,2). e(2,2)."
             "GroundError: mod by zero",
         ),
         (
+            "pred q(d).\nvar d X.\nq(" + "abs(" * (MAX_TERM_DEPTH - 1) + "X" + ")" * (MAX_TERM_DEPTH - 1) + ") ->.",
+            "d(1). d(a).",
+            "GroundError: symbolic constant 'a' in arithmetic",
+        ),
+        (
             "pred q(d).\nvar d X, Y.\nq(X), " + "abs(" * (MAX_TERM_DEPTH - 1) + "X - Y" + ")" * (MAX_TERM_DEPTH - 1)
             + " < " + "max(" * (MAX_TERM_DEPTH - 1) + "Y" + ", 1)" * (MAX_TERM_DEPTH - 1) + " -> {q(Y) : d(Y + X * 0)}.",
             "d[1..3].",
@@ -575,7 +580,7 @@ WIDE_DATA = "t[1..2]. u(1). e(2,1). e(1,2). e(2,2)."
          "GroundError: order comparison < on symbolic constants"),
     ],
     ids=["prune-deep", "prune-unsaturated", "index-deep", "cards-deep", "raise-deep",
-         "deep-symbol", "deep-mod", "deep-safe", "names", "names-raise"],
+         "deep-symbol", "deep-mod", "deep-abs", "deep-safe", "names", "names-raise"],
 )
 def test_ground_matches_reference_at_the_kernel_limits(rules, data, outcome):
     _assert_matches_reference(rules, data)
