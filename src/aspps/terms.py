@@ -95,10 +95,9 @@ NAMESPACE = {
 }
 
 # Operator -> source template: _PLAIN where the bounds prove the term
-# safe, _CHECKED elsewhere. Each operation opens one parenthesis, so a
-# term MAX_TERM_DEPTH deep stays within the compiler's nesting limit. The
-# operands are integers by then (a checked operand raises first), so max
-# and min of them need no check.
+# safe, _CHECKED elsewhere; each opens one parenthesis, so no term is too
+# deep to compile. The operands are integers by then (a checked operand
+# raises first), so max and min of them need no check.
 _PLAIN = {
     "+": "({} + {})", "-": "({} - {})", "*": "({} * {})", "/": "_tdiv({}, {})",
     "mod": "_tmod({}, {})", "max": "max({}, {})", "min": "min({}, {})", "abs": "abs({})",
@@ -216,11 +215,9 @@ def _term_safe(term, ranges):
 def _plain_atom_safe(atom: PlainAtom, ranges):
     """True when evaluating a plain atom's arguments, or deciding a
     comparison, cannot raise."""
-    if atom.pred not in COMPARISONS:
-        return all(_term_safe(t, ranges) for t in atom.args)
-    if atom.pred == "==":
-        return all(_term_safe(t, ranges) for t in atom.args)
-    return all(arith_range(t, ranges) is not None for t in atom.args)
+    if atom.pred in COMPARISONS and atom.pred != "==":
+        return all(arith_range(t, ranges) is not None for t in atom.args)
+    return all(_term_safe(t, ranges) for t in atom.args)
 
 
 def atom_cannot_raise(atom, ranges) -> bool:
@@ -231,6 +228,4 @@ def atom_cannot_raise(atom, ranges) -> bool:
         return all(_term_safe(t, ranges) for t in atom.args[:-1])
     if isinstance(atom, CAtomList):
         return all(_term_safe(t, ranges) for t in atom.args)
-    return _plain_atom_safe(atom.member, ranges) and all(
-        _plain_atom_safe(c, ranges) for c in atom.conds
-    )
+    return all(_plain_atom_safe(a, ranges) for a in (atom.member, *atom.conds))
