@@ -80,10 +80,13 @@ _PRUNE = "(saturated or (saturated := can_prune()))"
 
 
 def check_program(prog: Program, db: DataDatabase) -> list[str]:
-    """Validate a Program from parse_rule_file against the data, for the
-    rules that need the data or every declaration; the rest is the
-    parser's (see aspps.parser). Returns a list of diagnostics; empty
-    means the program may be grounded."""
+    """Validate a Program from parse_rule_file against the data and
+    every declaration: no program predicate is defined by data, type and
+    restriction predicates are data predicates with fitting extensions,
+    so is each e-atom's domain, and no clause has more than
+    MAX_CLAUSE_VARS variables. The rules a clause and the declarations
+    before it show broken are the parser's (see aspps.parser). Returns a
+    list of diagnostics; empty means the program may be grounded."""
     diags: list[str] = []
     decls = {d.name: d for d in prog.pred_decls}
     data_names = db.predicate_names()
@@ -111,7 +114,9 @@ def check_program(prog: Program, db: DataDatabase) -> list[str]:
         n_vars = len({v for atom in clause.body + clause.head for v in atom_variables(atom)})
         if n_vars > MAX_CLAUSE_VARS:
             diags.append(f"{n_vars} variables in {where}, more than {MAX_CLAUSE_VARS}")
-        diags.extend(_check_clause(clause, where, decls, db))
+        for atom in clause.body + clause.head:
+            if isinstance(atom, EAtom):
+                diags.extend(_check_type_pred(atom.domain_pred, decls, db, where))
     return diags
 
 
@@ -121,52 +126,6 @@ def _check_type_pred(ty, decls, db, where):
     if any(name == ty for name, _ in db.extensions) and (ty, 1) not in db.extensions:
         return [f"type predicate {ty} in {where} has no unary extension"]
     return []
-
-
-def _check_clause(clause, where, decls, db):
-    diags = []
-    atoms = clause.body + clause.head
-
-    def check_pred(pred, nargs, what=None):
-        """Check a program atom's arity; when what names the atom, pred
-        must be a program predicate."""
-        if pred not in decls:
-            if what:
-                diags.append(f"{what} {pred} in {where} must be a declared program predicate")
-        elif len(decls[pred].arg_types) != nargs:
-            diags.append(
-                f"predicate {pred} expects {len(decls[pred].arg_types)}"
-                f" argument(s), got {nargs} in {where}"
-            )
-
-    for pos, atom in enumerate(atoms):
-        if isinstance(atom, PlainAtom):
-            check_pred(atom.pred, len(atom.args))
-        elif isinstance(atom, EAtom):
-            check_pred(atom.pred, len(atom.args), "e-atom predicate")
-            if atom.domain_pred in decls:
-                diags.append(
-                    f"e-atom domain {atom.domain_pred} in {where} must be a data predicate"
-                )
-            else:
-                diags.extend(_check_type_pred(atom.domain_pred, decls, db, where))
-            for other_pos, other in enumerate(atoms):
-                if other_pos != pos and atom.bound_var in atom_variables(other):
-                    diags.append(
-                        f"e-atom binder {atom.bound_var} may not occur outside its atom in {where}"
-                    )
-                    break
-        elif isinstance(atom, CAtomSchema):
-            check_pred(atom.member.pred, len(atom.member.args), "cardinality member")
-            diags.extend(
-                f"condition {c.pred} in {where} must use a data or predefined predicate"
-                for c in atom.conds
-                if c.pred in decls
-            )
-        else:
-            for p in atom.preds:
-                check_pred(p, len(atom.args), "cardinality member")
-    return diags
 
 
 # ---------------------------------------------------------------------------

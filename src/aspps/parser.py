@@ -28,10 +28,14 @@ always refer to the original text.
 
 check_program and the grounder rely on these guarantees of a Program
 from parse_rule_file and do not check them again: each predicate and
-variable is declared once; every variable in a clause is declared; an
-e-atom's binder is its final argument and occurs nowhere else in it; a
-comparison has two operands; cardinality bounds are non-negative, the
-lower at most the upper; terms nest at most MAX_TERM_DEPTH levels.
+variable is declared once, before its first use; every program atom has
+its predicate's declared arity; e-atom predicates and cardinality
+members are program predicates, and e-atom domains and schema conditions
+are not; an e-atom's binder is its final argument and occurs nowhere
+else in its clause; a comparison has two operands; cardinality bounds
+are non-negative, the lower at most the upper; terms nest at most
+MAX_TERM_DEPTH levels. A clause is checked against the declarations
+before it, and each error is reported at the token that breaks a rule.
 """
 
 from __future__ import annotations
@@ -56,7 +60,7 @@ from .model import (
     Program,
     Variable,
     VarDecl,
-    atom_terms,
+    atom_variables,
     term_variables,
 )
 
@@ -351,9 +355,8 @@ def parse_rule_file(text: str, consts: dict[str, str] | None = None, file: str =
             vdecl = _parse_var_decl(_Cursor(stmt, file), var_types, used_consts)
             prog.var_decls.append(vdecl)
         else:
-            clause = _ClauseParser(stmt, file, var_types).parse()
-            prog.clauses.append(clause)
-            _note_uses(clause, used_preds, used_consts)
+            parser = _ClauseParser(stmt, file, var_types, pred_seen, used_preds, used_consts)
+            prog.clauses.append(parser.parse())
     return prog
 
 
@@ -398,37 +401,21 @@ def _parse_var_decl(cur, var_types, used_consts):
     return VarDecl(type_name, tuple(names))
 
 
-def _note_uses(clause, used_preds, used_consts):
-    def walk_term(t):
-        if isinstance(t, str):
-            used_consts.add(t)
-        elif isinstance(t, ArithExpr):
-            for s in t.operands:
-                walk_term(s)
-
-    for atom in clause.body + clause.head:
-        if isinstance(atom, PlainAtom):
-            if atom.pred not in COMPARISONS:
-                used_preds.add(atom.pred)
-        elif isinstance(atom, EAtom):
-            used_preds.add(atom.pred)
-            used_preds.add(atom.domain_pred)
-        elif isinstance(atom, CAtomSchema):
-            plain = (atom.member, *atom.conds)
-            used_preds.update(a.pred for a in plain if a.pred not in COMPARISONS)
-        else:
-            used_preds.update(atom.preds)
-        for t in atom_terms(atom):
-            walk_term(t)
-
-
 _ATOM_END = (",", "|", "->", "}")
 
 
 class _ClauseParser(_Cursor):
-    def __init__(self, toks, file, var_types):
+    """Parses one clause against the declarations before it, and records
+    the predicate names and constants it reads in used_preds and
+    used_consts."""
+
+    def __init__(self, toks, file, var_types, decls, used_preds, used_consts):
         super().__init__(toks, file)
         self.var_types = var_types
+        self.decls = decls
+        self.used_preds = used_preds
+        self.used_consts = used_consts
+        self.binders = []  # (name, token) of each e-atom binder read
 
     def parse(self):
         body = [] if self.at_punct("->") else self.listed(self.parse_atom)
@@ -438,7 +425,36 @@ class _ClauseParser(_Cursor):
             self.fail("expected end of statement")
         if not body and not head:
             self.fail("clause has an empty body and an empty head", self.toks[0])
+        # a binder may recur in an atom after its e-atom, so this waits
+        # for the whole clause
+        atoms = body + head
+        for name, tok in self.binders:
+            if sum(name in atom_variables(a) for a in atoms) > 1:
+                self.fail(f"e-atom binder {name} may not occur outside its atom", tok)
         return Clause(tuple(body), tuple(head), line=self.toks[0].line)
+
+    def pred_name(self, what="predicate name"):
+        name = super().pred_name(what)
+        self.used_preds.add(name)
+        return name
+
+    def constant(self):
+        name = super().constant()
+        self.used_consts.add(name)
+        return name
+
+    def program_atom(self, atom, tok, what=None):
+        """atom, whose predicate name is token tok, checked against the
+        declarations: a program predicate takes its declared number of
+        arguments, and the atom named what must use one."""
+        decl = self.decls.get(atom.pred)
+        if decl is None:
+            if what:
+                self.fail(f"{what} {atom.pred} must be a declared program predicate", tok)
+        elif len(decl.arg_types) != len(atom.args):
+            n = len(decl.arg_types)
+            self.fail(f"predicate {atom.pred} expects {n} argument(s), got {len(atom.args)}", tok)
+        return atom
 
     # -- atoms ------------------------------------------------------------
 
@@ -455,10 +471,10 @@ class _ClauseParser(_Cursor):
         if t.kind == "ident" and self.at_punct("(", ahead=1) and t.value not in FUNC_NAMES:
             atom = self.parse_pred_atom()
             if self.at_punct(":"):
-                return self.parse_eatom_tail(atom)
-            return atom
+                return self.parse_eatom_tail(self.program_atom(atom, t, "e-atom predicate"))
+            return self.program_atom(atom, t)
         if t.kind == "ident" and (self.peek(1) is None or self.at_punct(*_ATOM_END, ahead=1)):
-            return self.bare_atom()
+            return self.program_atom(self.bare_atom(), t)
         return self.parse_comparison("expected comparison operator after term")
 
     def bare_atom(self, variable_message=None):
@@ -488,7 +504,10 @@ class _ClauseParser(_Cursor):
 
     def parse_eatom_tail(self, atom):
         self.expect_punct(":")
+        domain_tok = self.peek()
         domain = self.pred_name("domain predicate")
+        if domain in self.decls:
+            self.fail(f"e-atom domain {domain} must be a data predicate", domain_tok)
         self.expect_punct("(")
         var_tok = self.expect_ident("variable")
         self.expect_punct(")")
@@ -499,6 +518,7 @@ class _ClauseParser(_Cursor):
             self.fail("e-atom binder must equal the final argument", var_tok)
         if any(name in term_variables(t) for t in atom.args[:-1]):
             self.fail(f"e-atom binder {name} may only occur as the final argument", var_tok)
+        self.binders.append((name, var_tok))
         return EAtom(atom.pred, atom.args, name, domain)
 
     def parse_catom(self, lo):
@@ -529,16 +549,22 @@ class _ClauseParser(_Cursor):
     def parse_member_atom(self):
         t = self.peek()
         if t is not None and t.kind == "ident" and not self.at_punct("(", ahead=1):
-            return self.bare_atom("cardinality members must be predicate atoms")
-        return self.parse_pred_atom()
+            atom = self.bare_atom("cardinality members must be predicate atoms")
+        else:
+            atom = self.parse_pred_atom()
+        return self.program_atom(atom, t, "cardinality member")
 
     def parse_condition(self):
         t = self.peek()
         if t is not None and t.kind == "ident" and self.at_punct("(", ahead=1) and t.value not in FUNC_NAMES:
-            return self.parse_pred_atom()
-        if t is not None and t.kind == "ident" and self.at_punct(":", "}", ahead=1):
-            return self.bare_atom("conditions must be predicate atoms or comparisons")
-        return self.parse_comparison("expected comparison operator in condition")
+            atom = self.parse_pred_atom()
+        elif t is not None and t.kind == "ident" and self.at_punct(":", "}", ahead=1):
+            atom = self.bare_atom("conditions must be predicate atoms or comparisons")
+        else:
+            return self.parse_comparison("expected comparison operator in condition")
+        if atom.pred in self.decls:
+            self.fail(f"condition {atom.pred} must use a data or predefined predicate", t)
+        return atom
 
     def parse_upper_bound(self):
         t = self.peek()

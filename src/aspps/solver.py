@@ -30,8 +30,9 @@ until backtracking, and such an evaluation finds nothing to do whenever
 it would run. Every other entry keeps its place in the queue, so the
 order of the effective steps, and with it every counter, is the same as
 if every entry were made. Forcing needs lo <= hi and distinct members;
-Solver checks both, as read_tdc does, and also that card ids are dense,
-members are atom ids and literals are in range.
+Solver checks every card rule read_tdc checks (theory.card_error: dense
+ids, bounds, members that are distinct atom ids) and that literals are
+in range.
 
 Branch scores are kept along the trail rather than recomputed per
 decision, and counted only when a branch is picked. A trail entry whose
@@ -72,7 +73,7 @@ from collections import deque
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 
-from .theory import GroundTheory
+from .theory import GroundTheory, card_error
 
 
 @dataclass
@@ -84,7 +85,7 @@ class SolveStats:
 
 @dataclass(frozen=True)
 class Conflict:
-    kind: str  # "atom", "card" or "clause"
+    kind: str  # "card" or "clause"
     ref: int
 
 
@@ -101,15 +102,9 @@ class Solver:
         n = theory.n_atoms
         self.n_atoms = n
         for i, c in enumerate(theory.cards):
-            if c.id != n + i + 1:
-                raise ValueError(f"card ids must be dense, expected {n + i + 1} got {c.id}")
-            if c.hi != -1 and c.lo > c.hi:
-                raise ValueError(f"card {c.id} has lower bound above its upper bound")
-            for m in c.members:
-                if not 1 <= m <= n:
-                    raise ValueError(f"card {c.id} member {m} is not an atom id")
-            if len(set(c.members)) != len(c.members):
-                raise ValueError(f"card {c.id} lists a member twice")
+            error = card_error(c, n + i + 1, n)
+            if error:
+                raise ValueError(error)
         size = n + len(theory.cards) + 1
         # assignment[ref]: an atom's value or a card's committed value,
         # then one slot that stays None, so index(None, k) always finds one.
@@ -193,14 +188,10 @@ class Solver:
             return False
         return None
 
-    def assign(self, ref: int, value: bool, decision: bool = False) -> Conflict | None:
-        """Set atom ref, or commit card ref, to value. Only an atom set
-        other than by a decision counts as a propagation."""
+    def assign(self, ref: int, value: bool, decision: bool = False) -> None:
+        """Set atom ref, or commit card ref, to value; ref is unset. Only
+        an atom set other than by a decision counts as a propagation."""
         assignment = self.assignment
-        cur = assignment[ref]
-        if cur is not None:
-            kind = "atom" if ref <= self.n_atoms else "card"
-            return None if cur == value else Conflict(kind, ref)
         assignment[ref] = value
         if decision:
             self.decision_pos.append(len(self.trail))
@@ -237,7 +228,6 @@ class Solver:
                         dirty.append(cid)
                 elif tc + uc >= card_lo[cid] and tc <= card_hi[cid]:
                     dirty.append(cid)
-        return None
 
     def _count_pending(self) -> None:
         """Count the pending ids' true literals, in trail order: one more

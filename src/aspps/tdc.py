@@ -19,7 +19,7 @@ and written back is byte identical.
 from __future__ import annotations
 
 from .errors import TdcError
-from .theory import CardConstruct, GroundAtom, GroundTheory, parse_ground_atom_text
+from .theory import CardConstruct, GroundAtom, GroundTheory, card_error, parse_ground_atom_text
 
 FORMAT_VERSION = 1
 
@@ -105,23 +105,13 @@ def read_tdc(text: str, file: str = "<tdc>") -> GroundTheory:
         if len(nums) < 4:
             src.fail(f"malformed card line {line!r}", no)
         cid, lo, hi, k = nums[:4]
-        members = nums[4:]
-        if cid != n_atoms + i + 1:
-            src.fail(f"card ids must be dense, expected {n_atoms + i + 1} got {cid}", no)
-        if len(members) != k:
-            src.fail(f"card {cid} declares {k} members but lists {len(members)}", no)
-        if lo < 0:
-            src.fail(f"card {cid} has negative lower bound", no)
-        if hi < -1:
-            src.fail(f"card {cid} has upper bound below -1", no)
-        if hi != -1 and lo > hi:
-            src.fail(f"card {cid} has lower bound above its upper bound", no)
-        for m in members:
-            if not 1 <= m <= n_atoms:
-                src.fail(f"card {cid} member {m} is not an atom id", no)
-        if len(set(members)) != len(members):
-            src.fail(f"card {cid} lists a member twice", no)
-        cards.append(CardConstruct(cid, lo, hi, tuple(members)))
+        if len(nums) - 4 != k:
+            src.fail(f"card {cid} declares {k} members but lists {len(nums) - 4}", no)
+        card = CardConstruct(cid, lo, hi, tuple(nums[4:]))
+        error = card_error(card, n_atoms + i + 1, n_atoms)
+        if error:
+            src.fail(error, no)
+        cards.append(card)
 
     n_clauses = _count_line(src, "clauses")
     max_id = n_atoms + n_cards

@@ -46,6 +46,27 @@ class GroundTheory:
         return self.cards[cid - len(self.atoms) - 1]
 
 
+def card_error(card: CardConstruct, expected_id: int, n_atoms: int) -> str | None:
+    """The first rule a theory's card breaks, or None: ids are dense,
+    bounds are lo >= 0 and hi >= -1 with lo <= hi when bounded, and
+    members are distinct atom ids."""
+    cid, lo, hi = card.id, card.lo, card.hi
+    if cid != expected_id:
+        return f"card ids must be dense, expected {expected_id} got {cid}"
+    if lo < 0:
+        return f"card {cid} has negative lower bound"
+    if hi < -1:
+        return f"card {cid} has upper bound below -1"
+    if hi != -1 and lo > hi:
+        return f"card {cid} has lower bound above its upper bound"
+    for m in card.members:
+        if not 1 <= m <= n_atoms:
+            return f"card {cid} member {m} is not an atom id"
+    if len(set(card.members)) != len(card.members):
+        return f"card {cid} lists a member twice"
+    return None
+
+
 def ground_atom_text(pred: str, args: tuple[Const, ...]) -> str:
     """Canonical space-free rendering, e.g. clr(1,r)."""
     if not args:

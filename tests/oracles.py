@@ -629,7 +629,7 @@ class ReferenceSolver(Solver):
         v = self.assignment[cid]
         if v is None:
             if st is not None:
-                return self.assign(cid, st)
+                self.assign(cid, st)
             return None
         if st is not None:
             return None if st == v else Conflict("card", cid)
@@ -662,9 +662,10 @@ def counted_scores(solver) -> tuple[list[int], list[int], int]:
 
 
 class CheckedSolver(Solver):
-    """Checks that no id is left pending when a branch is picked, that
-    the counts behind the branch scores match a rescan of the counted
-    trail entries right after every backtrack and at every branch, the
+    """Checks that assign is only given an unset id, that no id is left
+    pending when a branch is picked, that the counts behind the branch
+    scores match a rescan of the counted trail entries right after every
+    backtrack and at every branch, the
     branch itself against a full rescan, that propagation left no clause
     unit or falsified, that every card's true and undetermined counts
     match its members' values, that every card with a determined status
@@ -681,9 +682,10 @@ class CheckedSolver(Solver):
         self.decided = []  # (trail position, id) of each decision in place
 
     def assign(self, ref, value, decision=False):
-        if decision and self.assignment[ref] is None:
+        assert self.assignment[ref] is None, f"id {ref} is already set"
+        if decision:
             self.decided.append((len(self.trail), ref))
-        return super().assign(ref, value, decision)
+        super().assign(ref, value, decision)
 
     def _backtrack_flip(self):
         more = super()._backtrack_flip()

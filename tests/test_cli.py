@@ -110,6 +110,24 @@ def test_psgrnd_check_diagnostics_exit_2(workdir, capsys):
     assert not list(workdir.glob("*.tdc"))
 
 
+@pytest.mark.parametrize(
+    "clause, error",
+    [
+        ("p(X) ->.", "3:1: predicate p expects 2 argument(s), got 1"),
+        ("-> r(X):d(X).", "3:4: e-atom predicate r must be a declared program predicate"),
+        ("-> 1 {p(X,X) : p(X,X)}.", "3:16: condition p must use a data or predefined predicate"),
+        ("p(X,X) -> p(1,X):d(X).", "3:20: e-atom binder X may not occur outside its atom"),
+    ],
+    ids=["arity", "member", "condition", "binder"],
+)
+def test_psgrnd_clause_against_declarations_exit_2(workdir, capsys, clause, error):
+    rl = _write(workdir, "rules.rl", f"pred p(d,d).\nvar d X.\n{clause}\n")
+    dt = _write(workdir, "g.dt", "d[1..2].\n")
+    assert psgrnd_main(["-r", rl, "-d", dt]) == 2
+    assert capsys.readouterr().err == f"rules.rl:{error}\n"
+    assert not list(workdir.glob("*.tdc"))
+
+
 def test_psgrnd_negative_cardinality_bound_exit_2(workdir, capsys):
     rl = _write(workdir, "neg.rl", "pred p(d).\nvar d X.\n-> {p(X) : d(X)} n.\n")
     dt = _write(workdir, "g.dt", "d[1..2].\n")

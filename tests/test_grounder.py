@@ -146,49 +146,10 @@ def test_check_restriction():
     assert any("must be a data predicate" in d for d in diags)
 
 
-def test_check_arity_mismatch():
-    diags = _diags("pred p(t,t).\nvar t X.\np(X) ->.", "t[1..2].")
-    assert any("expects 2 argument(s), got 1" in d for d in diags)
-    diags = _diags("pred p(t).\nvar t X.\n-> 1 {p(X,X)} 1.", "t[1..2].")
-    assert any("expects 1 argument(s), got 2" in d for d in diags)
-
-
-def test_check_condition_must_be_data_or_predefined():
-    diags = _diags(
-        "pred p(t).\npred q(t).\nvar t X, L.\n-> 1 {p(L) : q(L)} 1.", "t[1..2]."
-    )
-    assert any("must use a data or predefined predicate" in d for d in diags)
-
-
-def test_check_eatom_binder_reuse():
-    diags = _diags(
-        "pred p(t).\nvar t X, Y.\np(Y) -> p(Y):t(Y).", "t[1..2]."
-    )
-    assert any("may not occur outside its atom" in d for d in diags)
-
-
-@pytest.mark.parametrize(
-    "clause, what",
-    [
-        ("-> r(X):t(X).", "e-atom predicate r"),
-        ("-> 1 {r(X) : t(X)} 1.", "cardinality member r"),
-        ("-> 1 {p(X), r(X)} 1.", "cardinality member r"),
-    ],
-    ids=["e-atom", "schema", "list"],
-)
-def test_check_member_must_be_declared(clause, what):
-    diags = _diags(f"pred p(t).\nvar t X.\n{clause}", "t[1..2]. r(1).")
-    assert diags == [f"{what} in clause 1 (line 3) must be a declared program predicate"]
-
-
-def test_check_eatom_domain_must_be_data():
-    diags = _diags("pred p(t).\npred d(t).\nvar t X.\n-> p(X):d(X).", "t[1..2].")
-    assert any("must be a data predicate" in d for d in diags)
-
-
 def test_check_names_clause():
-    diags = _diags("pred p(t,t).\nvar t X.\np(X) ->.", "t[1..2].")
-    assert "clause 1" in diags[0]
+    # an e-atom's domain needs a unary extension, which only the data shows
+    diags = _diags("pred p(t).\nvar t X.\n\n-> p(X):e(X).", "t[1..2]. e(1,2).")
+    assert diags == ["type predicate e in clause 1 (line 4) has no unary extension"]
 
 
 # ---------------------------------------------------------------------------
@@ -702,8 +663,8 @@ def test_check_outcomes_pinned():
         kinds[kind] += 1
         digest.update(f"{case}\0{outcome}\0".encode())
     assert (kinds, digest.hexdigest()) == (
-        {"parse": 5738, "diagnostics": 32, "ground error": 5, "grounded": 225},
-        "23d21c183336317fd98a282098582ca18ba2e2099f8b6a77307fda64d54bde2e",
+        {"parse": 5769, "diagnostics": 1, "ground error": 5, "grounded": 225},
+        "a546f9efd46caba492b027a1e60a38c90e5e13ee5b140ab62311b3c85ab8b582",
     )
 
 

@@ -165,6 +165,10 @@ def test_declaration_errors():
         parse_rule_file("pred p(t).\npred p(t).")
     with pytest.raises(ParseError, match="declared after use"):
         parse_rule_file("var t X.\np(X) ->.\npred p(t).")
+    with pytest.raises(ParseError, match="predicate d declared after use"):
+        parse_rule_file("pred p(t).\nvar t X.\n-> p(X):d(X).\npred d(t).")
+    with pytest.raises(ParseError, match="predicate c declared after use"):
+        parse_rule_file("pred p(t).\nvar t X.\n-> 1 {p(X) : c(X)} 1.\npred c(t).")
     with pytest.raises(ParseError, match="duplicate variable"):
         parse_rule_file("var t X.\nvar u X.")
     with pytest.raises(ParseError, match="declared after use as a constant"):
@@ -277,11 +281,126 @@ def test_catom_bound_errors():
             assert (exc.value.line, exc.value.col) == (4, col)
 
 
+def _card_bounds(toks):
+    """(form, side, token) of each cardinality bound in a token list."""
+    bounds = []
+    for i, t in enumerate(toks):
+        if t.kind != "punct" or t.value != "{":
+            continue
+        j, depth, form = i + 1, 0, "schema"
+        while toks[j].value != "}":
+            depth += (toks[j].value == "(") - (toks[j].value == ")")
+            if depth == 0 and toks[j].value == ",":
+                form = "list"
+            j += 1
+        if toks[i - 1].kind == "int":
+            bounds.append((form, "lower", toks[i - 1]))
+        if j + 1 < len(toks) and toks[j + 1].kind == "int":
+            bounds.append((form, "upper", toks[j + 1]))
+    return bounds
+
+
+def test_negative_bounds_of_random_programs():
+    # each bound of each cardinality atom in turn becomes a -c constant
+    seen = set()
+    for seed in range(100):
+        rules = random_program(random.Random(seed))[0]
+        lines = rules.split("\n")
+        for form, side, tok in _card_bounds(tokenize(rules)):
+            seen.add((form, side))
+            line = lines[tok.line - 1]
+            start = tok.col - 1
+            lines[tok.line - 1] = line[:start] + "bnd" + line[start + len(str(tok.value)):]
+            text = "\n".join(lines)
+            lines[tok.line - 1] = line
+            for value in ("-1", "-2"):
+                with pytest.raises(ParseError) as exc:
+                    parse_rule_file(text, {"bnd": value}, "rules.rl")
+                assert str(exc.value) == (
+                    f"rules.rl:{tok.line}:{tok.col}: cardinality bounds must be non-negative"
+                )
+    assert seen == {(f, s) for f in ("schema", "list") for s in ("lower", "upper")}
+
+
 def test_catom_member_errors():
     with pytest.raises(ParseError, match="must be predicate atoms"):
         _clause("-> 1 {X} 1.")
     with pytest.raises(ParseError, match="conditions must be predicate atoms"):
         _clause("-> 1 {p(X) : Y} 1.")
+
+
+# A clause is checked against the declarations before it, which are all
+# that apply: a predicate may not be declared after its use.
+
+
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        ("pred p(t,t).\nvar t X.\np(X) ->.", "3:1: predicate p expects 2 argument(s), got 1"),
+        ("pred p(t).\nvar t X.\np(X), p ->.", "3:7: predicate p expects 1 argument(s), got 0"),
+        ("pred p(t,t).\nvar t X.\n-> p(X):t(X).", "3:4: predicate p expects 2 argument(s), got 1"),
+        ("pred p(t).\nvar t X.\n-> 1 {p(X,X)} 1.", "3:7: predicate p expects 1 argument(s), got 2"),
+        (
+            "pred p(t).\npred q(t,t).\nvar t X.\n-> {p(X), q(X)} 1.",
+            "4:11: predicate q expects 2 argument(s), got 1",
+        ),
+    ],
+    ids=["plain", "bare", "e-atom", "schema", "list"],
+)
+def test_arity_mismatch(text, error):
+    with pytest.raises(ParseError) as exc:
+        parse_rule_file(text, file="rules.rl")
+    assert str(exc.value) == f"rules.rl:{error}"
+
+
+@pytest.mark.parametrize(
+    "clause, error",
+    [
+        ("-> r(X):t(X).", "4:4: e-atom predicate r"),
+        ("-> 1 {r(X) : t(X)} 1.", "4:7: cardinality member r"),
+        ("-> 1 {p(X), r(X)} 1.", "4:13: cardinality member r"),
+    ],
+    ids=["e-atom", "schema", "list"],
+)
+def test_member_must_be_declared(clause, error):
+    with pytest.raises(ParseError) as exc:
+        parse_rule_file(f"pred p(t).\nvar t X.\n\n{clause}", file="rules.rl")
+    assert str(exc.value) == f"rules.rl:{error} must be a declared program predicate"
+
+
+@pytest.mark.parametrize(
+    "clause, error",
+    [
+        ("-> 1 {p(L) : q(L)} 1.", "5:14: condition q"),
+        ("-> 1 {p(L) : t(L) : flag} 1.", "5:21: condition flag"),
+    ],
+    ids=["atom", "bare"],
+)
+def test_condition_must_be_data_or_predefined(clause, error):
+    with pytest.raises(ParseError) as exc:
+        parse_rule_file(f"pred p(t).\npred q(t).\npred flag.\nvar t L.\n{clause}", file="rules.rl")
+    assert str(exc.value) == f"rules.rl:{error} must use a data or predefined predicate"
+
+
+def test_eatom_domain_must_be_data():
+    with pytest.raises(ParseError) as exc:
+        parse_rule_file("pred p(t).\npred d(t).\nvar t X.\n-> p(X):d(X).", file="rules.rl")
+    assert str(exc.value) == "rules.rl:4:9: e-atom domain d must be a data predicate"
+
+
+@pytest.mark.parametrize(
+    "clause, col",
+    [
+        ("p(Y) -> p(Y):t(Y).", 16),  # an earlier atom
+        ("-> p(Y):t(Y) | 1 {p(X) : X < Y}.", 11),  # a later one
+        ("-> p(Y):t(Y) | p(Y):t(Y).", 11),  # the same e-atom twice
+    ],
+    ids=["earlier", "later", "twice"],
+)
+def test_eatom_binder_reuse(clause, col):
+    with pytest.raises(ParseError) as exc:
+        parse_rule_file(f"pred p(t).\nvar t X, Y.\n{clause}", file="rules.rl")
+    assert str(exc.value) == f"rules.rl:3:{col}: e-atom binder Y may not occur outside its atom"
 
 
 def test_undeclared_variables():
@@ -446,5 +565,5 @@ def test_parser_outcomes_pinned():
         accepted += ok
         digest.update(f"{case}\0{outcome}\0".encode())
     assert (accepted, digest.hexdigest()) == (
-        1378, "8877d0b8e3b9f55f33f01f1b509a478937c2bf618e935fe81ce748fe7d5956d1"
+        1373, "6e6cd10d7ad301d5375f4f7982e7c5b7d0839c8d5fab1cbd8bdc431a5bd205d1"
     )

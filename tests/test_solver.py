@@ -96,6 +96,8 @@ def test_card_unsatisfiable_bounds_detected():
         (_theory(3, [(1, 2, (1, 1, 2, 3))], [(4,), (1,)]), "card 4 lists a member twice"),
         (_theory(3, [(1, 1, (0, 1))], [(4,)]), "card 4 member 0 is not an atom id"),
         (_theory(3, [(1, 1, (1, 4))], [(4,)]), "card 4 member 4 is not an atom id"),
+        (_theory(3, [(-1, 1, (1, 2))], [(4,)]), "card 4 has negative lower bound"),
+        (_theory(3, [(0, -2, (1, 2))], [(4,)]), "card 4 has upper bound below -1"),
         (
             GroundTheory(_atoms(3), (CardConstruct(5, 1, 1, (1, 2)),), ((5,),)),
             "card ids must be dense, expected 4 got 5",
@@ -108,6 +110,8 @@ def test_card_unsatisfiable_bounds_detected():
         "member-twice",
         "member-zero",
         "member-not-atom",
+        "negative-lo",
+        "hi-below-minus-one",
         "card-ids-not-dense",
         "literal-zero",
         "literal-above-ids",
