@@ -83,9 +83,13 @@ def read_tdc(text: str, file: str = "<tdc>") -> GroundTheory:
     for i in range(n_atoms):
         line, no = src.next("atom")
         parts = line.split(None, 1)
-        if len(parts) != 2 or not parts[0].isdigit():
+        try:  # int() refuses some digits isdigit() accepts: '²', 5 000 of them
+            aid = int(parts[0]) if len(parts) == 2 and parts[0].isdigit() else None
+        except ValueError:
+            aid = None
+        if aid is None:
             src.fail(f"malformed atom line {line!r}", no)
-        if int(parts[0]) != i + 1:
+        if aid != i + 1:
             src.fail(f"atom ids must be dense, expected {i + 1} got {parts[0]}", no)
         try:
             pred, args = parse_ground_atom_text(parts[1])

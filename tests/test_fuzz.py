@@ -27,7 +27,10 @@ TDC_SEEDS = (
     write_tdc(ground_problem(COLOR_RULES, TRIANGLE_DATA, CONSTS)),
     "tdc 1\natoms 2\n1 p(1,a)\n2 q\ncards 1\n3 1 -1 2 1 2\nclauses 3\n2 -3 1\n1 -2\n0\n",
 )
-SYNTAX = "abpqXY_()[]{}:,.|-><=!+*/ \n\t0123456789%"
+# '²' passes str.isdigit() but not int(); so does a run of more than
+# 4 300 digits, which the "digits" mutation inserts.
+SYNTAX = "abpqXY_()[]{}:,.|-><=!+*/ \n\t0123456789%\u00b2"
+LONG_DIGITS = "1" * 4400
 
 
 @st.composite
@@ -37,9 +40,11 @@ def _mutated(draw, seeds):
     for _ in range(draw(st.integers(1, 6))):
         i = draw(st.integers(0, len(text)))
         j = draw(st.integers(i, min(len(text), i + 12)))
-        op = draw(st.sampled_from(("insert", "delete", "repeat")))
+        op = draw(st.sampled_from(("insert", "digits", "delete", "repeat")))
         if op == "insert":
             text = text[:i] + draw(st.text(SYNTAX, min_size=1, max_size=4)) + text[i:]
+        elif op == "digits":
+            text = text[:i] + LONG_DIGITS + text[i:]
         elif op == "delete":
             text = text[:i] + text[j:]
         else:

@@ -92,6 +92,8 @@ def test_read_tolerates_blank_lines():
         ("tdc 1\natoms 1\n1 p\ncards 0\nclauses 1\n1 9\n", "out of range"),
         ("tdc 1\natoms 0\ncards 0\nclauses 0\njunk\n", "trailing content"),
         ("tdc 1\natoms 1\n1\ncards 0\nclauses 0\n", "malformed atom line"),
+        ("tdc 1\natoms 1\n\u00b2 p\ncards 0\nclauses 0\n", "malformed atom line"),
+        ("tdc 1\natoms 1\n" + "1" * 5000 + " p\ncards 0\nclauses 0\n", "malformed atom line"),
         ("tdc 1\natoms 1\n1 p\ncards 1\n2 0\nclauses 0\n", "malformed card line"),
     ],
 )
