@@ -337,3 +337,91 @@ def mutate_terms(rng: random.Random, text: str) -> str:
                 toks[i] = f"{t} * 4611686018427387904"
         lines[row] = "".join(toks)
     return "\n".join(lines)
+
+
+# ---------------------------------------------------------------------------
+# Edits of a ground theory, for the .tdc reader's pinned outcomes and for
+# the rules Solver shares with it.
+
+# Tokens a .tdc line edit puts in place of one token: keywords, ids near
+# the edges of every range, signs and separators int() accepts, digits
+# int() refuses (a superscript, more than 4 300 of them) and atom texts
+# with a bracket missing.
+_TDC_TOKENS = (
+    "0", "1", "2", "-1", "-2", "+1", "1_0", "x", "²", "9" * 25, "1" * 4400,
+    "tdc", "atoms", "cards", "clauses", "p(1", "p)", "p(1,)", "(",
+)
+
+
+def mutate_tdc_lines(rng: random.Random, text: str) -> str:
+    """One to three line edits of a .tdc text: drop, repeat or swap a
+    line, cut the text short, insert a blank line, or edit one token of
+    a line (bump a number by one or two, replace, drop or add a token)."""
+    lines = text.split("\n")
+    for _ in range(rng.randint(1, 3)):
+        if not lines:
+            break
+        i = rng.randrange(len(lines))
+        op = rng.choice(("drop", "repeat", "swap", "cut", "blank", "token", "token", "token"))
+        if op == "drop":
+            del lines[i]
+        elif op == "repeat":
+            lines.insert(i, lines[i])
+        elif op == "swap":
+            j = rng.randrange(len(lines))
+            lines[i], lines[j] = lines[j], lines[i]
+        elif op == "cut":
+            del lines[i:]
+        elif op == "blank":
+            lines.insert(i, rng.choice(("", "  ")))
+        else:
+            toks = lines[i].split(" ")
+            j = rng.randrange(len(toks))
+            edit = rng.choice(("bump", "replace", "drop", "add"))
+            if edit == "bump" and toks[j].lstrip("-").isdigit():
+                toks[j] = str(int(toks[j]) + rng.choice((-2, -1, 1, 2)))
+            elif edit == "drop":
+                del toks[j]
+            elif edit == "add":
+                toks.insert(j, rng.choice(_TDC_TOKENS))
+            else:
+                toks[j] = rng.choice(_TDC_TOKENS)
+            lines[i] = " ".join(toks)
+    return "\n".join(lines)
+
+
+def break_ground_theory(rng: random.Random, theory: GroundTheory) -> GroundTheory:
+    """One or two edits that may break a rule every ground theory keeps:
+    a card's id or bounds moved, a member moved or repeated, or a clause
+    literal moved, possibly to 0 or past the last id."""
+    cards, clauses = list(theory.cards), list(theory.clauses)
+    top = theory.n_atoms + len(cards)
+    for _ in range(rng.randint(1, 2)):
+        if cards and rng.random() < 0.6:
+            j = rng.randrange(len(cards))
+            c = cards[j]
+            members = list(c.members)
+            edit = rng.choice(("id", "lo", "hi", "member", "repeat"))
+            delta = rng.choice((-2, -1, 1, 2))
+            if edit == "id":
+                c = CardConstruct(c.id + delta, c.lo, c.hi, c.members)
+            elif edit == "lo":
+                c = CardConstruct(c.id, c.lo + delta, c.hi, c.members)
+            elif edit == "hi":
+                c = CardConstruct(c.id, c.lo, c.hi + delta, c.members)
+            elif members:
+                k = rng.randrange(len(members))
+                if edit == "member":
+                    members[k] = rng.choice((0, -members[k], members[k] + delta, top))
+                else:
+                    members.insert(k, members[k])
+                c = CardConstruct(c.id, c.lo, c.hi, tuple(members))
+            cards[j] = c
+        elif clauses:
+            j = rng.randrange(len(clauses))
+            lits = list(clauses[j])
+            if lits:
+                k = rng.randrange(len(lits))
+                lits[k] = rng.choice((0, top + 1, -(top + 1), lits[k] + rng.choice((-1, 1)) * top))
+                clauses[j] = tuple(lits)
+    return GroundTheory(theory.atoms, tuple(cards), tuple(clauses))

@@ -1,16 +1,18 @@
 """DPLL search over ground clausal theories with cardinality constructs."""
 
 import random
+import re
 import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from aspps.errors import TdcError
 from aspps.solver import Solver, model_lines, solve, stat_line
-from aspps.tdc import check_model
+from aspps.tdc import check_model, read_tdc, write_tdc
 from aspps.theory import CardConstruct, GroundAtom, GroundTheory
 
-from generators import random_ground_theory
+from generators import break_ground_theory, random_ground_theory
 from oracles import CheckedSolver, ReferenceSolver, counted_scores, enumerate_models
 
 
@@ -121,6 +123,37 @@ def test_solver_rejects_degenerate_cards(theory, message):
     # read_tdc refuses every one of these; a library caller can build them
     with pytest.raises(ValueError, match=message):
         Solver(theory)
+
+
+def test_solver_refuses_what_read_tdc_refuses():
+    # Solver(t) raises ValueError(m) exactly when reading t's .tdc text
+    # raises TdcError(m): the two share each rule of a ground theory.
+    rng = random.Random(16)
+    rules = set()
+    for seed in range(600):
+        theory = break_ground_theory(rng, random_ground_theory(random.Random(seed), max_cards=4))
+        try:
+            read_tdc(write_tdc(theory))
+            want = None
+        except TdcError as exc:
+            want = exc.message
+        try:
+            Solver(theory)
+            got = None
+        except ValueError as exc:
+            got = str(exc)
+        assert got == want, seed
+        rules.add(re.sub(r"-?\d+", "_", want or "accepted"))
+    assert rules == {
+        "accepted",
+        "card _ has lower bound above its upper bound",
+        "card _ has negative lower bound",
+        "card _ has upper bound below _",
+        "card _ lists a member twice",
+        "card _ member _ is not an atom id",
+        "card ids must be dense, expected _ got _",
+        "literal _ out of range",
+    }
 
 
 def test_enumeration_exact_models():

@@ -1,6 +1,9 @@
 """.tdc serialization, parsing, display and model checking."""
 
+import hashlib
 import random
+import re
+from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
@@ -9,7 +12,16 @@ from aspps.errors import TdcError
 from aspps.tdc import check_model, print_theory, read_tdc, write_tdc
 from aspps.theory import CardConstruct, GroundAtom, GroundTheory
 
-from generators import random_ground_theory
+from generators import mutate_tdc_lines, random_ground_theory
+from problems import (
+    COLOR_RULES,
+    PIGEON_DATA,
+    PIGEON_RULES,
+    QUEENS_DATA,
+    QUEENS_RULES,
+    TRIANGLE_DATA,
+    ground_problem,
+)
 
 
 def _theory():
@@ -163,3 +175,71 @@ def test_write_read_write_identity(seed):
     assert back.n_atoms == t.n_atoms
     assert back.cards == t.cards
     assert back.clauses == t.clauses
+
+
+# ---------------------------------------------------------------------------
+# Pinned outcomes: a digest of what read_tdc returns or raises on seeded
+# line edits of write_tdc output. Any change to a theory read, to a
+# diagnostic or to its line changes the digest.
+
+PIN_CONSTS = {"k": "3", "n": "4", "p": "3", "h": "2"}
+
+
+def _read_outcome(text):
+    """("ok", the theory written back), or the kind of error and its text:
+    a TdcError's file:line: message, any other exception's type name."""
+    try:
+        return "ok", write_tdc(read_tdc(text, file="m.tdc"))
+    except TdcError as exc:
+        return re.sub(r"'[^']*'|-?\d+", "_", exc.message), str(exc)
+    except Exception as exc:
+        return "not a TdcError", type(exc).__name__
+
+
+def test_tdc_errors_pinned():
+    theories = [
+        ground_problem(rules, data, PIN_CONSTS)
+        for rules, data in ((COLOR_RULES, TRIANGLE_DATA), (QUEENS_RULES, QUEENS_DATA), (PIGEON_RULES, PIGEON_DATA))
+    ]
+    theories += [random_ground_theory(random.Random(seed)) for seed in range(100)]
+    texts = [write_tdc(t) for t in theories]
+    rng = random.Random(20016)
+    digest = hashlib.sha256()
+    kinds = Counter()
+    for case in range(2000):
+        kind, outcome = _read_outcome(mutate_tdc_lines(rng, rng.choice(texts)))
+        kinds[kind] += 1
+        digest.update(f"{case}\0{outcome}\0".encode())
+    assert (dict(kinds), digest.hexdigest()) == (
+        {
+            "atom ids must be dense, expected _ got _": 330,
+            "atoms count _ is not an integer": 6,
+            "atoms count may not be negative": 1,
+            "card _ declares _ members but lists _": 29,
+            "card _ has lower bound above its upper bound": 2,
+            "card _ has negative lower bound": 1,
+            "card _ member _ is not an atom id": 4,
+            "card ids must be dense, expected _ got _": 38,
+            "cards count _ is not an integer": 4,
+            "cards count may not be negative": 3,
+            "clause declares _ literals but lists _": 106,
+            "clauses count _ is not an integer": 6,
+            "expected _, got _": 327,
+            "literal _ out of range": 11,
+            "malformed atom line _": 201,
+            "malformed atom text _": 14,
+            "malformed card line _": 73,
+            "malformed clause line _": 88,
+            "ok": 214,
+            "trailing content _": 63,
+            "unexpected end of file, expected atom": 84,
+            "unexpected end of file, expected atoms count": 20,
+            "unexpected end of file, expected card": 22,
+            "unexpected end of file, expected cards count": 10,
+            "unexpected end of file, expected clause": 102,
+            "unexpected end of file, expected clauses count": 12,
+            "unexpected end of file, expected header": 40,
+            "unsupported header _": 189,
+        },
+        "fb27297ba85f7434fd1874134fe7023362bd1696329ba0893770bae6bd91da2e",
+    )
