@@ -30,9 +30,9 @@ until backtracking, and such an evaluation finds nothing to do whenever
 it would run. Every other entry keeps its place in the queue, so the
 order of the effective steps, and with it every counter, is the same as
 if every entry were made. Forcing needs lo <= hi and distinct members;
-Solver checks every card rule read_tdc checks (theory.card_error: dense
-ids, bounds, members that are distinct atom ids) and that literals are
-in range.
+Solver checks every rule read_tdc checks, by the same two functions:
+theory.card_error (dense ids, bounds, members that are distinct atom
+ids) and theory.clause_error (every literal names an atom or a card).
 
 Branch scores are kept along the trail rather than recomputed per
 decision, and counted only when a branch is picked. A trail entry whose
@@ -73,7 +73,11 @@ from collections import deque
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 
-from .theory import GroundTheory, card_error
+from .theory import GroundTheory, card_error, clause_error
+
+# What propagate returns on a conflict, and _check_clause on a clause
+# with every literal false; every id is positive.
+CONFLICT = -1
 
 
 @dataclass
@@ -81,12 +85,6 @@ class SolveStats:
     decisions: int = 0
     propagations: int = 0
     conflicts: int = 0
-
-
-@dataclass(frozen=True)
-class Conflict:
-    kind: str  # "card" or "clause"
-    ref: int
 
 
 @dataclass
@@ -160,11 +158,12 @@ class Solver:
         self.open_clauses = len(theory.clauses)
         self.score = [0] * (n + 1)
         for ci, lits in enumerate(self.clause_lits):
+            error = clause_error(lits, size - 1)
+            if error:
+                raise ValueError(error)
             atoms: list[int] = []
             for lit in lits:
                 ref = abs(lit)
-                if not 0 < ref < size:
-                    raise ValueError(f"literal {lit} out of range")
                 if sat_by[ref] is unused:
                     sat_by[ref] = ([], [])
                 sat_by[ref][lit > 0].append(ci)
@@ -259,8 +258,8 @@ class Solver:
                     score[aid] += 1
         self.open_clauses += opened
 
-    def _check_clause(self, ci: int) -> Conflict | int | None:
-        """Check clause ci: a conflict when every literal is false. With
+    def _check_clause(self, ci: int) -> int | None:
+        """Check clause ci: CONFLICT when every literal is false. With
         one literal open and none true, set that literal's id; when it is
         a card, return its id, for propagate to evaluate at once."""
         n, assignment = self.n_atoms, self.assignment
@@ -279,20 +278,21 @@ class Solver:
             elif v == (lit > 0):
                 return None
         if open_count == 0:
-            return Conflict("clause", ci)
+            return CONFLICT
         # unit is undetermined (a card: uncommitted, status open): no conflict.
         ref = abs(unit)
         self.assign(ref, unit > 0)
         return ref if ref > n else None
 
-    def propagate(self) -> Conflict | None:
-        """Run the queues to a fixpoint. A queued id visits only the
-        clauses its value made false and that no counted trail entry
-        satisfies: every other clause would check as not unit. This is
-        the one site that evaluates cards: one off the queue, and one a
-        clause just committed, before the id's next clause, which keeps
-        the propagation order the counters record. An evaluation commits
-        a determined status, conflicts with a committed value it
+    def propagate(self) -> int | None:
+        """Run the queues to a fixpoint, returning None, or to a conflict,
+        returning CONFLICT. A queued id visits only the clauses its value
+        made false and that no counted trail entry satisfies: every other
+        clause would check as not unit. This is the one site that
+        evaluates cards: one off the queue, and one a clause just
+        committed, before the id's next clause, which keeps the
+        propagation order the counters record. An evaluation commits a
+        determined status, conflicts with a committed value it
         contradicts, or forces members toward the committed value."""
         dirty, queue = self.dirty_cards, self.queue
         assignment, sat_by, sat_count = self.assignment, self.sat_by, self.sat_count
@@ -307,7 +307,7 @@ class Solver:
                 if not sat_count[ci]:
                     cid = self._check_clause(ci)
                     if cid is not None:
-                        if isinstance(cid, Conflict):
+                        if cid == CONFLICT:
                             return cid
                         break
             else:
@@ -322,6 +322,8 @@ class Solver:
             tc, lo, hi = card_true[cid], card_lo[cid], card_hi[cid]
             tu = tc + card_undec[cid]
             v = assignment[cid]
+            # card_status's rule, written out: calling it here made the
+            # enum solve 12 % slower, and forcing reads tc and tu anyway.
             if tc >= lo and tu <= hi:
                 st = True
             elif tu < lo or tc > hi:
@@ -332,6 +334,8 @@ class Solver:
                 # and distinct members, which __init__ checks. Each member
                 # is set as assign would, but without queueing cid, whose
                 # status then equals v; cid's counts move once at the end.
+                # Calling assign per member, or one setter shared with
+                # assign, made the enum solve 14-15 % slower.
                 if v is None:
                     continue
                 if v:
@@ -384,22 +388,22 @@ class Solver:
             if v is None:
                 self.assign(cid, st)
             elif v != st:
-                return Conflict("card", cid)
+                return CONFLICT
 
-    def _initial_propagate(self) -> Conflict | None:
+    def _initial_propagate(self) -> int | None:
         dirty = self.dirty_cards
         dirty.extend(range(self.n_atoms + 1, len(self.card_lo)))
-        conf = self.propagate()
+        conflict = self.propagate()
         for ci in range(len(self.clause_lits)):
-            if conf is not None:
-                return conf
+            if conflict is not None:
+                return conflict
             cid = self._check_clause(ci)
-            if isinstance(cid, Conflict):
+            if cid == CONFLICT:
                 return cid
             if cid is not None:
                 dirty.append(cid)  # the queue is empty after propagate
-            conf = self.propagate()
-        return conf
+            conflict = self.propagate()
+        return conflict
 
     # -- search -----------------------------------------------------------
 
@@ -466,9 +470,6 @@ class Solver:
         self.assign(aid, flipped)  # counted as a propagation
         return True
 
-    def _model(self) -> dict[int, bool]:
-        return dict(enumerate(self.assignment[1 : self.n_atoms + 1], 1))
-
     def search(self, max_models: int | None = 1) -> Iterator[list[bool | None]]:
         """Run the search, yielding the assignment list each time it is a
         model, until max_models (None: all of them). Index 0 is unused,
@@ -503,8 +504,9 @@ class Solver:
         """Yield models as dicts as the search finds them. Only the
         current assignment is kept, so a caller that drops each model
         runs in memory bounded by the theory."""
-        for _ in self.search(max_models):
-            yield self._model()
+        n = self.n_atoms
+        for assignment in self.search(max_models):
+            yield dict(enumerate(assignment[1 : n + 1], 1))
 
     def run(self, max_models: int | None = 1) -> SolveResult:
         models = list(self.models(max_models))

@@ -19,7 +19,7 @@ and written back is byte identical.
 from __future__ import annotations
 
 from .errors import TdcError
-from .theory import CardConstruct, GroundAtom, GroundTheory, card_error, parse_ground_atom_text
+from .theory import CardConstruct, GroundAtom, GroundTheory, card_error, clause_error, parse_ground_atom_text
 
 FORMAT_VERSION = 1
 
@@ -30,118 +30,97 @@ def write_tdc(theory: GroundTheory) -> str:
         out.append(f"{a.id} {a.text}\n")
     out.append(f"cards {len(theory.cards)}\n")
     for c in theory.cards:
-        members = " ".join(str(m) for m in c.members)
-        line = f"{c.id} {c.lo} {c.hi} {len(c.members)}"
-        out.append(f"{line} {members}\n" if members else f"{line}\n")
+        out.append(" ".join(map(str, (c.id, c.lo, c.hi, len(c.members), *c.members))) + "\n")
     out.append(f"clauses {len(theory.clauses)}\n")
     for cl in theory.clauses:
-        lits = " ".join(str(l) for l in cl)
-        out.append(f"{len(cl)} {lits}\n" if lits else "0\n")
+        out.append(" ".join(map(str, (len(cl), *cl))) + "\n")
     return "".join(out)
 
 
-class _Lines:
-    def __init__(self, text, file):
-        self.lines = text.split("\n")
-        self.file = file
-        self.pos = 0
-
-    def next(self, what):
-        while self.pos < len(self.lines):
-            line = self.lines[self.pos]
-            self.pos += 1
-            if line.strip():
-                return line.strip(), self.pos
-        raise TdcError(f"unexpected end of file, expected {what}", self.file, len(self.lines))
-
-    def fail(self, msg, line_no):
-        raise TdcError(msg, self.file, line_no)
-
-
-def _count_line(src: _Lines, keyword: str) -> int:
-    line, no = src.next(f"{keyword} count")
-    parts = line.split()
-    if len(parts) != 2 or parts[0] != keyword:
-        src.fail(f"expected '{keyword} <count>', got {line!r}", no)
-    try:
-        n = int(parts[1])
-    except ValueError:
-        src.fail(f"{keyword} count {parts[1]!r} is not an integer", no)
-    if n < 0:
-        src.fail(f"{keyword} count may not be negative", no)
-    return n
-
-
 def read_tdc(text: str, file: str = "<tdc>") -> GroundTheory:
-    src = _Lines(text, file)
-    line, no = src.next("header")
-    if line.split() != ["tdc", str(FORMAT_VERSION)]:
-        src.fail(f"unsupported header {line!r}", no)
+    # (line number, stripped text) of each non-blank line, made as read
+    lines = ((no, line) for no, line in enumerate(map(str.strip, text.split("\n")), 1) if line)
 
-    n_atoms = _count_line(src, "atoms")
+    def take(what: str) -> tuple[int, str]:
+        item = next(lines, None)
+        if item is None:
+            raise TdcError(f"unexpected end of file, expected {what}", file, text.count("\n") + 1)
+        return item
+
+    def count(keyword: str) -> int:
+        no, line = take(f"{keyword} count")
+        parts = line.split()
+        if len(parts) != 2 or parts[0] != keyword:
+            raise TdcError(f"expected '{keyword} <count>', got {line!r}", file, no)
+        try:
+            n = int(parts[1])
+        except ValueError:
+            raise TdcError(f"{keyword} count {parts[1]!r} is not an integer", file, no) from None
+        if n < 0:
+            raise TdcError(f"{keyword} count may not be negative", file, no)
+        return n
+
+    no, line = take("header")
+    if line.split() != ["tdc", str(FORMAT_VERSION)]:
+        raise TdcError(f"unsupported header {line!r}", file, no)
+
+    n_atoms = count("atoms")
     atoms = []
     for i in range(n_atoms):
-        line, no = src.next("atom")
+        no, line = take("atom")
         parts = line.split(None, 1)
         try:  # int() refuses some digits isdigit() accepts: '²', 5 000 of them
             aid = int(parts[0]) if len(parts) == 2 and parts[0].isdigit() else None
         except ValueError:
             aid = None
         if aid is None:
-            src.fail(f"malformed atom line {line!r}", no)
+            raise TdcError(f"malformed atom line {line!r}", file, no)
         if aid != i + 1:
-            src.fail(f"atom ids must be dense, expected {i + 1} got {parts[0]}", no)
+            raise TdcError(f"atom ids must be dense, expected {i + 1} got {parts[0]}", file, no)
         try:
             pred, args = parse_ground_atom_text(parts[1])
         except ValueError as exc:
-            src.fail(str(exc), no)
+            raise TdcError(str(exc), file, no) from None
         atoms.append(GroundAtom(i + 1, pred, args, parts[1]))
 
-    n_cards = _count_line(src, "cards")
+    n_cards = count("cards")
     cards = []
     for i in range(n_cards):
-        line, no = src.next("card")
-        parts = line.split()
+        no, line = take("card")
         try:
-            nums = [int(p) for p in parts]
+            nums = [int(p) for p in line.split()]
         except ValueError:
-            src.fail(f"malformed card line {line!r}", no)
+            nums = []
         if len(nums) < 4:
-            src.fail(f"malformed card line {line!r}", no)
+            raise TdcError(f"malformed card line {line!r}", file, no)
         cid, lo, hi, k = nums[:4]
         if len(nums) - 4 != k:
-            src.fail(f"card {cid} declares {k} members but lists {len(nums) - 4}", no)
+            raise TdcError(f"card {cid} declares {k} members but lists {len(nums) - 4}", file, no)
         card = CardConstruct(cid, lo, hi, tuple(nums[4:]))
         error = card_error(card, n_atoms + i + 1, n_atoms)
         if error:
-            src.fail(error, no)
+            raise TdcError(error, file, no)
         cards.append(card)
 
-    n_clauses = _count_line(src, "clauses")
+    n_clauses = count("clauses")
     max_id = n_atoms + n_cards
     clauses = []
     for _ in range(n_clauses):
-        line, no = src.next("clause")
-        parts = line.split()
+        no, line = take("clause")
         try:
-            nums = [int(p) for p in parts]
+            nums = [int(p) for p in line.split()]
         except ValueError:
-            src.fail(f"malformed clause line {line!r}", no)
-        if not nums:
-            src.fail("malformed clause line", no)
-        k, lits = nums[0], nums[1:]
-        if len(lits) != k:
-            src.fail(f"clause declares {k} literals but lists {len(lits)}", no)
-        for l in lits:
-            if l == 0 or not 1 <= abs(l) <= max_id:
-                src.fail(f"literal {l} out of range", no)
-        clauses.append(tuple(lits))
+            raise TdcError(f"malformed clause line {line!r}", file, no) from None
+        lits = tuple(nums[1:])
+        if len(lits) != nums[0]:
+            raise TdcError(f"clause declares {nums[0]} literals but lists {len(lits)}", file, no)
+        error = clause_error(lits, max_id)
+        if error:
+            raise TdcError(error, file, no)
+        clauses.append(lits)
 
-    while src.pos < len(src.lines):
-        line = src.lines[src.pos]
-        src.pos += 1
-        if line.strip():
-            src.fail(f"trailing content {line.strip()!r}", src.pos)
+    for no, line in lines:
+        raise TdcError(f"trailing content {line!r}", file, no)
 
     return GroundTheory(tuple(atoms), tuple(cards), tuple(clauses))
 
@@ -168,13 +147,8 @@ def _literal_text(lit: int, theory: GroundTheory) -> str:
 def print_theory(theory: GroundTheory) -> str:
     """Render every clause on its own line, literals joined by ' | ';
     the empty clause prints as FALSE."""
-    lines = []
-    for cl in theory.clauses:
-        if not cl:
-            lines.append("FALSE")
-        else:
-            lines.append(" | ".join(_literal_text(l, theory) for l in cl))
-    return "".join(line + "\n" for line in lines)
+    texts = (" | ".join(_literal_text(l, theory) for l in cl) or "FALSE" for cl in theory.clauses)
+    return "".join(text + "\n" for text in texts)
 
 
 # ---------------------------------------------------------------------------

@@ -67,6 +67,15 @@ def card_error(card: CardConstruct, expected_id: int, n_atoms: int) -> str | Non
     return None
 
 
+def clause_error(lits: tuple[int, ...], max_id: int) -> str | None:
+    """The first literal of a clause that names no atom or card, or None:
+    literals are signed ids 1..max_id, so 0 and ids above it are refused."""
+    for lit in lits:
+        if not 0 < abs(lit) <= max_id:
+            return f"literal {lit} out of range"
+    return None
+
+
 def ground_atom_text(pred: str, args: tuple[Const, ...]) -> str:
     """Canonical space-free rendering, e.g. clr(1,r)."""
     if not args:

@@ -29,6 +29,7 @@ import os
 import tempfile
 from collections import Counter
 from contextlib import redirect_stdout
+from dataclasses import dataclass
 
 from aspps.errors import GroundError
 from aspps.grounder import Grounder
@@ -45,7 +46,7 @@ from aspps.model import (
     term_variables,
 )
 from aspps.cli import aspps_main
-from aspps.solver import Conflict, Solver, model_lines
+from aspps.solver import CONFLICT, Solver, model_lines
 from aspps.tdc import write_tdc
 
 # ---------------------------------------------------------------------------
@@ -581,6 +582,15 @@ def forced_value(solver, cid: int) -> bool | None:
     return None
 
 
+@dataclass(frozen=True)
+class Conflict:
+    """What ReferenceSolver.propagate returns on a conflict: the card or
+    clause found false."""
+
+    kind: str  # "card" or "clause"
+    ref: int
+
+
 class ReferenceSolver(Solver):
     """The solver with full-occurrence propagation: a queued id checks
     every clause that mentions it with either sign, satisfied or not.
@@ -607,9 +617,11 @@ class ReferenceSolver(Solver):
                 qid = self.queue.popleft()
                 conf = None
                 for ci in self.occ[qid]:
-                    conf = self._check_clause(ci)
-                    if isinstance(conf, int):  # a card the clause committed
-                        conf = self._update_card(conf)
+                    cid = self._check_clause(ci)
+                    if cid == CONFLICT:
+                        conf = Conflict("clause", ci)
+                    elif cid is not None:  # a card the clause committed
+                        conf = self._update_card(cid)
                     if conf is not None:
                         break
             else:

@@ -14,13 +14,11 @@ from aspps.model import (
     VarDecl,
     Variable,
     atom_terms,
-    atom_text,
     atom_variables,
-    clause_text,
-    program_text,
-    term_text,
     term_variables,
 )
+
+from rendering import atom_text, clause_text, program_text, term_text
 
 X = Variable("X")
 Y = Variable("Y")

@@ -17,12 +17,12 @@ from aspps.model import (
     PredDecl,
     VarDecl,
     Variable,
-    program_text,
 )
 from aspps import parser
 from aspps.parser import MAX_TERM_DEPTH, parse_data_file, parse_rule_file, tokenize
 
 from generators import mutate_text, random_program
+from rendering import program_text, term_text
 from problems import COLOR_RULES, PIGEON_DATA, PIGEON_RULES, QUEENS_DATA, QUEENS_RULES, TRIANGLE_DATA
 
 X, Y, C = Variable("X"), Variable("Y"), Variable("C")
@@ -512,8 +512,6 @@ def _terms():
 
 @given(_terms())
 def test_term_render_parse_round_trip(term):
-    from aspps.model import term_text
-
     text = term_text(term)
     prog = parse_rule_file(f"var t X, Y.\np({text}) ->.\n")
     assert prog.clauses[0].body[0].args[0] == term
