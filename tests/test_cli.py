@@ -291,7 +291,7 @@ def test_aspps_missing_file_exit_2(workdir, capsys):
     assert "nope.tdc" in capsys.readouterr().err
 
 
-def test_aspps_atom_id_int_refuses_exit_2(workdir, capsys):
+def test_aspps_unreadable_atom_id_exit_2(workdir, capsys):
     # '²' passes str.isdigit() but not int()
     _write(workdir, "t.tdc", "tdc 1\natoms 1\n² p\ncards 0\nclauses 0\n")
     assert aspps_main(["-f", "t.tdc"]) == 2
