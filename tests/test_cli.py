@@ -73,21 +73,25 @@ def test_psgrnd_name_orders_consts_rule_then_data(workdir):
     assert (workdir / "r-a-b.tdc").exists()
 
 
+_ONE_RULE_FILE = "exactly one -r rule file is required"
+
+
 @pytest.mark.parametrize(
-    "argv",
+    "argv, err",
     [
-        [],
-        ["-d", "g.dt"],  # no rule file
-        ["-r", "a.rl", "-r", "b.rl", "-d", "g.dt"],  # two rule files
-        ["-r", "a.rl"],  # no data file
-        ["-r", "a.rl", "-d", "g.dt", "-c", "k3"],  # malformed const
-        ["-r", "a.rl", "-d", "g.dt", "-c", "k=3", "-c", "k=4"],  # duplicate
-        ["-r", "a.rl", "-d", "g.dt", "-x"],  # unknown flag
+        ([], _ONE_RULE_FILE),
+        (["-d", "g.dt"], _ONE_RULE_FILE),
+        (["-r", "a.rl", "-r", "b.rl", "-d", "g.dt"], _ONE_RULE_FILE),
+        (["-r", "a.rl"], "at least one -d data file is required"),
+        (["-r", "a.rl", "-d", "g.dt", "-c", "k3"], "malformed -c argument 'k3', expected name=value"),
+        (["-r", "a.rl", "-d", "g.dt", "-c", "k=3", "-c", "k=4"], "constant k given twice"),
+        (["-r", "a.rl", "-d", "g.dt", "-x"], "unrecognized arguments: -x"),
     ],
+    ids=["none", "no-rule", "two-rules", "no-data", "malformed-const", "duplicate-const", "unknown-flag"],
 )
-def test_psgrnd_usage_errors(workdir, capsys, argv):
+def test_psgrnd_usage_errors(workdir, capsys, argv, err):
     assert psgrnd_main(argv) == 1
-    assert capsys.readouterr().err != ""
+    assert capsys.readouterr().err == f"psgrnd: {err}\n"
     assert not list(workdir.glob("*.tdc"))
 
 
@@ -134,6 +138,13 @@ def test_psgrnd_negative_cardinality_bound_exit_2(workdir, capsys):
     assert psgrnd_main(["-c", "n=-1", "-r", rl, "-d", dt]) == 2
     assert capsys.readouterr().err == "neg.rl:3:18: cardinality bounds must be non-negative\n"
     assert not list(workdir.glob("*.tdc"))
+
+
+def test_psgrnd_output_is_a_directory_exit_3(workdir, capsys):
+    (workdir / "k=3-color-graph.tdc").mkdir()
+    assert _ground_triangle(workdir) == 3
+    assert capsys.readouterr().err == "psgrnd: cannot write k=3-color-graph.tdc: Is a directory\n"
+    assert (workdir / "k=3-color-graph.tdc").is_dir()
 
 
 def test_psgrnd_missing_file_exit_2(workdir, capsys):
@@ -283,7 +294,12 @@ def test_psgrnd_rejects_range_over_the_length_limit(workdir):
 
 def test_aspps_requires_theory_file(workdir, capsys):
     assert aspps_main([]) == 1
-    assert capsys.readouterr().err != ""
+    assert capsys.readouterr().err == "aspps: a -f theory file is required\n"
+
+
+def test_aspps_unknown_option_exit_1(workdir, capsys):
+    assert aspps_main(["-x"]) == 1
+    assert capsys.readouterr().err == "aspps: unrecognized arguments: -x\n"
 
 
 def test_aspps_missing_file_exit_2(workdir, capsys):
@@ -302,7 +318,8 @@ def test_aspps_rejects_bad_count(workdir, capsys):
     _write(workdir, "t.tdc", "tdc 1\natoms 0\ncards 0\nclauses 0\n")
     for bad in ("0", "-2", "many"):
         assert aspps_main(["-f", "t.tdc", "-C", bad]) == 1
-        assert "positive integer" in capsys.readouterr().err
+        want = f"aspps: argument of -C must be a positive integer, got {bad!r}\n"
+        assert capsys.readouterr().err == want
 
 
 def test_aspps_sat_line_and_stat_file(workdir, capsys):
@@ -316,6 +333,14 @@ def test_aspps_sat_line_and_stat_file(workdir, capsys):
         r" decisions=\d+ propagations=\d+ conflicts=\d+ time_ms=\d+",
         stats[0],
     )
+
+
+def test_aspps_stat_file_is_a_directory_exit_3(workdir, capsys):
+    assert _ground_triangle(workdir) == 0
+    (workdir / STAT_FILE).mkdir()
+    assert aspps_main(["-f", "k=3-color-graph.tdc"]) == 3
+    out = capsys.readouterr()
+    assert (out.out, out.err) == ("SAT\n", "aspps: cannot write aspps.stat: Is a directory\n")
 
 
 def test_aspps_unsat_exit_0(workdir, capsys):

@@ -128,6 +128,17 @@ def test_check_program_pred_vs_data_conflict():
     assert any("also defined by data" in d for d in diags)
 
 
+def test_ground_theory_raises_the_first_check_diagnostic():
+    prog = parse_rule_file("pred p(p2).\npred p2(t).\nvar p2 X.\np(X) ->.")
+    db = build_database(parse_data_file("t[1..2]. p(1)."))
+    diags = check_program(prog, db)
+    assert len(diags) == 3
+    with pytest.raises(GroundError) as info:
+        ground_theory(prog, db)
+    assert str(info.value) == diags[0]
+    assert diags[0] == "predicate p is declared as a program predicate but also defined by data"
+
+
 def test_check_type_pred_must_be_data():
     diags = _diags("pred p(p2).\npred p2(t).\nvar p2 X.\np(X) ->.", "t[1..2].")
     assert any("must be a data predicate" in d for d in diags)
