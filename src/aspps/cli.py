@@ -16,44 +16,56 @@ STAT_FILE = "aspps.stat"
 _COUNT_ALL = object()
 
 
-class _UsageError(Exception):
-    pass
+class _Failure(Exception):
+    """_Failure(code, message): a failure the front end itself finds; it
+    ends the run with exit code `code` and '<prog>: <message>' on stderr."""
 
 
 def _arg_parser(prog: str, description: str):
-    """An argparse parser that raises _UsageError instead of exiting.
-    Each tool imports its own modules before calling this, so they are
+    """An argparse parser whose usage errors exit 1 instead of 2. Each
+    tool imports its own modules before calling this, so they are
     compiled before argparse is loaded."""
     import argparse
 
     class Parser(argparse.ArgumentParser):
         def error(self, message):
-            raise _UsageError(message)
+            raise _Failure(1, message)
 
     return Parser(prog=prog, description=description)
 
 
-def _out_of_memory_exits_2(prog: str):
-    """Decorate a tool's main so that a MemoryError ends the run with
-    '<prog>: out of memory' and exit code 2."""
+def _reports_failures(prog: str):
+    """Decorate a tool's main so that each failure it raises ends the run
+    with an exit code and a diagnostic on stderr: 1 for a usage error, 2
+    for unreadable input (both _Failure), a ToolchainError (the check
+    diagnostics are a bare one) or running out of memory, 3 for a failed
+    write (_Failure). GroundError and MemoryError read '<prog>: ...'."""
+    out_of_memory = f"{prog}: out of memory"
 
     def decorate(main):
         def run(argv: list[str]) -> int:
+            # imported here: `import aspps.cli` loads no other aspps module
+            from .errors import GroundError, ToolchainError
+
             try:
                 return main(argv)
+            except _Failure as exc:
+                code, text = exc.args[0], f"{prog}: {exc.args[1]}"
+            except ToolchainError as exc:
+                code, text = 2, f"{prog}: {exc}" if isinstance(exc, GroundError) else str(exc)
             except MemoryError:
-                pass
+                code, text = 2, out_of_memory
             # Report outside the except block: until it ends, the
             # traceback keeps the frames that filled memory alive.
-            print(f"{prog}: out of memory", file=sys.stderr)
-            return 2
+            print(text, file=sys.stderr)
+            return code
 
         return run
 
     return decorate
 
 
-def _read_text(path: str, prog: str) -> str | None:
+def _read_text(path: str) -> str:
     try:
         with open(path, encoding="utf-8") as fh:
             return fh.read()
@@ -61,18 +73,17 @@ def _read_text(path: str, prog: str) -> str | None:
         reason = exc.strerror or str(exc)
     except UnicodeDecodeError:
         reason = "not valid UTF-8"
-    print(f"{prog}: cannot read {path}: {reason}", file=sys.stderr)
-    return None
+    raise _Failure(2, f"cannot read {path}: {reason}")
 
 
 def _valid_const_name(name: str) -> bool:
     return bool(name) and name[0].isalpha() and all(c.isalnum() or c == "_" for c in name)
 
 
-@_out_of_memory_exits_2("psgrnd")
+@_reports_failures("psgrnd")
 def psgrnd_main(argv: list[str]) -> int:
     from .database import build_database
-    from .errors import GroundError, ParseError
+    from .errors import ToolchainError
     from .grounder import Grounder, check_program, output_name
     from .parser import parse_data_file, parse_rule_file
     from .tdc import write_tdc
@@ -83,77 +94,46 @@ def psgrnd_main(argv: list[str]) -> int:
     parser.add_argument("-r", metavar="rulefile", action="append", default=[])
     parser.add_argument("-d", metavar="datafile", action="append", default=[])
     parser.add_argument("-c", metavar="name=value", action="append", default=[])
-    try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"psgrnd: {exc}", file=sys.stderr)
-        return 1
+    args = parser.parse_args(argv)
     if len(args.r) != 1:
-        print("psgrnd: exactly one -r rule file is required", file=sys.stderr)
-        return 1
+        parser.error("exactly one -r rule file is required")
     if not args.d:
-        print("psgrnd: at least one -d data file is required", file=sys.stderr)
-        return 1
+        parser.error("at least one -d data file is required")
     consts: dict[str, str] = {}
     for item in args.c:
         name, sep, value = item.partition("=")
         if not sep or not _valid_const_name(name) or not value:
-            print(f"psgrnd: malformed -c argument {item!r}, expected name=value", file=sys.stderr)
-            return 1
+            parser.error(f"malformed -c argument {item!r}, expected name=value")
         if name in consts:
-            print(f"psgrnd: constant {name} given twice", file=sys.stderr)
-            return 1
+            parser.error(f"constant {name} given twice")
         consts[name] = value
 
     rule_file = args.r[0]
     data_atoms = set()
     for df in args.d:
-        text = _read_text(df, "psgrnd")
-        if text is None:
-            return 2
-        try:
-            data_atoms |= parse_data_file(text, consts, file=df)
-        except ParseError as exc:
-            print(exc, file=sys.stderr)
-            return 2
-    rule_text = _read_text(rule_file, "psgrnd")
-    if rule_text is None:
-        return 2
-    try:
-        prog = parse_rule_file(rule_text, consts, file=rule_file)
-    except ParseError as exc:
-        print(exc, file=sys.stderr)
-        return 2
+        data_atoms |= parse_data_file(_read_text(df), consts, file=df)
+    prog = parse_rule_file(_read_text(rule_file), consts, file=rule_file)
 
     db = build_database(data_atoms)
     diags = check_program(prog, db)
     if diags:
-        for d in diags:
-            print(f"{rule_file}: {d}", file=sys.stderr)
-        return 2
-    try:
-        theory = Grounder(prog, db).ground()
-    except GroundError as exc:
-        print(f"psgrnd: {exc}", file=sys.stderr)
-        return 2
+        raise ToolchainError("\n".join(f"{rule_file}: {d}" for d in diags))
+    theory = Grounder(prog, db).ground()
 
     name = output_name(consts, rule_file, args.d)
     try:
         with open(name, "w", encoding="utf-8") as fh:
             fh.write(write_tdc(theory))
     except OSError as exc:
-        reason = exc.strerror or str(exc)
-        print(f"psgrnd: cannot write {name}: {reason}", file=sys.stderr)
-        return 3
+        raise _Failure(3, f"cannot write {name}: {exc.strerror or exc}")
     return 0
 
 
-@_out_of_memory_exits_2("aspps")
+@_reports_failures("aspps")
 def aspps_main(argv: list[str]) -> int:
     from itertools import compress
     from time import perf_counter
 
-    from .errors import TdcError
     from .solver import Solver, record_stats, stat_line
     from .tdc import print_theory, read_tdc
 
@@ -170,14 +150,9 @@ def aspps_main(argv: list[str]) -> int:
         help="enumerate all models, or stop after x",
     )
     parser.add_argument("-S", metavar="name", default=None, help="show one predicate's atoms")
-    try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"aspps: {exc}", file=sys.stderr)
-        return 1
+    args = parser.parse_args(argv)
     if not args.f:
-        print("aspps: a -f theory file is required", file=sys.stderr)
-        return 1
+        parser.error("a -f theory file is required")
     if args.C is None:
         max_models: int | None = 1
     elif args.C is _COUNT_ALL:
@@ -188,17 +163,9 @@ def aspps_main(argv: list[str]) -> int:
         except ValueError:
             max_models = 0
         if max_models < 1:
-            print(f"aspps: argument of -C must be a positive integer, got {args.C!r}", file=sys.stderr)
-            return 1
+            parser.error(f"argument of -C must be a positive integer, got {args.C!r}")
 
-    text = _read_text(args.f, "aspps")
-    if text is None:
-        return 2
-    try:
-        theory = read_tdc(text, file=args.f)
-    except TdcError as exc:
-        print(exc, file=sys.stderr)
-        return 2
+    theory = read_tdc(_read_text(args.f), file=args.f)
 
     if args.P:
         sys.stdout.write(print_theory(theory))
@@ -233,9 +200,7 @@ def aspps_main(argv: list[str]) -> int:
     try:
         record_stats(STAT_FILE, line)
     except OSError as exc:
-        reason = exc.strerror or str(exc)
-        print(f"aspps: cannot write {STAT_FILE}: {reason}", file=sys.stderr)
-        return 3
+        raise _Failure(3, f"cannot write {STAT_FILE}: {exc.strerror or exc}")
     return 0
 
 
