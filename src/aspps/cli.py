@@ -82,6 +82,9 @@ def _valid_const_name(name: str) -> bool:
 
 @_reports_failures("psgrnd")
 def psgrnd_main(argv: list[str]) -> int:
+    import os
+    from contextlib import suppress
+
     from .database import build_database
     from .errors import ToolchainError
     from .grounder import Grounder, check_program, output_name
@@ -121,10 +124,15 @@ def psgrnd_main(argv: list[str]) -> int:
     theory = Grounder(prog, db).ground()
 
     name = output_name(consts, rule_file, args.d)
+    text = write_tdc(theory)
+    fh = None
     try:
         with open(name, "w", encoding="utf-8") as fh:
-            fh.write(write_tdc(theory))
+            fh.write(text)
     except OSError as exc:
+        if fh is not None:  # this run opened it: leave no partial theory
+            with suppress(OSError):
+                os.remove(name)
         raise _Failure(3, f"cannot write {name}: {exc.strerror or exc}")
     return 0
 
@@ -167,34 +175,41 @@ def aspps_main(argv: list[str]) -> int:
 
     theory = read_tdc(_read_text(args.f), file=args.f)
 
-    if args.P:
-        sys.stdout.write(print_theory(theory))
-        return 0
+    # One try for all of standard output, flushed inside it, so that a
+    # closed pipe or a full disk exits 3 without a traceback.
+    try:
+        if args.P:
+            sys.stdout.write(print_theory(theory))
+            sys.stdout.flush()
+            return 0
 
-    unknown_pred = args.S is not None and not any(a.pred == args.S for a in theory.atoms)
-    show = (args.A or args.S is not None) and not unknown_pred
-    # shown[aid]: what a model prints for atom aid when it is true.
-    shown = [""] + [
-        a.text + "\n" if args.S is None or a.pred == args.S else "" for a in theory.atoms
-    ]
-    found = 0
-    writing = 0.0
-    start = perf_counter()
-    solver = Solver(theory)
-    for assignment in solver.search(max_models):
-        if show:
-            t = perf_counter()
-            sys.stdout.write(("\n" if found else "") + "".join(compress(shown, assignment)))
-            writing += perf_counter() - t
-        found += 1
-    elapsed = int((perf_counter() - start - writing) * 1000)
+        unknown_pred = args.S is not None and not any(a.pred == args.S for a in theory.atoms)
+        show = (args.A or args.S is not None) and not unknown_pred
+        # shown[aid]: what a model prints for atom aid when it is true.
+        shown = [""] + [
+            a.text + "\n" if args.S is None or a.pred == args.S else "" for a in theory.atoms
+        ]
+        found = 0
+        writing = 0.0
+        start = perf_counter()
+        solver = Solver(theory)
+        for assignment in solver.search(max_models):
+            if show:
+                t = perf_counter()
+                sys.stdout.write(("\n" if found else "") + "".join(compress(shown, assignment)))
+                writing += perf_counter() - t
+            found += 1
+        elapsed = int((perf_counter() - start - writing) * 1000)
 
-    if not found:
-        print("UNSAT")
-    elif unknown_pred:
-        print(f"aspps: warning: predicate {args.S} names no atom in the theory", file=sys.stderr)
-    elif not show:
-        print("SAT")
+        if not found:
+            print("UNSAT")
+        elif unknown_pred:
+            print(f"aspps: warning: predicate {args.S} names no atom in the theory", file=sys.stderr)
+        elif not show:
+            print("SAT")
+        sys.stdout.flush()
+    except OSError as exc:
+        raise _Failure(3, f"cannot write standard output: {exc.strerror or exc}")
 
     line = stat_line(args.f, found > 0, found, solver.stats, elapsed)
     try:

@@ -19,7 +19,7 @@ from aspps.theory import GroundAtom, GroundTheory
 
 from generators import random_ground_theory
 from oracles import aspps_stdout_mismatch
-from problems import COLOR_RULES, PIGEON_DATA, PIGEON_RULES, TRIANGLE_DATA
+from problems import COLOR_RULES, PIGEON_DATA, PIGEON_RULES, QUEENS_DATA, QUEENS_RULES, TRIANGLE_DATA
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -235,11 +235,13 @@ def test_input_not_utf8_exit_2(workdir, capsys, tool, argv):
     assert capsys.readouterr().err == f"{tool}: cannot read bad.bin: not valid UTF-8\n"
 
 
-# A child that caps its own address space at 150 MB, then runs a tool.
+# A child that caps one of its own resources (by default its address
+# space at 150 MB), then runs a tool. Past a file size cap, a write fails
+# with EFBIG instead of the child being killed by SIGXFSZ.
 _CAPPED = """
-import resource, runpy, sys
-cap = 150 * 2**20
-resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+import resource, runpy, signal, sys
+signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+resource.setrlimit(resource.{limit}, ({cap}, {cap}))
 sys.argv = ["aspps", *sys.argv[1:]]
 runpy.run_module("aspps", run_name="__main__")
 """
@@ -253,11 +255,15 @@ def _write_huge_tdc(workdir, n_atoms):
     return "huge.tdc"
 
 
-def _run_capped(workdir, tool, argv):
+def _child_env():
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path)
+
+
+def _run_capped(workdir, tool, argv, limit="RLIMIT_AS", cap=150 * 2**20):
     return subprocess.run(
-        [sys.executable, "-c", _CAPPED, tool, *argv],
-        cwd=workdir, env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True,
+        [sys.executable, "-c", _CAPPED.format(limit=limit, cap=cap), tool, *argv],
+        cwd=workdir, env=_child_env(), capture_output=True, text=True,
     )
 
 
@@ -279,6 +285,17 @@ def test_out_of_memory_exit_2(workdir, tool):
         argv = ["-f", _write_huge_tdc(workdir, 2_000_000)]
     proc = _run_capped(workdir, tool, argv)
     assert (proc.returncode, proc.stderr) == (2, f"{tool}: out of memory\n")
+
+
+@_needs_resource
+def test_psgrnd_failed_write_leaves_no_tdc(workdir):
+    _write(workdir, "queens.rl", QUEENS_RULES)
+    _write(workdir, "board.dt", QUEENS_DATA)
+    argv = ["-c", "n=12", "-r", "queens.rl", "-d", "board.dt"]
+    proc = _run_capped(workdir, "psgrnd", argv, limit="RLIMIT_FSIZE", cap=20_000)
+    want = "psgrnd: cannot write n=12-queens-board.tdc: File too large\n"
+    assert (proc.returncode, proc.stderr) == (3, want)
+    assert not list(workdir.glob("*.tdc"))
 
 
 @_needs_resource
@@ -341,6 +358,42 @@ def test_aspps_stat_file_is_a_directory_exit_3(workdir, capsys):
     assert aspps_main(["-f", "k=3-color-graph.tdc"]) == 3
     out = capsys.readouterr()
     assert (out.out, out.err) == ("SAT\n", "aspps: cannot write aspps.stat: Is a directory\n")
+
+
+def _ground_pigeons(workdir, n):
+    rl = _write(workdir, "pigeon.rl", PIGEON_RULES)
+    dt = _write(workdir, "pigeon.dt", PIGEON_DATA)
+    assert psgrnd_main(["-c", f"p={n}", "-c", f"h={n}", "-r", rl, "-d", dt]) == 0
+    return f"p={n}-h={n}-pigeon-pigeon.tdc"
+
+
+def test_aspps_closed_pipe_exit_3(workdir):
+    # 5 040 models of 7 atoms: more than a pipe holds, so aspps is still
+    # writing when the reader goes away
+    tdc = _ground_pigeons(workdir, 7)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "aspps", "aspps", "-f", tdc, "-C", "-A"],
+        cwd=workdir, env=_child_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(), err) == (3, b"aspps: cannot write standard output: Broken pipe\n")
+    assert not (workdir / STAT_FILE).exists()
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("option", ["-A", "-P"])
+def test_aspps_full_standard_output_exit_3(workdir, option):
+    tdc = _ground_pigeons(workdir, 4)
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "aspps", "aspps", "-f", tdc, "-C", option],
+            cwd=workdir, env=_child_env(), stdout=full, stderr=subprocess.PIPE, text=True,
+        )
+    want = "aspps: cannot write standard output: No space left on device\n"
+    assert (proc.returncode, proc.stderr) == (3, want)
 
 
 def test_aspps_unsat_exit_0(workdir, capsys):
@@ -466,11 +519,9 @@ _PARSER_SIDE = {"aspps.parser", "aspps.grounder", "aspps.terms", "aspps.database
 
 
 def _loaded_modules(workdir, run, argv):
-    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
     proc = subprocess.run(
         [sys.executable, "-c", _LOADED.format(run=run), *argv],
-        cwd=workdir, env=env, capture_output=True, text=True, check=True,
+        cwd=workdir, env=_child_env(), capture_output=True, text=True, check=True,
     )
     code, modules = json.loads(proc.stdout.splitlines()[-1])
     assert code == 0, proc.stderr
