@@ -12,8 +12,10 @@ The format is line oriented:
 
 Upper bound -1 means unbounded. Literals are signed ids; an id above N
 names a cardinality construct. A clause line starting with 0 is the
-empty clause. write_tdc and read_tdc are exact inverses, so a file read
-and written back is byte identical.
+empty clause. read_tdc tolerates blank lines and runs of blanks, and
+takes integers and atom texts only as write_tdc writes them (no '+1',
+'01' or p(+1)), so a file it reads is written back byte identical up to
+blanks.
 """
 
 from __future__ import annotations
@@ -22,6 +24,22 @@ from .errors import TdcError
 from .theory import CardConstruct, GroundAtom, GroundTheory, card_error, clause_error, parse_ground_atom_text
 
 FORMAT_VERSION = 1
+
+
+def _ints(text: str) -> list[int] | None:
+    """The blank-separated integers in text, each spelled as str(int)
+    spells it, or None. int() alone also takes '+1', '1_0', '01', '-0'
+    and non-ASCII digits, which write_tdc would write back otherwise."""
+    parts = text.split()
+    try:
+        nums = list(map(int, parts))
+    except ValueError:  # not an integer, or more digits than int() takes
+        return None
+    # Each such spelling needs a '0', '+', '_' or non-ASCII character;
+    # most lines have none, and the round trip costs as much as int().
+    if text.isascii() and not ("0" in text or "+" in text or "_" in text):
+        return nums
+    return nums if list(map(str, nums)) == parts else None
 
 
 def write_tdc(theory: GroundTheory) -> str:
@@ -52,13 +70,12 @@ def read_tdc(text: str, file: str = "<tdc>") -> GroundTheory:
         parts = line.split()
         if len(parts) != 2 or parts[0] != keyword:
             raise TdcError(f"expected '{keyword} <count>', got {line!r}", file, no)
-        try:
-            n = int(parts[1])
-        except ValueError:
-            raise TdcError(f"{keyword} count {parts[1]!r} is not an integer", file, no) from None
-        if n < 0:
+        n = _ints(parts[1])
+        if n is None:
+            raise TdcError(f"{keyword} count {parts[1]!r} is not an integer", file, no)
+        if n[0] < 0:
             raise TdcError(f"{keyword} count may not be negative", file, no)
-        return n
+        return n[0]
 
     no, line = take("header")
     if line.split() != ["tdc", str(FORMAT_VERSION)]:
@@ -69,13 +86,10 @@ def read_tdc(text: str, file: str = "<tdc>") -> GroundTheory:
     for i in range(n_atoms):
         no, line = take("atom")
         parts = line.split(None, 1)
-        try:  # int() refuses some digits isdigit() accepts: '²', 5 000 of them
-            aid = int(parts[0]) if len(parts) == 2 and parts[0].isdigit() else None
-        except ValueError:
-            aid = None
+        aid = _ints(parts[0]) if len(parts) == 2 else None
         if aid is None:
             raise TdcError(f"malformed atom line {line!r}", file, no)
-        if aid != i + 1:
+        if aid[0] != i + 1:
             raise TdcError(f"atom ids must be dense, expected {i + 1} got {parts[0]}", file, no)
         try:
             pred, args = parse_ground_atom_text(parts[1])
@@ -87,10 +101,7 @@ def read_tdc(text: str, file: str = "<tdc>") -> GroundTheory:
     cards = []
     for i in range(n_cards):
         no, line = take("card")
-        try:
-            nums = [int(p) for p in line.split()]
-        except ValueError:
-            nums = []
+        nums = _ints(line) or []
         if len(nums) < 4:
             raise TdcError(f"malformed card line {line!r}", file, no)
         cid, lo, hi, k = nums[:4]
@@ -107,10 +118,9 @@ def read_tdc(text: str, file: str = "<tdc>") -> GroundTheory:
     clauses = []
     for _ in range(n_clauses):
         no, line = take("clause")
-        try:
-            nums = [int(p) for p in line.split()]
-        except ValueError:
-            raise TdcError(f"malformed clause line {line!r}", file, no) from None
+        nums = _ints(line)
+        if nums is None:
+            raise TdcError(f"malformed clause line {line!r}", file, no)
         lits = tuple(nums[1:])
         if len(lits) != nums[0]:
             raise TdcError(f"clause declares {nums[0]} literals but lists {len(lits)}", file, no)

@@ -84,16 +84,18 @@ def ground_atom_text(pred: str, args: tuple[Const, ...]) -> str:
 
 
 def parse_ground_atom_text(text: str) -> tuple[str, tuple[Const, ...]]:
-    """Inverse of ground_atom_text, used when reading theories back in."""
-    if "(" not in text:
+    """Inverse of ground_atom_text, used when reading theories back in; a
+    text that ground_atom_text would not write, such as p(+1), p(01) or
+    p(1, is a ValueError."""
+    pred, paren, inner = text.partition("(")
+    if not paren:
         return text, ()
-    if not text.endswith(")"):
-        raise ValueError(f"malformed atom text {text!r}")
-    pred, inner = text[:-1].split("(", 1)
     args = []
-    for part in inner.split(","):
+    for part in inner[:-1].split(","):
         try:
             args.append(int(part, 10))
         except ValueError:
             args.append(part)
+    if ground_atom_text(pred, tuple(args)) != text:
+        raise ValueError(f"malformed atom text {text!r}")
     return pred, tuple(args)

@@ -81,3 +81,17 @@ def test_parse_rule_file_raises_only_toolchain_errors(text):
 @given(_texts(TDC_SEEDS))
 def test_read_tdc_raises_only_toolchain_errors(text):
     _raises_only_toolchain_errors(read_tdc, text)
+
+
+def _tokens(text):
+    return [line.split() for line in text.split("\n") if line.strip()]
+
+
+@settings(max_examples=400, deadline=None)
+@given(_mutated(TDC_SEEDS))
+def test_read_tdc_writes_back_what_it_reads(text):
+    try:
+        theory = read_tdc(text)
+    except ToolchainError:
+        return
+    assert _tokens(write_tdc(theory)) == _tokens(text)

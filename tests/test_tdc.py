@@ -107,6 +107,13 @@ def test_read_tolerates_blank_lines():
         ("tdc 1\natoms 1\n\u00b2 p\ncards 0\nclauses 0\n", "malformed atom line"),
         ("tdc 1\natoms 1\n" + "1" * 5000 + " p\ncards 0\nclauses 0\n", "malformed atom line"),
         ("tdc 1\natoms 1\n1 p\ncards 1\n2 0\nclauses 0\n", "malformed card line"),
+        # integers only as str(int) writes them, atom texts only as written
+        ("tdc 1\natoms +1\n1 p\ncards 0\nclauses 0\n", "atoms count '\\+1' is not an integer"),
+        ("tdc 1\natoms 1\n\u0661 p\ncards 0\nclauses 0\n", "malformed atom line"),
+        ("tdc 1\natoms 1\n01 p\ncards 0\nclauses 0\n", "malformed atom line"),
+        ("tdc 1\natoms 1\n1 p\ncards 0\nclauses 1\n1 1_0\n", "malformed clause line"),
+        ("tdc 1\natoms 1\n1 p\ncards 0\nclauses 1\n1 -0\n", "malformed clause line"),
+        ("tdc 1\natoms 1\n1 p(+1)\ncards 0\nclauses 0\n", "malformed atom text"),
     ],
 )
 def test_read_rejects_malformed(text, msg):
@@ -196,6 +203,10 @@ def _read_outcome(text):
         return "not a TdcError", type(exc).__name__
 
 
+def _tokens(text):
+    return [line.split() for line in text.split("\n") if line.strip()]
+
+
 def test_tdc_errors_pinned():
     theories = [
         ground_problem(rules, data, PIN_CONSTS)
@@ -207,39 +218,42 @@ def test_tdc_errors_pinned():
     digest = hashlib.sha256()
     kinds = Counter()
     for case in range(2000):
-        kind, outcome = _read_outcome(mutate_tdc_lines(rng, rng.choice(texts)))
+        text = mutate_tdc_lines(rng, rng.choice(texts))
+        kind, outcome = _read_outcome(text)
+        if kind == "ok":  # what is read is written back, up to blanks
+            assert _tokens(outcome) == _tokens(text), case
         kinds[kind] += 1
         digest.update(f"{case}\0{outcome}\0".encode())
     assert (dict(kinds), digest.hexdigest()) == (
         {
-            "atom ids must be dense, expected _ got _": 330,
-            "atoms count _ is not an integer": 6,
+            "atom ids must be dense, expected _ got _": 337,
+            "atoms count _ is not an integer": 8,
             "atoms count may not be negative": 1,
-            "card _ declares _ members but lists _": 29,
+            "card _ declares _ members but lists _": 26,
             "card _ has lower bound above its upper bound": 2,
             "card _ has negative lower bound": 1,
             "card _ member _ is not an atom id": 4,
-            "card ids must be dense, expected _ got _": 38,
+            "card ids must be dense, expected _ got _": 37,
             "cards count _ is not an integer": 4,
             "cards count may not be negative": 3,
-            "clause declares _ literals but lists _": 106,
+            "clause declares _ literals but lists _": 97,
             "clauses count _ is not an integer": 6,
             "expected _, got _": 327,
             "literal _ out of range": 11,
-            "malformed atom line _": 201,
+            "malformed atom line _": 193,
             "malformed atom text _": 14,
-            "malformed card line _": 73,
-            "malformed clause line _": 88,
-            "ok": 214,
-            "trailing content _": 63,
+            "malformed card line _": 77,
+            "malformed clause line _": 102,
+            "ok": 210,
+            "trailing content _": 62,
             "unexpected end of file, expected atom": 84,
             "unexpected end of file, expected atoms count": 20,
             "unexpected end of file, expected card": 22,
             "unexpected end of file, expected cards count": 10,
-            "unexpected end of file, expected clause": 102,
+            "unexpected end of file, expected clause": 101,
             "unexpected end of file, expected clauses count": 12,
             "unexpected end of file, expected header": 40,
             "unsupported header _": 189,
         },
-        "fb27297ba85f7434fd1874134fe7023362bd1696329ba0893770bae6bd91da2e",
+        "6077c4f2eb01313c6ef2913527e90e834c74a02a49d312ae8e3ce3950f299178",
     )
