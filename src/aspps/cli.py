@@ -4,7 +4,9 @@ psgrnd grounds a rule file against data files and writes a .tdc theory;
 aspps reads a .tdc theory and searches for its models. Exit codes are
 shared: 0 success (an unsatisfiable theory is still success), 1 usage
 error, 2 unreadable or ill-formed input or running out of memory, 3
-internal failure such as an unwritable output file.
+output write failure (the .tdc file, aspps.stat or standard output).
+Each tool's main raises its failures; _reports_failures turns them into
+these codes and their diagnostics.
 """
 
 from __future__ import annotations

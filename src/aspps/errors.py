@@ -1,7 +1,8 @@
 """Exception types shared across the toolchain.
 
-Every expected failure mode derives from ToolchainError so the command
-line front ends can map them to a single exit code; anything else that
+Every expected failure mode derives from ToolchainError, so the one
+handler of the command line front ends, aspps.cli._reports_failures,
+maps them all to exit code 2 and their diagnostic; anything else that
 escapes is an internal error.
 """
 

@@ -542,6 +542,16 @@ def test_each_tool_imports_only_its_own_half(workdir):
         assert not solving & _PARSER_SIDE, solving & _PARSER_SIDE
 
 
+def test_importing_cli_loads_no_other_aspps_module(workdir):
+    # perfbench's setup_s times exactly this import
+    code = "import json, sys, aspps.cli; print(json.dumps(sorted(m for m in sys.modules if 'aspps' in m)))"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        cwd=workdir, env=_child_env(), capture_output=True, text=True, check=True,
+    )
+    assert json.loads(proc.stdout) == ["aspps", "aspps.cli"]
+
+
 def test_star_import_resolves_every_public_name():
     namespace = {}
     exec("from aspps import *", namespace)
