@@ -38,10 +38,12 @@ def _arg_parser(prog: str, description: str):
 
 def _reports_failures(prog: str):
     """Decorate a tool's main so that each failure it raises ends the run
-    with an exit code and a diagnostic on stderr: 1 for a usage error, 2
-    for unreadable input (both _Failure), a ToolchainError (the check
-    diagnostics are a bare one) or running out of memory, 3 for a failed
-    write (_Failure). GroundError and MemoryError read '<prog>: ...'."""
+    with an exit code and a diagnostic on stderr, never a traceback:
+    _Failure(code, message) prints '<prog>: <message>' (1 usage error, 2
+    unreadable input, 3 failed write); a ToolchainError exits 2 and
+    prints as it reads (the check diagnostics are a bare one), but a
+    GroundError after '<prog>: '; MemoryError exits 2 with '<prog>: out
+    of memory'."""
     out_of_memory = f"{prog}: out of memory"
 
     def decorate(main):
