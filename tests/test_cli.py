@@ -73,25 +73,22 @@ def test_psgrnd_name_orders_consts_rule_then_data(workdir):
     assert (workdir / "r-a-b.tdc").exists()
 
 
-_ONE_RULE_FILE = "exactly one -r rule file is required"
+# argv -> the usage error psgrnd reports for it
+_USAGE_ERRORS = {
+    (): "exactly one -r rule file is required",
+    ("-d", "g.dt"): "exactly one -r rule file is required",
+    ("-r", "a.rl", "-r", "b.rl", "-d", "g.dt"): "exactly one -r rule file is required",
+    ("-r", "a.rl"): "at least one -d data file is required",
+    ("-r", "a.rl", "-d", "g.dt", "-c", "k3"): "malformed -c argument 'k3', expected name=value",
+    ("-r", "a.rl", "-d", "g.dt", "-c", "k=3", "-c", "k=4"): "constant k given twice",
+    ("-r", "a.rl", "-d", "g.dt", "-x"): "unrecognized arguments: -x",
+}
 
 
-@pytest.mark.parametrize(
-    "argv, err",
-    [
-        ([], _ONE_RULE_FILE),
-        (["-d", "g.dt"], _ONE_RULE_FILE),
-        (["-r", "a.rl", "-r", "b.rl", "-d", "g.dt"], _ONE_RULE_FILE),
-        (["-r", "a.rl"], "at least one -d data file is required"),
-        (["-r", "a.rl", "-d", "g.dt", "-c", "k3"], "malformed -c argument 'k3', expected name=value"),
-        (["-r", "a.rl", "-d", "g.dt", "-c", "k=3", "-c", "k=4"], "constant k given twice"),
-        (["-r", "a.rl", "-d", "g.dt", "-x"], "unrecognized arguments: -x"),
-    ],
-    ids=["none", "no-rule", "two-rules", "no-data", "malformed-const", "duplicate-const", "unknown-flag"],
-)
-def test_psgrnd_usage_errors(workdir, capsys, argv, err):
+@pytest.mark.parametrize("argv", [list(argv) for argv in _USAGE_ERRORS])
+def test_psgrnd_usage_errors(workdir, capsys, argv):
     assert psgrnd_main(argv) == 1
-    assert capsys.readouterr().err == f"psgrnd: {err}\n"
+    assert capsys.readouterr().err == f"psgrnd: {_USAGE_ERRORS[tuple(argv)]}\n"
     assert not list(workdir.glob("*.tdc"))
 
 
