@@ -137,6 +137,28 @@ def test_psgrnd_negative_cardinality_bound_exit_2(workdir, capsys):
     assert not list(workdir.glob("*.tdc"))
 
 
+def _ground_queens(workdir, *consts):
+    rl = _write(workdir, "queens.rl", QUEENS_RULES)
+    dt = _write(workdir, "board.dt", QUEENS_DATA)
+    return psgrnd_main([*(arg for c in consts for arg in ("-c", c)), "-r", rl, "-d", dt])
+
+
+def test_psgrnd_reads_const_values_as_rule_file_tokens(workdir, capsys):
+    # n=04 is the integer token 04, so it grounds what n=4 grounds; n=-1
+    # is the integer -1 (test_psgrnd_negative_cardinality_bound_exit_2)
+    assert _ground_queens(workdir, "n=4") == 0
+    assert _ground_queens(workdir, "n=04") == 0
+    assert capsys.readouterr().err == ""
+    four = (workdir / "n=4-queens-board.tdc").read_bytes()
+    assert (workdir / "n=04-queens-board.tdc").read_bytes() == four
+    # k=red is the identifier red
+    rl = _write(workdir, "shade.rl", "pred shade(d).\n-> shade(k).\n")
+    dt = _write(workdir, "d.dt", "d(red). d(blue).\n")
+    assert psgrnd_main(["-c", "k=red", "-r", rl, "-d", dt]) == 0
+    assert capsys.readouterr().err == ""
+    assert "\n1 shade(red)\n" in (workdir / "k=red-shade-d.tdc").read_text(encoding="utf-8")
+
+
 def test_psgrnd_output_is_a_directory_exit_3(workdir, capsys):
     (workdir / "k=3-color-graph.tdc").mkdir()
     assert _ground_triangle(workdir) == 3
@@ -334,6 +356,17 @@ def test_aspps_rejects_bad_count(workdir, capsys):
         assert aspps_main(["-f", "t.tdc", "-C", bad]) == 1
         want = f"aspps: argument of -C must be a positive integer, got {bad!r}\n"
         assert capsys.readouterr().err == want
+
+
+@pytest.mark.parametrize(
+    "argv, models", [(["-C", "03"], 3), (["-C", "10"], 10), (["-C"], 24)], ids=["03", "10", "all"]
+)
+def test_aspps_model_bound_spellings(workdir, capsys, argv, models):
+    tdc = _ground_pigeons(workdir, 4)  # 24 models
+    assert aspps_main(["-f", tdc, *argv]) == 0
+    out = capsys.readouterr()
+    assert (out.out, out.err) == ("SAT\n", "")
+    assert f" models={models} " in (workdir / STAT_FILE).read_text(encoding="utf-8")
 
 
 def test_aspps_sat_line_and_stat_file(workdir, capsys):
