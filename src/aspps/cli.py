@@ -15,8 +15,6 @@ import sys
 
 STAT_FILE = "aspps.stat"
 
-_COUNT_ALL = object()
-
 
 class _Failure(Exception):
     """_Failure(code, message): a failure the front end itself finds; it
@@ -80,10 +78,6 @@ def _read_text(path: str) -> str:
     raise _Failure(2, f"cannot read {path}: {reason}")
 
 
-def _valid_const_name(name: str) -> bool:
-    return bool(name) and name[0].isalpha() and all(c.isalnum() or c == "_" for c in name)
-
-
 @_reports_failures("psgrnd")
 def psgrnd_main(argv: list[str]) -> int:
     import os
@@ -92,7 +86,7 @@ def psgrnd_main(argv: list[str]) -> int:
     from .database import build_database
     from .errors import ToolchainError
     from .grounder import Grounder, check_program, output_name
-    from .parser import parse_data_file, parse_rule_file
+    from .parser import CONST_VALUE_RE, IDENT_RE, parse_data_file, parse_rule_file
     from .tdc import write_tdc
 
     parser = _arg_parser(
@@ -109,7 +103,7 @@ def psgrnd_main(argv: list[str]) -> int:
     consts: dict[str, str] = {}
     for item in args.c:
         name, sep, value = item.partition("=")
-        if not sep or not _valid_const_name(name) or not value:
+        if not (sep and IDENT_RE.fullmatch(name) and CONST_VALUE_RE.fullmatch(value)):
             parser.error(f"malformed -c argument {item!r}, expected name=value")
         if name in consts:
             parser.error(f"constant {name} given twice")
@@ -141,6 +135,16 @@ def psgrnd_main(argv: list[str]) -> int:
     return 0
 
 
+def _model_bound(text: str) -> int:
+    """The x of -C x, an integer token (ASCII digits) of at least 1."""
+    try:
+        if text.isascii() and text.isdigit() and int(text) > 0:
+            return int(text)
+    except ValueError:  # more digits than int() converts
+        pass
+    raise _Failure(1, f"argument of -C must be a positive integer, got {text!r}")
+
+
 @_reports_failures("aspps")
 def aspps_main(argv: list[str]) -> int:
     from itertools import compress
@@ -154,28 +158,13 @@ def aspps_main(argv: list[str]) -> int:
     parser.add_argument("-A", action="store_true", help="print the positive atoms of each model")
     parser.add_argument("-P", action="store_true", help="print the theory and exit")
     parser.add_argument(
-        "-C",
-        nargs="?",
-        const=_COUNT_ALL,
-        default=None,
-        metavar="x",
+        "-C", nargs="?", type=_model_bound, const=None, default=1, metavar="x",
         help="enumerate all models, or stop after x",
     )
     parser.add_argument("-S", metavar="name", default=None, help="show one predicate's atoms")
     args = parser.parse_args(argv)
     if not args.f:
         parser.error("a -f theory file is required")
-    if args.C is None:
-        max_models: int | None = 1
-    elif args.C is _COUNT_ALL:
-        max_models = None
-    else:
-        try:
-            max_models = int(args.C)
-        except ValueError:
-            max_models = 0
-        if max_models < 1:
-            parser.error(f"argument of -C must be a positive integer, got {args.C!r}")
 
     theory = read_tdc(_read_text(args.f), file=args.f)
 
@@ -197,7 +186,7 @@ def aspps_main(argv: list[str]) -> int:
         writing = 0.0
         start = perf_counter()
         solver = Solver(theory)
-        for assignment in solver.search(max_models):
+        for assignment in solver.search(args.C):
             if show:
                 t = perf_counter()
                 sys.stdout.write(("\n" if found else "") + "".join(compress(shown, assignment)))

@@ -22,9 +22,10 @@ infix arithmetic plus abs, mod, max, min calls.
 
 An identifier starting with an upper-case letter is a variable reference
 and must be declared before use; any other undeclared identifier is a
-symbolic constant or predicate name. Command-line constants are
-substituted token by token before parsing, so positions in diagnostics
-always refer to the original text.
+symbolic constant or predicate name. A command-line constant name=value
+replaces each identifier token name by the one token that its value
+spells, an identifier or an integer with an optional leading '-'
+(CONST_VALUE_RE); positions in diagnostics refer to the original text.
 
 check_program and the grounder rely on these guarantees of a Program
 from parse_rule_file and do not check them again: each predicate and
@@ -72,13 +73,14 @@ MAX_TERM_DEPTH = 100
 MAX_RANGE_LEN = 1_000_000
 RESERVED_PRED = KEYWORDS | FUNC_NAMES
 
-_IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
+IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
+CONST_VALUE_RE = re.compile(r"(?P<ident>" + IDENT_RE.pattern + r")|-?[0-9]+")
 
 # One alternative per token kind, tried in order: multi-character
 # punctuation comes first so '->' wins over '-' and '..' over '.'.
 _TOKEN_RE = re.compile(
     r"(?P<nl>\n)|[ \t\r]+|%[^\n]*"
-    r"|(?P<ident>" + _IDENT_RE.pattern + r")|(?P<int>[0-9]+)"
+    r"|(?P<ident>" + IDENT_RE.pattern + r")|(?P<int>[0-9]+)"
     r"|(?P<punct>->|==|<=|>=|\.\.|[()\[\]{},.:|<>+\-*/]|→)"
     r"|(?P<bad>.)"
 )
@@ -100,37 +102,25 @@ def _check_int_range(value, file, line, col):
     return value
 
 
-# A decimal integer in the ASCII forms int() accepts: sign, then digits
-# with single underscores between them.
-_INT_TEXT_RE = re.compile(r"([+-]?)([0-9](?:_?[0-9])*)")
-
-
 def _int_value(text, file, line, col):
-    """int(text, 10), range-checked. A decimal text with more than 19
-    digits after its leading zeros is out of range without converting
-    it: int() refuses a text of more than 4 300 digits."""
-    m = len(text) > 19 and _INT_TEXT_RE.fullmatch(text)
-    if m:
-        digits = m[2].replace("_", "").lstrip("0")
-        if len(digits) > 19:
-            sign = "-" if m[1] == "-" else ""
-            raise ParseError(f"integer constant {sign}{digits} out of 64-bit range", file, line, col)
-        text = m[1] + (digits or "0")
-    return _check_int_range(int(text, 10), file, line, col)
+    """The range-checked value of an integer token: ASCII digits with an
+    optional leading '-'. Leading zeros are dropped before converting,
+    as int() refuses a text of more than 4 300 digits."""
+    sign = "-" if text[0] == "-" else ""
+    digits = text.lstrip("-0") or "0"
+    if len(digits) > 19:
+        raise ParseError(f"integer constant {sign}{digits} out of 64-bit range", file, line, col)
+    return _check_int_range(int(sign + digits), file, line, col)
 
 
 def _subst_token(name, raw, file, line, col):
     """Turn a -c value into the token that replaces the constant name."""
-    text = raw.strip()
-    try:
-        return Token("int", _int_value(text, file, line, col), line, col)
-    except ValueError:
-        pass
-    if _IDENT_RE.fullmatch(text):
-        return Token("ident", text, line, col)
-    raise ParseError(
-        f"value {raw!r} of constant {name} is not a valid token", file, line, col
-    )
+    m = CONST_VALUE_RE.fullmatch(raw)
+    if m is None:
+        raise ParseError(f"value {raw!r} of constant {name} is not a valid token", file, line, col)
+    if m["ident"]:
+        return Token("ident", raw, line, col)
+    return Token("int", _int_value(raw, file, line, col), line, col)
 
 
 def tokenize(text: str, consts: dict[str, str] | None = None, file: str = "<input>") -> list[Token]:

@@ -159,6 +159,20 @@ def test_psgrnd_reads_const_values_as_rule_file_tokens(workdir, capsys):
     assert "\n1 shade(red)\n" in (workdir / "k=red-shade-d.tdc").read_text(encoding="utf-8")
 
 
+# -c arguments whose value spells no rule-file token, refused before any
+# file is read, also when the files never use the constant
+@pytest.mark.parametrize(
+    "consts",
+    [("n=4_0",), ("n=+4",), ("n=\u0664",), ("n= 4",), ("\u00e9=3",), ("n=4", "zz=a/b")],
+    ids=["underscore", "plus", "arabic-digit", "blank", "non-ascii-name", "unused"],
+)
+def test_psgrnd_refuses_const_values_no_token_spells(workdir, capsys, consts):
+    assert _ground_queens(workdir, *consts) == 1
+    want = f"psgrnd: malformed -c argument {consts[-1]!r}, expected name=value\n"
+    assert capsys.readouterr().err == want
+    assert not list(workdir.glob("*.tdc"))
+
+
 def test_psgrnd_output_is_a_directory_exit_3(workdir, capsys):
     (workdir / "k=3-color-graph.tdc").mkdir()
     assert _ground_triangle(workdir) == 3
@@ -367,6 +381,17 @@ def test_aspps_model_bound_spellings(workdir, capsys, argv, models):
     out = capsys.readouterr()
     assert (out.out, out.err) == ("SAT\n", "")
     assert f" models={models} " in (workdir / STAT_FILE).read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize(
+    "bound", ["1_0", "\u0663", " 3", "+2"], ids=["underscore", "arabic-digit", "blank", "plus"]
+)
+def test_aspps_refuses_model_bounds_no_token_spells(workdir, capsys, bound):
+    tdc = _ground_pigeons(workdir, 4)
+    assert aspps_main(["-f", tdc, "-C", bound]) == 1
+    want = f"aspps: argument of -C must be a positive integer, got {bound!r}\n"
+    assert capsys.readouterr().err == want
+    assert not (workdir / STAT_FILE).exists()
 
 
 def test_aspps_sat_line_and_stat_file(workdir, capsys):

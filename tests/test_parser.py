@@ -80,7 +80,9 @@ def test_tokenize_integers_past_the_conversion_limit():
         with pytest.raises(ParseError) as exc:
             tokenize("p(n).", {"n": raw})
         assert exc.value.message == f"integer constant {want} out of 64-bit range"
-    assert tokenize("p(n).", {"n": f" -{zeros}7 "})[2].value == -7
+    assert tokenize("p(n).", {"n": f"-{zeros}7"})[2].value == -7
+    with pytest.raises(ParseError, match="not a valid token"):
+        tokenize("p(n).", {"n": f" -{zeros}7 "})
 
 
 # ---------------------------------------------------------------------------
