@@ -15,7 +15,9 @@ names a cardinality construct. A clause line starting with 0 is the
 empty clause. read_tdc tolerates blank lines and runs of blanks, and
 takes integers and atom texts only as write_tdc writes them (no '+1',
 '01' or p(+1)), so a file it reads is written back byte identical up to
-blanks.
+blanks. An atom text is a predicate name, then optionally its arguments
+in parentheses, each an integer or a constant starting lower-case (no
+p(), p(a,) or 'p q').
 """
 
 from __future__ import annotations

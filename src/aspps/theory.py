@@ -9,6 +9,7 @@ ids referring to either kind; () is the empty clause.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -83,19 +84,20 @@ def ground_atom_text(pred: str, args: tuple[Const, ...]) -> str:
     return f"{pred}({','.join(str(a) for a in args)})"
 
 
+# An atom text as ground_atom_text writes it: a predicate name, then
+# optionally its arguments, each an integer as str(int) spells it (at
+# most 19 digits) or a symbolic constant, which starts lower-case.
+_ARG = r"(?:0|-?[1-9][0-9]{0,18}|[a-z][A-Za-z0-9_]*)"
+_ATOM_TEXT_RE = re.compile(rf"[A-Za-z][A-Za-z0-9_]*(?:\({_ARG}(?:,{_ARG})*\))?")
+
+
 def parse_ground_atom_text(text: str) -> tuple[str, tuple[Const, ...]]:
     """Inverse of ground_atom_text, used when reading theories back in; a
-    text that ground_atom_text would not write, such as p(+1), p(01) or
-    p(1, is a ValueError."""
+    text that ground_atom_text would not write, such as p(+1), p(01),
+    p() or 'p q', is a ValueError."""
+    if not _ATOM_TEXT_RE.fullmatch(text):
+        raise ValueError(f"malformed atom text {text!r}")
     pred, paren, inner = text.partition("(")
     if not paren:
         return text, ()
-    args = []
-    for part in inner[:-1].split(","):
-        try:
-            args.append(int(part, 10))
-        except ValueError:
-            args.append(part)
-    if ground_atom_text(pred, tuple(args)) != text:
-        raise ValueError(f"malformed atom text {text!r}")
-    return pred, tuple(args)
+    return pred, tuple(a if a[0].isalpha() else int(a) for a in inner[:-1].split(","))

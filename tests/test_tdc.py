@@ -114,6 +114,12 @@ def test_read_tolerates_blank_lines():
         ("tdc 1\natoms 1\n1 p\ncards 0\nclauses 1\n1 1_0\n", "malformed clause line"),
         ("tdc 1\natoms 1\n1 p\ncards 0\nclauses 1\n1 -0\n", "malformed clause line"),
         ("tdc 1\natoms 1\n1 p(+1)\ncards 0\nclauses 0\n", "malformed atom text"),
+        ("tdc 1\natoms 1\n1 p q\ncards 0\nclauses 0\n", "malformed atom text"),
+        ("tdc 1\natoms 1\n1 p()\ncards 0\nclauses 0\n", "malformed atom text"),
+        ("tdc 1\natoms 1\n1 p(a,)\ncards 0\nclauses 0\n", "malformed atom text"),
+        ("tdc 1\natoms 1\n1 p(a b)\ncards 0\nclauses 0\n", "malformed atom text"),
+        ("tdc 1\natoms 1\n1 p((1)\ncards 0\nclauses 0\n", "malformed atom text"),
+        ("tdc 1\natoms 1\n1 p(X)\ncards 0\nclauses 0\n", "malformed atom text"),
     ],
 )
 def test_read_rejects_malformed(text, msg):
@@ -226,34 +232,34 @@ def test_tdc_errors_pinned():
         digest.update(f"{case}\0{outcome}\0".encode())
     assert (dict(kinds), digest.hexdigest()) == (
         {
-            "atom ids must be dense, expected _ got _": 337,
+            "atom ids must be dense, expected _ got _": 324,
             "atoms count _ is not an integer": 8,
             "atoms count may not be negative": 1,
             "card _ declares _ members but lists _": 26,
             "card _ has lower bound above its upper bound": 2,
             "card _ has negative lower bound": 1,
             "card _ member _ is not an atom id": 4,
-            "card ids must be dense, expected _ got _": 37,
+            "card ids must be dense, expected _ got _": 34,
             "cards count _ is not an integer": 4,
             "cards count may not be negative": 3,
-            "clause declares _ literals but lists _": 97,
+            "clause declares _ literals but lists _": 89,
             "clauses count _ is not an integer": 6,
-            "expected _, got _": 327,
+            "expected _, got _": 318,
             "literal _ out of range": 11,
-            "malformed atom line _": 193,
-            "malformed atom text _": 14,
-            "malformed card line _": 77,
-            "malformed clause line _": 102,
-            "ok": 210,
-            "trailing content _": 62,
-            "unexpected end of file, expected atom": 84,
+            "malformed atom line _": 192,
+            "malformed atom text _": 97,
+            "malformed card line _": 73,
+            "malformed clause line _": 94,
+            "ok": 190,
+            "trailing content _": 55,
+            "unexpected end of file, expected atom": 81,
             "unexpected end of file, expected atoms count": 20,
-            "unexpected end of file, expected card": 22,
+            "unexpected end of file, expected card": 21,
             "unexpected end of file, expected cards count": 10,
-            "unexpected end of file, expected clause": 101,
-            "unexpected end of file, expected clauses count": 12,
+            "unexpected end of file, expected clause": 96,
+            "unexpected end of file, expected clauses count": 11,
             "unexpected end of file, expected header": 40,
             "unsupported header _": 189,
         },
-        "6077c4f2eb01313c6ef2913527e90e834c74a02a49d312ae8e3ce3950f299178",
+        "82ea758d78041838e91cd0041841ab34a205bcb39f1feb42d535cb0f7894acd9",
     )
