@@ -569,7 +569,7 @@ except SystemExit as exc:
 print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("aspps."))]))
 """
 _RUN_MODULE = 'runpy.run_module("aspps", run_name="__main__")'
-_RUN_ENTRY = "from aspps.cli import aspps_entry; aspps_entry()"
+_RUN_ENTRY = "from aspps.cli import {tool}_entry; {tool}_entry()"
 _PARSER_SIDE = {"aspps.parser", "aspps.grounder", "aspps.terms", "aspps.database", "aspps.model"}
 
 
@@ -586,15 +586,29 @@ def _loaded_modules(workdir, run, argv):
 def test_each_tool_imports_only_its_own_half(workdir):
     rl = _write(workdir, "color.rl", COLOR_RULES)
     dt = _write(workdir, "graph.dt", TRIANGLE_DATA)
-    grounding = _loaded_modules(workdir, _RUN_MODULE, ["aspps", "psgrnd", "-c", "k=3", "-r", rl, "-d", dt])
-    assert "aspps.grounder" in grounding and "aspps.solver" not in grounding
+    for run, argv in (
+        (_RUN_MODULE, ["aspps", "psgrnd", "-c", "k=3", "-r", rl, "-d", dt]),
+        (_RUN_ENTRY.format(tool="psgrnd"), ["psgrnd", "-c", "k=3", "-r", rl, "-d", dt]),
+    ):
+        grounding = _loaded_modules(workdir, run, argv)
+        assert "aspps.grounder" in grounding and "aspps.solver" not in grounding
     for run, argv in (
         (_RUN_MODULE, ["aspps", "aspps", "-f", "k=3-color-graph.tdc", "-A", "-C"]),
-        (_RUN_ENTRY, ["aspps", "-f", "k=3-color-graph.tdc", "-S", "clr"]),
+        (_RUN_ENTRY.format(tool="aspps"), ["aspps", "-f", "k=3-color-graph.tdc", "-S", "clr"]),
     ):
         solving = _loaded_modules(workdir, run, argv)
         assert {"aspps.solver", "aspps.tdc"} <= solving
         assert not solving & _PARSER_SIDE, solving & _PARSER_SIDE
+
+
+@pytest.mark.parametrize("argv", [[], ["solve"]], ids=["no-tool", "unknown-tool"])
+def test_dispatcher_usage_exit_1(workdir, argv):
+    proc = subprocess.run(
+        [sys.executable, "-m", "aspps", *argv],
+        cwd=workdir, env=_child_env(), capture_output=True, text=True,
+    )
+    want = (1, "", "usage: python -m aspps {psgrnd|aspps} [options]\n")
+    assert (proc.returncode, proc.stdout, proc.stderr) == want
 
 
 def test_importing_cli_loads_no_other_aspps_module(workdir):
