@@ -197,12 +197,8 @@ class Grounder:
         n = len(members)
         if n < lo:
             return False
-        hi = -1 if hi is None else hi
-        if hi != -1 and hi > n:
-            hi = n
-        if hi != -1 and lo > hi:
-            return False
-        if lo == 0 and (hi == -1 or hi >= n):
+        hi = -1 if hi is None else min(hi, n)
+        if lo == 0 and hi in (-1, n):
             return True
         key = (lo, hi, frozenset(members))
         idx = self.card_ids.get(key)
