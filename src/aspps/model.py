@@ -15,8 +15,7 @@ whose text parses back to the same tree, is in tests/rendering.py.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterator, Union
+from typing import Iterator, NamedTuple, Union
 
 Const = Union[int, str]
 
@@ -30,36 +29,40 @@ INT_MIN = -(2**63)
 INT_MAX = 2**63 - 1
 
 
-@dataclass(frozen=True)
-class Variable:
+class Variable(NamedTuple):
     name: str
 
 
-@dataclass(frozen=True)
-class ArithExpr:
+class _ArithFields(NamedTuple):
     op: str
     operands: tuple["Term", ...]
 
-    def __post_init__(self):
-        if self.op not in ARITH_OPS:
-            raise ValueError(f"unknown arithmetic operator {self.op!r}")
-        if len(self.operands) != ARITH_OPS[self.op]:
-            raise ValueError(f"operator {self.op!r} takes {ARITH_OPS[self.op]} operand(s)")
+
+class ArithExpr(_ArithFields):
+    """op applied to operands; an unknown operator or a wrong operand
+    count is a ValueError. (A NamedTuple body may not define __new__.)"""
+
+    __slots__ = ()
+
+    def __new__(cls, op: str, operands: tuple["Term", ...]):
+        if op not in ARITH_OPS:
+            raise ValueError(f"unknown arithmetic operator {op!r}")
+        if len(operands) != ARITH_OPS[op]:
+            raise ValueError(f"operator {op!r} takes {ARITH_OPS[op]} operand(s)")
+        return super().__new__(cls, op, operands)
 
 
 Term = Union[Const, Variable, ArithExpr]
 
 
-@dataclass(frozen=True)
-class PlainAtom:
+class PlainAtom(NamedTuple):
     """p(t1,...,tn); also covers predefined comparisons and 0-ary atoms."""
 
     pred: str
     args: tuple[Term, ...] = ()
 
 
-@dataclass(frozen=True)
-class EAtom:
+class EAtom(NamedTuple):
     """p(t1,...,tk,Y):d(Y) with Y existentially bound over d's extension.
 
     bound_var is the final argument and may not occur anywhere else.
@@ -71,8 +74,7 @@ class EAtom:
     domain_pred: str
 
 
-@dataclass(frozen=True)
-class CAtomSchema:
+class CAtomSchema(NamedTuple):
     """m{p(t):c1:...:ck}n; conditions range over data or predefined
     predicates and bind their local variables."""
 
@@ -82,8 +84,7 @@ class CAtomSchema:
     hi: int | None = None
 
 
-@dataclass(frozen=True)
-class CAtomList:
+class CAtomList(NamedTuple):
     """m{p1(t),...,pk(t)}n with one shared argument tuple."""
 
     preds: tuple[str, ...]
@@ -95,18 +96,30 @@ class CAtomList:
 Atom = Union[PlainAtom, EAtom, CAtomSchema, CAtomList]
 
 
-@dataclass(frozen=True)
-class Clause:
+class Clause(NamedTuple):
     """body -> head; the body is a conjunction, the head a disjunction,
     and either side may be empty (but not both)."""
 
     body: tuple[Atom, ...]
     head: tuple[Atom, ...]
-    line: int = field(default=0, compare=False)
+    line: int = 0
+
+    # line says where the clause was written and is no part of its value
+    def __eq__(self, other):
+        if isinstance(other, Clause):
+            return self[:2] == other[:2]
+        return NotImplemented
+
+    def __ne__(self, other):
+        if isinstance(other, Clause):
+            return self[:2] != other[:2]
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self[:2])
 
 
-@dataclass(frozen=True)
-class PredDecl:
+class PredDecl(NamedTuple):
     """pred name(t1,...,tn) with unary data predicates as argument types
     and an optional restriction predicate of the same arity."""
 
@@ -115,17 +128,26 @@ class PredDecl:
     restriction: str | None = None
 
 
-@dataclass(frozen=True)
-class VarDecl:
+class VarDecl(NamedTuple):
     type_pred: str
     var_names: tuple[str, ...]
 
 
-@dataclass
 class Program:
-    pred_decls: list[PredDecl] = field(default_factory=list)
-    var_decls: list[VarDecl] = field(default_factory=list)
-    clauses: list[Clause] = field(default_factory=list)
+    """A parsed rule file: the declarations and clauses in file order."""
+
+    __slots__ = ("pred_decls", "var_decls", "clauses")
+
+    def __init__(self, pred_decls=None, var_decls=None, clauses=None):
+        self.pred_decls: list[PredDecl] = [] if pred_decls is None else pred_decls
+        self.var_decls: list[VarDecl] = [] if var_decls is None else var_decls
+        self.clauses: list[Clause] = [] if clauses is None else clauses
+
+    def __repr__(self):
+        return (
+            f"Program(pred_decls={self.pred_decls!r}, var_decls={self.var_decls!r},"
+            f" clauses={self.clauses!r})"
+        )
 
 
 def term_variables(term: Term) -> Iterator[str]:

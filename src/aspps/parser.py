@@ -42,7 +42,7 @@ before it, and each error is reported at the token that breaks a rule.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ParseError
 from .model import (
@@ -88,8 +88,7 @@ _TOKEN_RE = re.compile(
 DataAtom = tuple[str, tuple[Const, ...]]
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # "ident" | "int" | "punct"
     value: str | int
     line: int

@@ -71,7 +71,6 @@ from __future__ import annotations
 
 from collections import deque
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass, field
 
 from .theory import GroundTheory, card_error, clause_error
 
@@ -80,18 +79,48 @@ from .theory import GroundTheory, card_error, clause_error
 CONFLICT = -1
 
 
-@dataclass
 class SolveStats:
-    decisions: int = 0
-    propagations: int = 0
-    conflicts: int = 0
+    """The search counters, which the solver updates in place."""
+
+    __slots__ = ("decisions", "propagations", "conflicts")
+
+    def __init__(self, decisions: int = 0, propagations: int = 0, conflicts: int = 0):
+        self.decisions = decisions
+        self.propagations = propagations
+        self.conflicts = conflicts
+
+    def _values(self):
+        return self.decisions, self.propagations, self.conflicts
+
+    def __eq__(self, other):
+        if isinstance(other, SolveStats):
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __repr__(self):
+        return "SolveStats(decisions={}, propagations={}, conflicts={})".format(*self._values())
 
 
-@dataclass
 class SolveResult:
-    sat: bool
-    models: list[dict[int, bool]]
-    stats: SolveStats = field(default_factory=SolveStats)
+    """The verdict of a search, the models it found and its counters."""
+
+    __slots__ = ("sat", "models", "stats")
+
+    def __init__(self, sat: bool, models: list[dict[int, bool]], stats: SolveStats | None = None):
+        self.sat = sat
+        self.models = models
+        self.stats = SolveStats() if stats is None else stats
+
+    def _values(self):
+        return self.sat, self.models, self.stats
+
+    def __eq__(self, other):
+        if isinstance(other, SolveResult):
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __repr__(self):
+        return "SolveResult(sat={!r}, models={!r}, stats={!r})".format(*self._values())
 
 
 class Solver:

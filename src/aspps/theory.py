@@ -10,31 +10,27 @@ ids referring to either kind; () is the empty clause.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 if TYPE_CHECKING:  # the solver side loads no parser-side module
     from .model import Const
 
 
-@dataclass(frozen=True)
-class GroundAtom:
+class GroundAtom(NamedTuple):
     id: int
     pred: str
     args: tuple[Const, ...]
     text: str
 
 
-@dataclass(frozen=True)
-class CardConstruct:
+class CardConstruct(NamedTuple):
     id: int
     lo: int
     hi: int  # -1 encodes "no upper bound"
     members: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class GroundTheory:
+class GroundTheory(NamedTuple):
     atoms: tuple[GroundAtom, ...]
     cards: tuple[CardConstruct, ...]
     clauses: tuple[tuple[int, ...], ...]

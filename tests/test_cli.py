@@ -556,8 +556,8 @@ def test_aspps_output_matches_reference_models(workdir):
         assert aspps_stdout_mismatch(theory, str(workdir), pred) is None
 
 
-# Each tool runs in a fresh interpreter that reports the aspps modules it
-# loaded once the tool returns.
+# Each tool runs in a fresh interpreter that reports the modules it loaded
+# once the tool returns.
 _LOADED = """
 import json, runpy, sys
 sys.argv = sys.argv[1:]
@@ -566,7 +566,7 @@ try:
     {run}
 except SystemExit as exc:
     code = exc.code
-print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("aspps."))]))
+print(json.dumps([code, sorted(sys.modules)]))
 """
 _RUN_MODULE = 'runpy.run_module("aspps", run_name="__main__")'
 _RUN_ENTRY = "from aspps.cli import {tool}_entry; {tool}_entry()"
@@ -599,6 +599,20 @@ def test_each_tool_imports_only_its_own_half(workdir):
         solving = _loaded_modules(workdir, run, argv)
         assert {"aspps.solver", "aspps.tdc"} <= solving
         assert not solving & _PARSER_SIDE, solving & _PARSER_SIDE
+
+
+def test_neither_tool_loads_dataclasses_or_inspect(workdir):
+    # Each costs start-up time on every run. A bare interpreter may load
+    # them already (from a site hook), which is no tool's doing.
+    rl = _write(workdir, "color.rl", COLOR_RULES)
+    dt = _write(workdir, "graph.dt", TRIANGLE_DATA)
+    bare = _loaded_modules(workdir, "sys.exit(0)", [])
+    for tool, argv in (
+        ("psgrnd", ["-c", "k=3", "-r", rl, "-d", dt]),
+        ("aspps", ["-f", "k=3-color-graph.tdc", "-A", "-C"]),
+    ):
+        loaded = _loaded_modules(workdir, _RUN_ENTRY.format(tool=tool), [tool, *argv])
+        assert {"dataclasses", "inspect"} & (loaded - bare) == set(), tool
 
 
 @pytest.mark.parametrize("argv", [[], ["solve"]], ids=["no-tool", "unknown-tool"])

@@ -1,4 +1,5 @@
-"""The AST value types and their canonical rendering."""
+"""The AST value types, the package's other records, and the AST's
+canonical rendering."""
 
 import pytest
 
@@ -18,6 +19,10 @@ from aspps.model import (
     term_variables,
 )
 
+from aspps.parser import Token
+from aspps.solver import SolveResult, SolveStats
+from aspps.theory import CardConstruct, GroundAtom, GroundTheory
+
 from rendering import atom_text, clause_text, program_text, term_text
 
 X = Variable("X")
@@ -26,13 +31,68 @@ Y = Variable("Y")
 
 def test_arith_expr_validates_operator_and_arity():
     ArithExpr("+", (X, 1))
-    ArithExpr("abs", (X,))
-    with pytest.raises(ValueError):
+    ArithExpr(op="abs", operands=(X,))
+    with pytest.raises(ValueError, match=r"^unknown arithmetic operator '\^'$"):
         ArithExpr("^", (X, 1))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^operator 'abs' takes 1 operand\(s\)$"):
         ArithExpr("abs", (X, 1))
-    with pytest.raises(ValueError):
-        ArithExpr("mod", (X,))
+    with pytest.raises(ValueError, match=r"^operator 'mod' takes 2 operand\(s\)$"):
+        ArithExpr(operands=(X,), op="mod")
+
+
+P = PlainAtom("p", (X, ArithExpr("+", (X, 1))))
+GROUND = GroundTheory((GroundAtom(1, "p", (1, "a"), "p(1,a)"),), (CardConstruct(2, 0, -1, (1,)),), ((1,), ()))
+
+# repr texts as they were when the records were dataclasses; pinned
+# digests hash some of them
+RECORD_REPRS = [
+    (X, "Variable(name='X')"),
+    (P, "PlainAtom(pred='p', args=(Variable(name='X'), ArithExpr(op='+', operands=(Variable(name='X'), 1))))"),
+    (PlainAtom("q"), "PlainAtom(pred='q', args=())"),
+    (EAtom("p", (X, Y), "Y", "d"), "EAtom(pred='p', args=(Variable(name='X'), Variable(name='Y')), bound_var='Y', domain_pred='d')"),
+    (CAtomSchema(PlainAtom("p"), (PlainAtom("d"),), 1), "CAtomSchema(member=PlainAtom(pred='p', args=()), conds=(PlainAtom(pred='d', args=()),), lo=1, hi=None)"),
+    (CAtomList(("a", "b"), (X,), hi=2), "CAtomList(preds=('a', 'b'), args=(Variable(name='X'),), lo=None, hi=2)"),
+    (Clause((), (PlainAtom("q"),), 7), "Clause(body=(), head=(PlainAtom(pred='q', args=()),), line=7)"),
+    (PredDecl("p", ("d",)), "PredDecl(name='p', arg_types=('d',), restriction=None)"),
+    (VarDecl("d", ("X", "Y")), "VarDecl(type_pred='d', var_names=('X', 'Y'))"),
+    (Program([PredDecl("q", ())], [], [Clause((), (PlainAtom("q"),), 2)]), "Program(pred_decls=[PredDecl(name='q', arg_types=(), restriction=None)], var_decls=[], clauses=[Clause(body=(), head=(PlainAtom(pred='q', args=()),), line=2)])"),
+    (Token("int", -3, 4, 5), "Token(kind='int', value=-3, line=4, col=5)"),
+    (GROUND, "GroundTheory(atoms=(GroundAtom(id=1, pred='p', args=(1, 'a'), text='p(1,a)'),), cards=(CardConstruct(id=2, lo=0, hi=-1, members=(1,)),), clauses=((1,), ()))"),
+    (SolveResult(True, [{1: True}]), "SolveResult(sat=True, models=[{1: True}], stats=SolveStats(decisions=0, propagations=0, conflicts=0))"),
+]
+
+
+@pytest.mark.parametrize("record,text", RECORD_REPRS, ids=[type(r).__name__ for r, _ in RECORD_REPRS])
+def test_record_repr_unchanged(record, text):
+    assert repr(record) == text
+
+
+def test_frozen_records_refuse_assignment_and_hash_as_their_fields():
+    frozen = [r for r, _ in RECORD_REPRS if not isinstance(r, (Program, SolveResult))]
+    for record in frozen:
+        with pytest.raises(AttributeError):
+            record.line = 1  # a field of some records, an attribute of none
+        with pytest.raises(AttributeError):
+            setattr(record, record._fields[0], None)
+        if not isinstance(record, Clause):
+            assert hash(record) == hash(tuple(record))
+    pred, args = P  # records are tuples of their fields
+    assert (pred, args) == P and GROUND.n_atoms == 1 and GROUND.card_by_id(2).hi == -1
+
+
+def test_clause_equality_and_hash_ignore_line():
+    a, b = Clause((P,), (), 3), Clause(body=(P,), head=(), line=9)
+    assert a == b and not a != b and hash(a) == hash(b) == hash(((P,), ()))
+    assert a != Clause((), (P,), 3) and not a == Clause((), (P,), 3)
+    assert len({a, b}) == 1
+
+
+def test_solve_stats_compare_by_counters():
+    assert SolveStats(5, 33, 0) == SolveStats(decisions=5, propagations=33, conflicts=0)
+    assert SolveStats(5, 33, 0) != SolveStats(5, 33, 1)
+    stats = SolveStats()
+    stats.conflicts += 1
+    assert stats == SolveStats(0, 0, 1)
 
 
 def test_term_variables_in_occurrence_order():
