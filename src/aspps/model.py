@@ -17,6 +17,8 @@ from __future__ import annotations
 
 from typing import Iterator, NamedTuple, Union
 
+from .theory import INT_MAX, INT_MIN
+
 Const = Union[int, str]
 
 # Arity of each arithmetic operator. Division truncates toward zero and
@@ -24,9 +26,6 @@ Const = Union[int, str]
 ARITH_OPS = {"+": 2, "-": 2, "*": 2, "/": 2, "abs": 1, "mod": 2, "max": 2, "min": 2}
 
 COMPARISONS = ("==", "<=", ">=", "<", ">")
-
-INT_MIN = -(2**63)
-INT_MAX = 2**63 - 1
 
 
 class Variable(NamedTuple):

@@ -15,6 +15,10 @@ from typing import TYPE_CHECKING, NamedTuple
 if TYPE_CHECKING:  # the solver side loads no parser-side module
     from .model import Const
 
+# The range of every integer constant, in terms and in atom texts.
+INT_MIN = -(2**63)
+INT_MAX = 2**63 - 1
+
 
 class GroundAtom(NamedTuple):
     id: int
@@ -82,7 +86,8 @@ def ground_atom_text(pred: str, args: tuple[Const, ...]) -> str:
 
 # An atom text as ground_atom_text writes it: a predicate name, then
 # optionally its arguments, each an integer as str(int) spells it (at
-# most 19 digits) or a symbolic constant, which starts lower-case.
+# most 19 digits, and in the 64-bit range, which parse_ground_atom_text
+# checks) or a symbolic constant, which starts lower-case.
 _ARG = r"(?:0|-?[1-9][0-9]{0,18}|[a-z][A-Za-z0-9_]*)"
 _ATOM_TEXT_RE = re.compile(rf"[A-Za-z][A-Za-z0-9_]*(?:\({_ARG}(?:,{_ARG})*\))?")
 
@@ -90,10 +95,10 @@ _ATOM_TEXT_RE = re.compile(rf"[A-Za-z][A-Za-z0-9_]*(?:\({_ARG}(?:,{_ARG})*\))?")
 def parse_ground_atom_text(text: str) -> tuple[str, tuple[Const, ...]]:
     """Inverse of ground_atom_text, used when reading theories back in; a
     text that ground_atom_text would not write, such as p(+1), p(01),
-    p() or 'p q', is a ValueError."""
-    if not _ATOM_TEXT_RE.fullmatch(text):
-        raise ValueError(f"malformed atom text {text!r}")
-    pred, paren, inner = text.partition("(")
-    if not paren:
-        return text, ()
-    return pred, tuple(a if a[0].isalpha() else int(a) for a in inner[:-1].split(","))
+    p(), 'p q' or p(9223372036854775808), is a ValueError."""
+    if _ATOM_TEXT_RE.fullmatch(text):
+        pred, paren, inner = text.partition("(")
+        args = tuple(a if a[0].isalpha() else int(a) for a in inner[:-1].split(",")) if paren else ()
+        if all(isinstance(a, str) or INT_MIN <= a <= INT_MAX for a in args):
+            return pred, args
+    raise ValueError(f"malformed atom text {text!r}")

@@ -77,6 +77,13 @@ def test_read_empty_theory():
     assert write_tdc(t) == text
 
 
+def test_read_takes_the_64_bit_extremes():
+    text = "tdc 1\natoms 1\n1 p(-9223372036854775808,9223372036854775807)\ncards 0\nclauses 0\n"
+    t = read_tdc(text)
+    assert t.atoms[0].args == (-(2**63), 2**63 - 1)
+    assert write_tdc(t) == text
+
+
 def test_read_tolerates_blank_lines():
     t = read_tdc("tdc 1\n\natoms 1\n1 p\n\ncards 0\nclauses 1\n1 -1\n")
     assert t.atoms[0].text == "p"
@@ -120,6 +127,9 @@ def test_read_tolerates_blank_lines():
         ("tdc 1\natoms 1\n1 p(a b)\ncards 0\nclauses 0\n", "malformed atom text"),
         ("tdc 1\natoms 1\n1 p((1)\ncards 0\nclauses 0\n", "malformed atom text"),
         ("tdc 1\natoms 1\n1 p(X)\ncards 0\nclauses 0\n", "malformed atom text"),
+        # 2**63 and -2**63-1: 19 digits, but outside the 64-bit range
+        ("tdc 1\natoms 1\n1 p(9223372036854775808)\ncards 0\nclauses 0\n", "malformed atom text"),
+        ("tdc 1\natoms 1\n1 p(a,-9223372036854775809)\ncards 0\nclauses 0\n", "malformed atom text"),
     ],
 )
 def test_read_rejects_malformed(text, msg):
