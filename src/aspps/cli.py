@@ -14,6 +14,7 @@ from __future__ import annotations
 import sys
 
 STAT_FILE = "aspps.stat"
+OUTPUT_CHUNK = 1 << 16  # characters of model text per write to standard output
 
 
 class _Failure(Exception):
@@ -184,15 +185,25 @@ def aspps_main(argv: list[str]) -> int:
         ]
         found = 0
         writing = 0.0
+        # Model texts collect in chunk: one write per model would be one
+        # system call per model when standard output is unbuffered.
+        chunk: list[str] = []
+        pending = 0
         start = perf_counter()
         solver = Solver(theory)
         for assignment in solver.search(args.C):
             if show:
                 t = perf_counter()
-                sys.stdout.write(("\n" if found else "") + "".join(compress(shown, assignment)))
+                text = ("\n" if found else "") + "".join(compress(shown, assignment))
+                chunk.append(text)
+                pending += len(text)
+                if pending >= OUTPUT_CHUNK:
+                    sys.stdout.write("".join(chunk))
+                    chunk, pending = [], 0
                 writing += perf_counter() - t
             found += 1
         elapsed = int((perf_counter() - start - writing) * 1000)
+        sys.stdout.write("".join(chunk))
 
         if not found:
             print("UNSAT")

@@ -12,13 +12,14 @@ from pathlib import Path
 import pytest
 
 import aspps
-from aspps.cli import STAT_FILE, aspps_main, psgrnd_main
+from aspps.cli import OUTPUT_CHUNK, STAT_FILE, aspps_main, psgrnd_main
 from aspps.grounder import MAX_CLAUSE_VARS
 from aspps.parser import MAX_RANGE_LEN, MAX_TERM_DEPTH
+from aspps.tdc import read_tdc
 from aspps.theory import GroundAtom, GroundTheory
 
 from generators import random_ground_theory
-from oracles import aspps_stdout_mismatch
+from oracles import aspps_stdout_mismatch, reference_aspps_stdout
 from problems import COLOR_RULES, PIGEON_DATA, PIGEON_RULES, QUEENS_DATA, QUEENS_RULES, TRIANGLE_DATA
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -554,6 +555,13 @@ def test_aspps_output_matches_reference_models(workdir):
         theory = random_ground_theory(rng, max_atoms=10, max_cards=4)
         pred = f"a{rng.randint(1, theory.n_atoms)}"
         assert aspps_stdout_mismatch(theory, str(workdir), pred) is None
+
+
+def test_aspps_output_past_one_chunk_matches_reference(workdir):
+    # pigeon 7/7: 5 040 models, several chunks of output
+    theory = read_tdc((workdir / _ground_pigeons(workdir, 7)).read_text(encoding="utf-8"))
+    assert len(reference_aspps_stdout(theory, None)) > 4 * OUTPUT_CHUNK
+    assert aspps_stdout_mismatch(theory, str(workdir), "in") is None
 
 
 # Each tool runs in a fresh interpreter that reports the modules it loaded
