@@ -150,6 +150,10 @@ class Grounder:
         self.card_ids: dict[tuple, int] = {}
         self.card_list: list[tuple] = []
         self.raw_clauses: list[tuple] = []
+        # (start, stop) of the runs of raw_clauses that may hold card
+        # literals: those from a rule clause with an e-atom or a
+        # cardinality atom, the atoms that fold into constructs
+        self.card_runs: list[tuple[int, int]] = []
         self.interned = dict.fromkeys(self.pred_decls, 0)  # atoms per predicate
         self._sizes: dict[str, int] = {}
         self._indexes: dict[tuple, dict] = {}
@@ -263,7 +267,10 @@ class Grounder:
             gvars = self.global_vars(clause)
             domains = [self.db.unary_domain(self.var_types[v]) for v in gvars]
             if all(domains):
+                start = len(self.raw_clauses)
                 self._ground_clause(clause, gvars, domains)
+                if not all(isinstance(a, PlainAtom) for a in clause.body + clause.head):
+                    self.card_runs.append((start, len(self.raw_clauses)))
         return self._assemble()
 
     def _ground_clause(self, clause: Clause, gvars, domains):
@@ -304,11 +311,10 @@ class Grounder:
         def renumber(lit):
             return lit + shift if lit >= _CARD else lit - shift if lit <= -_CARD else lit
 
-        clauses = tuple(
-            tuple(map(renumber, lits)) if any(abs(l) >= _CARD for l in lits) else lits
-            for lits in self.raw_clauses
-        )
-        return GroundTheory(atoms, cards, clauses)
+        clauses = self.raw_clauses
+        for start, stop in self.card_runs:
+            clauses[start:stop] = [tuple(map(renumber, lits)) for lits in clauses[start:stop]]
+        return GroundTheory(atoms, cards, tuple(clauses))
 
 
 class _Kernel:

@@ -950,6 +950,7 @@ class ReferenceGrounder(Grounder):
                 result = self.ground_clause(clause, dict(zip(gvars, combo)))
                 if result is not None:
                     self.raw_clauses.append(result)
+        self.card_runs.append((0, len(self.raw_clauses)))  # renumber every clause
         return self._assemble()
 
 
