@@ -43,22 +43,30 @@ def test_arith_expr_validates_operator_and_arity():
 P = PlainAtom("p", (X, ArithExpr("+", (X, 1))))
 GROUND = GroundTheory((GroundAtom(1, "p", (1, "a"), "p(1,a)"),), (CardConstruct(2, 0, -1, (1,)),), ((1,), ()))
 
-# repr texts as they were when the records were dataclasses; pinned
-# digests hash some of them
+# The repr of each record class: test_parser_outcomes_pinned hashes the
+# reprs of what the parsers return.
 RECORD_REPRS = [
     (X, "Variable(name='X')"),
-    (P, "PlainAtom(pred='p', args=(Variable(name='X'), ArithExpr(op='+', operands=(Variable(name='X'), 1))))"),
+    (P, "PlainAtom(pred='p', args=(Variable(name='X'),"
+        " ArithExpr(op='+', operands=(Variable(name='X'), 1))))"),
     (PlainAtom("q"), "PlainAtom(pred='q', args=())"),
-    (EAtom("p", (X, Y), "Y", "d"), "EAtom(pred='p', args=(Variable(name='X'), Variable(name='Y')), bound_var='Y', domain_pred='d')"),
-    (CAtomSchema(PlainAtom("p"), (PlainAtom("d"),), 1), "CAtomSchema(member=PlainAtom(pred='p', args=()), conds=(PlainAtom(pred='d', args=()),), lo=1, hi=None)"),
-    (CAtomList(("a", "b"), (X,), hi=2), "CAtomList(preds=('a', 'b'), args=(Variable(name='X'),), lo=None, hi=2)"),
+    (EAtom("p", (X, Y), "Y", "d"),
+     "EAtom(pred='p', args=(Variable(name='X'), Variable(name='Y')), bound_var='Y', domain_pred='d')"),
+    (CAtomSchema(PlainAtom("p"), (PlainAtom("d"),), 1),
+     "CAtomSchema(member=PlainAtom(pred='p', args=()), conds=(PlainAtom(pred='d', args=()),), lo=1, hi=None)"),
+    (CAtomList(("a", "b"), (X,), hi=2),
+     "CAtomList(preds=('a', 'b'), args=(Variable(name='X'),), lo=None, hi=2)"),
     (Clause((), (PlainAtom("q"),), 7), "Clause(body=(), head=(PlainAtom(pred='q', args=()),), line=7)"),
     (PredDecl("p", ("d",)), "PredDecl(name='p', arg_types=('d',), restriction=None)"),
     (VarDecl("d", ("X", "Y")), "VarDecl(type_pred='d', var_names=('X', 'Y'))"),
-    (Program([PredDecl("q", ())], [], [Clause((), (PlainAtom("q"),), 2)]), "Program(pred_decls=[PredDecl(name='q', arg_types=(), restriction=None)], var_decls=[], clauses=[Clause(body=(), head=(PlainAtom(pred='q', args=()),), line=2)])"),
+    (Program([PredDecl("q", ())], [], [Clause((), (PlainAtom("q"),), 2)]),
+     "Program(pred_decls=[PredDecl(name='q', arg_types=(), restriction=None)], var_decls=[],"
+     " clauses=[Clause(body=(), head=(PlainAtom(pred='q', args=()),), line=2)])"),
     (Token("int", -3, 4, 5), "Token(kind='int', value=-3, line=4, col=5)"),
-    (GROUND, "GroundTheory(atoms=(GroundAtom(id=1, pred='p', args=(1, 'a'), text='p(1,a)'),), cards=(CardConstruct(id=2, lo=0, hi=-1, members=(1,)),), clauses=((1,), ()))"),
-    (SolveResult(True, [{1: True}]), "SolveResult(sat=True, models=[{1: True}], stats=SolveStats(decisions=0, propagations=0, conflicts=0))"),
+    (GROUND, "GroundTheory(atoms=(GroundAtom(id=1, pred='p', args=(1, 'a'), text='p(1,a)'),),"
+             " cards=(CardConstruct(id=2, lo=0, hi=-1, members=(1,)),), clauses=((1,), ()))"),
+    (SolveResult(True, [{1: True}]),
+     "SolveResult(sat=True, models=[{1: True}], stats=SolveStats(decisions=0, propagations=0, conflicts=0))"),
 ]
 
 
