@@ -20,18 +20,19 @@ cross product; CPython compiles at most 20 nested blocks, so the loops
 run in chained nests of at most 16, each calling the next. Terms are
 expressions over the loop variables (see aspps.terms), and constants,
 predicate names, extensions and indexes reach the kernel as arguments,
-never as source text. A data or predefined atom is tested at the
-first loop level where its variables are bound, and when it already
-satisfies the instance the loops below it are skipped. Skipping is
-allowed only where the skipped bindings could have no effect at all:
-an interval check over the clause's domains shows that no evaluation
-in the clause can raise, and every other atom is a program atom whose
-instances are all interned already. Under the same condition a loop
-whose variable is the last unbound argument of a data atom in the body
-draws its values from an index of that atom's extension. Otherwise
-each binding is still visited, so the atoms and cardinality constructs
-of dropped instances are interned and errors surface at the same
-binding as a plain walk over the product.
+never as source text. Each atom is emitted once, in clause order, and
+the kernel's Emitter records whether any of that code can raise. Where
+none can, a data or predefined atom is tested at the first loop level
+where its variables are bound, and when it already satisfies the
+instance the loops below it are skipped. Skipping is allowed only where
+the skipped bindings could have no effect at all: besides that no code
+can raise, every other atom is a program atom whose instances are all
+interned already. Under the same condition a loop whose variable is the
+last unbound argument of a data atom in the body draws its values from
+an index of that atom's extension. Otherwise each binding is still
+visited, so the atoms and cardinality constructs of dropped instances
+are interned and errors surface at the same binding as a plain walk
+over the product.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ from .model import (
     atom_variables,
     term_variables,
 )
-from .terms import NAMESPACE, Emitter, atom_cannot_raise, domain_range
+from .terms import NAMESPACE, Emitter, domain_range
 from .theory import CardConstruct, GroundAtom, GroundTheory, ground_atom_text
 
 _EMPTY: frozenset = frozenset()
@@ -337,32 +338,38 @@ class _Kernel:
                     self.slots.setdefault(v, len(self.slots))
                     self.local_domains[v] = g.db.unary_domain(g.var_types[v])
                     ranges[v] = domain_range(self.local_domains[v])
-        safe = all(atom_cannot_raise(atom, ranges) for atom in atoms)
+        self.em = Emitter({v: f"v{i}" for v, i in self.slots.items()}, ranges)
+        self.defs: list[str] = []
+        self.lines: list[str] = []
+
+        # Each atom is emitted once, in clause order: a data or predefined
+        # atom as the expression of its truth, any other as the statements
+        # that set val. Only then is it known whether the clause can raise.
+        data = [isinstance(a, PlainAtom) and a.pred not in g.pred_decls for a in atoms]
+        code = [self.test(a) if d else self.value(a) for a, d in zip(atoms, data)]
+        safe = not self.em.checked
         self.prunable = safe and all(isinstance(a, PlainAtom) for a in atoms)
         self.preds = {a.pred for a in atoms if a.pred in g.pred_decls} if self.prunable else set()
-        self.em = Emitter({v: f"v{i}" for v, i in self.slots.items()}, ranges)
 
         # A data or predefined atom is tested after binding its last
         # variable (tests[0]: before the loops) when the clause cannot
         # raise; every other atom is evaluated per binding, in order.
         self.tests: list[list] = [[] for _ in range(len(gvars) + 1)]
         self.rest = []
-        for pos, atom in enumerate(atoms):
+        for pos, (atom, is_data, c) in enumerate(zip(atoms, data, code)):
             positive = pos >= len(clause.body)
-            if safe and isinstance(atom, PlainAtom) and atom.pred not in g.pred_decls:
+            if is_data and safe:
                 level = max((self.slots[v] + 1 for v in atom_variables(atom)), default=0)
-                self.tests[level].append((atom, positive))
+                self.tests[level].append((atom, positive, c if positive else f"not {c}"))
             else:
-                self.rest.append((atom, positive))
-        self.defs: list[str] = []
-        self.lines: list[str] = []
+                self.rest.append((positive, [f"val = {c}"] if is_data else c))
 
     def source(self) -> str:
         """Nests of at most _NEST loops, each calling the next with the
         values bound so far."""
         n, lines = len(self.gvars), self.lines
         lines.append(" def nest0(saturated=False):")
-        lines.append(f"  s0 = {' or '.join(self.test(a, p) for a, p in self.tests[0]) or False}")
+        lines.append(f"  s0 = {' or '.join(e for _, _, e in self.tests[0]) or False}")
         if self.prunable:
             lines.append("  if s0 and can_prune(): return")
         sat = "s0"  # the name of the satisfied flag
@@ -379,16 +386,14 @@ class _Kernel:
         head = f"def make(ids_get, resolve, raw_append, can_prune, fold, eatom, product{consts}):"
         return "\n".join([head, *self.defs, *lines, " return nest0\n"])
 
-    def test(self, atom: PlainAtom, positive) -> str:
+    def test(self, atom: PlainAtom) -> str:
         """An expression that is true when a data or predefined atom
-        satisfies the instance."""
+        holds."""
         em = self.em
         if atom.pred in COMPARISONS:
-            e = em.comparison(atom)
-        else:
-            ext = self.g.db.extensions.get((atom.pred, len(atom.args)), _EMPTY)
-            e = f"({em.args(atom.args)} in {em.const(ext)})"
-        return e if positive else f"not {e}"
+            return em.comparison(atom)
+        ext = self.g.db.extensions.get((atom.pred, len(atom.args)), _EMPTY)
+        return f"({em.args(atom.args)} in {em.const(ext)})"
 
     def loops(self, start, stop, sat):
         """Loops over gvars[start:stop] in a nest; returns the depth
@@ -396,14 +401,14 @@ class _Kernel:
         em, depth = self.em, 2
         for i in range(start, stop):
             values = em.const(self.domains[i])
-            for atom, positive in self.tests[i + 1] if self.prunable else ():
+            for atom, positive, _ in self.tests[i + 1] if self.prunable else ():
                 if not positive and atom.pred not in COMPARISONS and Variable(self.gvars[i]) in atom.args:
                     table, key = self.g._index(atom, self.gvars[i], self.domains[i])
                     values = f"({em.const(table)}.get({em.args(key)}, ()) if {_PRUNE} else {values})"
                     break
             self.lines.append(f"{' ' * depth}for v{i} in {values}:")
             depth += 1
-            level = [self.test(a, p) for a, p in self.tests[i + 1]]
+            level = [e for _, _, e in self.tests[i + 1]]
             if level:
                 self.lines.append(f"{' ' * depth}s{i + 1} = {' or '.join([sat] + level)}")
                 sat = f"s{i + 1}"
@@ -417,19 +422,18 @@ class _Kernel:
         pad = " " * depth
         lines = self.lines
         lines += [f"{pad}sat = {sat}", f"{pad}lits = []"]
-        for atom, positive in self.rest:
+        for positive, code in self.rest:
             lit, neg = ("val", "-val") if positive else ("-val", "val")
-            lines.extend(pad + line for line in self.value(atom))
+            lines.extend(pad + line for line in code)
             lines.append(f"{pad}if val is {not positive}: pass")
             lines.append(f"{pad}elif val is {positive} or {neg} in lits: sat = True")
             lines.append(f"{pad}elif {lit} not in lits: lits.append({lit})")
         lines.append(f"{pad}if not sat: raw_append(tuple(lits))")
 
     def value(self, atom) -> list[str]:
-        """Statements setting val to the atom's True, False or reference."""
+        """Statements setting val to a program atom's, an e-atom's or a
+        cardinality atom's True, False or reference."""
         em, g = self.em, self.g
-        if isinstance(atom, PlainAtom) and atom.pred not in g.pred_decls:
-            return [f"val = {self.test(atom, True)}"]
         if isinstance(atom, PlainAtom):
             key = f"key = ({em.const(atom.pred)}, {em.args(atom.args)})"
             return [key, "val = ids_get(key)", "if val is None: val = resolve(*key) or False"]
@@ -446,7 +450,7 @@ class _Kernel:
         names = ", ".join(f"v{self.slots[v]}" for v in locals_)
         doms = ", ".join(em.const(self.local_domains[v]) for v in locals_)
         member = f"({em.const(atom.member.pred)}, {em.args(atom.member.args)})"
-        conds = " and ".join(self.test(c, True) for c in atom.conds) or "True"
+        conds = " and ".join(self.test(c) for c in atom.conds) or "True"
         if not locals_:
             members = f"[{member}] if {conds} else []"
         else:

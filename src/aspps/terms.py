@@ -1,17 +1,17 @@
-"""Interval bounds on term values, and terms emitted as Python source.
-
-The interval bounds decide ahead of time, over whole variable domains,
-that evaluating a term cannot raise GroundError: a symbolic value in
-arithmetic or in an order comparison, a zero divisor or a result outside
-the 64-bit range.
+"""Terms emitted as Python source, and interval bounds on their values.
 
 Emitter writes terms as Python expressions over the loop variables of a
-clause's kernel (see aspps.grounder). A term the bounds prove safe is
-plain arithmetic; elsewhere each operation calls a checked helper of
-NAMESPACE that raises GroundError, operands first, so errors surface in
-the order of a left-to-right evaluation. Division truncates toward zero
-and mod(a,b) = a - b*trunc(a/b). Constants never appear in the source:
-each is an entry of Emitter.consts, named k<i>.
+clause's kernel (see aspps.grounder). The interval bounds, taken over
+whole variable domains, decide for each term whether its evaluation can
+raise GroundError: a symbolic value in arithmetic or in an order
+comparison, a zero divisor or a result outside the 64-bit range. A term
+they prove safe is plain arithmetic; elsewhere each operation calls a
+checked helper of NAMESPACE that raises GroundError, operands first, so
+errors surface in the order of a left-to-right evaluation. Emitting a
+checked operation sets Emitter.checked, so that flag alone says whether
+the emitted source can raise. Division truncates toward zero and
+mod(a,b) = a - b*trunc(a/b). Constants never appear in the source: each
+is an entry of Emitter.consts, named k<i>.
 """
 
 from __future__ import annotations
@@ -19,16 +19,7 @@ from __future__ import annotations
 import operator
 
 from .errors import GroundError
-from .model import (
-    COMPARISONS,
-    INT_MAX,
-    INT_MIN,
-    ArithExpr,
-    CAtomList,
-    EAtom,
-    PlainAtom,
-    Variable,
-)
+from .model import INT_MAX, INT_MIN, ArithExpr, PlainAtom, Variable
 
 # ---------------------------------------------------------------------------
 # Emitted terms, and the helpers their source calls.
@@ -110,12 +101,18 @@ _CHECKED = {
 
 class Emitter:
     """Source for terms whose variables are named by `names`; `ranges`
-    are the bounds that decide which terms need no checks."""
+    are the bounds that decide which terms need no checks, and `checked`
+    is set once any source emitted so far may raise."""
 
     def __init__(self, names, ranges):
         self.names = names
         self.ranges = ranges
         self.consts: list = []
+        self.checked = False
+
+    def _check(self, source) -> str:
+        self.checked = True
+        return source
 
     def const(self, value) -> str:
         self.consts.append(value)
@@ -124,13 +121,14 @@ class Emitter:
     def term(self, term, arith=False) -> str:
         if isinstance(term, Variable):
             name = self.names[term.name]
-            return f"_num({name})" if arith and self.ranges.get(term.name) is None else name
+            return self._check(f"_num({name})") if arith and self.ranges.get(term.name) is None else name
         if isinstance(term, ArithExpr):
             ops = [self.term(t, True) for t in term.operands]
-            safe = arith_range(term, self.ranges) is not None
-            return (_PLAIN if safe else _CHECKED)[term.op].format(*ops)
+            if arith_range(term, self.ranges) is not None:
+                return _PLAIN[term.op].format(*ops)
+            return self._check(_CHECKED[term.op].format(*ops))
         if arith and isinstance(term, str):
-            return f"_num({self.const(term)})"
+            return self._check(f"_num({self.const(term)})")
         return self.const(term)
 
     def args(self, terms) -> str:
@@ -145,11 +143,11 @@ class Emitter:
             return f"({a} == {b})"
         if all(arith_range(t, self.ranges) is not None for t in atom.args):
             return _ORDER_PLAIN[atom.pred].format(a, b)
-        return f"{_ORDER_HELPER[atom.pred]}({a}, {b})"
+        return self._check(f"{_ORDER_HELPER[atom.pred]}({a}, {b})")
 
 
 # ---------------------------------------------------------------------------
-# Interval check: can any evaluation in a clause raise? `ranges` maps each
+# Interval bounds: can evaluating a term raise? `ranges` maps each
 # bound variable to the (lo, hi) bounds of its integer values, or to None
 # when its domain holds a symbol or nothing at all.
 
@@ -201,31 +199,3 @@ def arith_range(term, ranges):
     if lo < INT_MIN or hi > INT_MAX:
         return None
     return lo, hi
-
-
-def _term_safe(term, ranges):
-    """True when evaluating term as an atom argument cannot raise."""
-    if isinstance(term, Variable):
-        return term.name in ranges
-    if isinstance(term, ArithExpr):
-        return arith_range(term, ranges) is not None
-    return True
-
-
-def _plain_atom_safe(atom: PlainAtom, ranges):
-    """True when evaluating a plain atom's arguments, or deciding a
-    comparison, cannot raise."""
-    if atom.pred in COMPARISONS and atom.pred != "==":
-        return all(arith_range(t, ranges) is not None for t in atom.args)
-    return all(_term_safe(t, ranges) for t in atom.args)
-
-
-def atom_cannot_raise(atom, ranges) -> bool:
-    """True when no binding within ranges makes evaluating atom raise."""
-    if isinstance(atom, PlainAtom):
-        return _plain_atom_safe(atom, ranges)
-    if isinstance(atom, EAtom):
-        return all(_term_safe(t, ranges) for t in atom.args[:-1])
-    if isinstance(atom, CAtomList):
-        return all(_term_safe(t, ranges) for t in atom.args)
-    return all(_plain_atom_safe(a, ranges) for a in (atom.member, *atom.conds))
