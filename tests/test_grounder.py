@@ -574,6 +574,32 @@ def test_kernel_source_holds_no_rule_file_text():
         assert "qq" not in source.lower() and "987654" not in source, source
 
 
+def _prunable(rules, data, consts=None):
+    """Whether each clause's kernel may prune bindings."""
+    consts = consts or {}
+    prog = parse_rule_file(rules, consts)
+    g = Grounder(prog, build_database(parse_data_file(data, consts)))
+    flags = []
+    for clause in prog.clauses:
+        gvars = g.global_vars(clause)
+        flags.append(_Kernel(g, clause, gvars, [g.db.unary_domain(g.var_types[v]) for v in gvars]).prunable)
+    return flags
+
+
+def test_kernel_prunes_only_where_no_evaluation_can_raise():
+    """The benchmark grounds queens and color through pruning kernels;
+    the outputs are the same either way, so only this test sees a verdict
+    that never prunes or one that prunes a clause that can raise."""
+    assert _prunable(QUEENS_RULES, QUEENS_DATA, {"n": "6"})[1:] == [True, True]
+    assert _prunable(COLOR_RULES, TRIANGLE_DATA, {"k": "3"})[1] is True
+    pred = "pred p(t).\nvar t X, Y.\n"
+    # X - 1 is 0 for X = 1: the division may raise
+    assert _prunable(pred + "p(X), X > 5, Y / (X - 1) > 0 ->.", "t[1..9].") == [False]
+    # a symbol in the domain of X meets the arithmetic
+    assert _prunable(pred + "p(X), X + 1 > Y ->.", "t[1..3]. t(a).") == [False]
+    assert _prunable(pred + "p(X), X + 1 > Y ->.", "t[1..3].") == [True]
+
+
 # ---------------------------------------------------------------------------
 # Differential: the variable walk against per-atom-kind walks.
 
