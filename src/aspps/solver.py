@@ -505,6 +505,8 @@ class Solver:
         1..n_atoms hold the atoms' values, the card ids above n_atoms the
         cards' committed values, and the last slot is always None. The
         list is the solver's own: read it before resuming."""
+        if max_models is not None and max_models < 1:
+            raise ValueError(f"max_models must be None or at least 1, got {max_models!r}")
         found = 0
         conflict = self._initial_propagate()
         while True:

@@ -169,6 +169,20 @@ def test_max_models_caps_enumeration():
     assert len(solve(t, max_models=None).models) == 8
 
 
+@pytest.mark.parametrize("max_models", [0, -5])
+def test_max_models_below_one_is_refused(max_models):
+    t = _theory(2)
+    message = f"max_models must be None or at least 1, got {max_models}"
+    with pytest.raises(ValueError, match=message):
+        solve(t, max_models)
+    with pytest.raises(ValueError, match=message):
+        next(Solver(t).search(max_models))
+    with pytest.raises(ValueError, match=message):
+        next(Solver(t).models(max_models))
+    with pytest.raises(ValueError, match=message):
+        Solver(t).run(max_models)
+
+
 def test_models_are_distinct_and_total():
     t = _theory(3, cards=[(1, 2, (1, 2, 3))], clauses=[(4,)])
     res = solve(t, max_models=None)
