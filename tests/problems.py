@@ -1,51 +1,27 @@
-"""Canonical benchmark encodings shared by tests and scripts."""
+"""The benchmark encodings bundled in scripts/problems, read from there,
+and a helper that grounds one."""
 
 from __future__ import annotations
+
+from pathlib import Path
 
 from aspps.database import build_database
 from aspps.grounder import check_program, ground_theory
 from aspps.parser import parse_data_file, parse_rule_file
 
-COLOR_RULES = """\
-pred clr(vtx, color).
-var vtx X, Y.
-var color C.
--> 1 {clr(X,C) : color(C)} 1.
-clr(X,C), clr(Y,C), edge(X,Y) ->.
-"""
+PROBLEMS = Path(__file__).resolve().parent.parent / "scripts" / "problems"
 
-TRIANGLE_DATA = """\
-vtx[1..3].
-edge(1,2). edge(2,3). edge(1,3).
-color[1..k].
-"""
 
-QUEENS_RULES = """\
-pred q(row, col).
-var row R, R1.
-var col C, C1.
--> 1 {q(R,C) : col(C)} 1.
-q(R,C), q(R1,C), R < R1 ->.
-q(R,C), q(R1,C1), R < R1, abs(C - C1) == R1 - R ->.
-"""
+def _read(name: str) -> str:
+    return (PROBLEMS / name).read_text(encoding="utf-8")
 
-QUEENS_DATA = """\
-row[1..n].
-col[1..n].
-"""
 
-PIGEON_RULES = """\
-pred in(pigeon, hole).
-var pigeon P.
-var hole H.
--> 1 {in(P,H) : hole(H)} 1.
--> {in(P,H) : pigeon(P)} 1.
-"""
-
-PIGEON_DATA = """\
-pigeon[1..p].
-hole[1..h].
-"""
+COLOR_RULES = _read("color.rl")
+TRIANGLE_DATA = _read("graph.dt")
+QUEENS_RULES = _read("queens.rl")
+QUEENS_DATA = _read("board.dt")
+PIGEON_RULES = _read("pigeon.rl")
+PIGEON_DATA = _read("pigeon.dt")
 
 
 def ground_problem(rules: str, data: str, consts: dict[str, str]):

@@ -6,15 +6,13 @@ that is meant to keep its output must leave these hashes as they are.
 """
 
 import hashlib
-from pathlib import Path
 
 import pytest
 
 from aspps.tdc import write_tdc
 
-from problems import ground_problem
+from problems import PROBLEMS, ground_problem
 
-PROBLEMS = Path(__file__).resolve().parent.parent / "scripts" / "problems"
 
 
 @pytest.mark.parametrize(

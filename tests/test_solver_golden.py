@@ -8,16 +8,14 @@ keep its behaviour must leave these numbers exactly as they are.
 
 import hashlib
 import random
-from pathlib import Path
 
 import pytest
 
 from aspps.solver import solve
 
 from generators import random_ground_theory
-from problems import ground_problem
+from problems import PROBLEMS, ground_problem
 
-PROBLEMS = Path(__file__).resolve().parent.parent / "scripts" / "problems"
 
 
 def _ground(rules: str, data: str, consts: dict[str, str]):
