@@ -1,7 +1,8 @@
 """The package holds only code its users reach: every public top-level
 name in src/aspps is used by another statement of the package, exported
 in aspps.__all__, named as a console script in pyproject.toml, or used
-by perfbench/ or scripts/. Code that only the tests use lives in tests/."""
+by perfbench/ or scripts/, and every private one by another statement
+of the package. Code that only the tests use lives in tests/."""
 
 import ast
 import re
@@ -36,24 +37,35 @@ def _defined_names(stmt) -> list[str]:
     return []
 
 
-def test_every_public_name_in_src_has_a_user():
+def _names_without_a_user(private: bool, outside=frozenset()) -> list[str]:
+    """The top-level private or public names of src/aspps that no other
+    top-level statement of the package uses and that are not in outside."""
     statements = [
         (path, stmt)
         for path in sorted((ROOT / "src" / "aspps").glob("*.py"))
         for stmt in ast.parse(path.read_text(encoding="utf-8")).body
     ]
+    uses = [_used_names(stmt) for _, stmt in statements]
+    return [
+        f"{path.name}:{stmt.lineno} {name}"
+        for i, (path, stmt) in enumerate(statements)
+        for name in _defined_names(stmt)
+        if name.startswith("_") == private
+        and not name.startswith("__")
+        and name not in outside
+        and not any(name in used for j, used in enumerate(uses) if j != i)
+    ]
+
+
+def test_every_public_name_in_src_has_a_user():
     outside = set(aspps.__all__)
     outside.update(re.findall(r'=\s*"aspps\.\w+:(\w+)"', (ROOT / "pyproject.toml").read_text(encoding="utf-8")))
     for folder in ("perfbench", "scripts"):
         for path in (ROOT / folder).rglob("*.py"):
             outside |= _used_names(ast.parse(path.read_text(encoding="utf-8")), bare=False)
-    uses = [_used_names(stmt) for _, stmt in statements]
-    unused = [
-        f"{path.name}:{stmt.lineno} {name}"
-        for i, (path, stmt) in enumerate(statements)
-        for name in _defined_names(stmt)
-        if not name.startswith("_")
-        and name not in outside
-        and not any(name in used for j, used in enumerate(uses) if j != i)
-    ]
-    assert unused == []
+    assert _names_without_a_user(private=False, outside=outside) == []
+
+
+def test_every_private_name_in_src_is_used_in_src():
+    """A private helper that only tests or tools reach is dead code."""
+    assert _names_without_a_user(private=True) == []
