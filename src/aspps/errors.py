@@ -26,8 +26,10 @@ class ParseError(ToolchainError):
 
 
 class GroundError(ToolchainError):
-    """Evaluation error during grounding: bad arithmetic, unresolved
-    constants, or a type predicate that is not unary."""
+    """Evaluation error during grounding: a symbolic constant in
+    arithmetic or in an order comparison, a division or mod by zero, or
+    arithmetic overflow; ground_theory also raises the first
+    check_program diagnostic as one."""
 
 
 class TdcError(ToolchainError):
