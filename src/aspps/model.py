@@ -15,7 +15,7 @@ whose text parses back to the same tree, is in tests/rendering.py.
 
 from __future__ import annotations
 
-from typing import Iterator, NamedTuple, Union
+from typing import Iterator, NamedTuple, Sequence, Union
 
 from .theory import INT_MAX, INT_MIN
 
@@ -103,20 +103,6 @@ class Clause(NamedTuple):
     head: tuple[Atom, ...]
     line: int = 0
 
-    # line says where the clause was written and is no part of its value
-    def __eq__(self, other):
-        if isinstance(other, Clause):
-            return self[:2] == other[:2]
-        return NotImplemented
-
-    def __ne__(self, other):
-        if isinstance(other, Clause):
-            return self[:2] != other[:2]
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self[:2])
-
 
 class PredDecl(NamedTuple):
     """pred name(t1,...,tn) with unary data predicates as argument types
@@ -132,21 +118,12 @@ class VarDecl(NamedTuple):
     var_names: tuple[str, ...]
 
 
-class Program:
+class Program(NamedTuple):
     """A parsed rule file: the declarations and clauses in file order."""
 
-    __slots__ = ("pred_decls", "var_decls", "clauses")
-
-    def __init__(self, pred_decls=None, var_decls=None, clauses=None):
-        self.pred_decls: list[PredDecl] = [] if pred_decls is None else pred_decls
-        self.var_decls: list[VarDecl] = [] if var_decls is None else var_decls
-        self.clauses: list[Clause] = [] if clauses is None else clauses
-
-    def __repr__(self):
-        return (
-            f"Program(pred_decls={self.pred_decls!r}, var_decls={self.var_decls!r},"
-            f" clauses={self.clauses!r})"
-        )
+    pred_decls: Sequence[PredDecl] = ()
+    var_decls: Sequence[VarDecl] = ()
+    clauses: Sequence[Clause] = ()
 
 
 def term_variables(term: Term) -> Iterator[str]:

@@ -318,7 +318,9 @@ def parse_rule_file(text: str, consts: dict[str, str] | None = None, file: str =
     predicate declarations and for lower-case variable names that were
     already taken for constants.
     """
-    prog = Program()
+    pred_decls: list[PredDecl] = []
+    var_decls: list[VarDecl] = []
+    clauses: list[Clause] = []
     var_types: dict[str, str] = {}
     pred_seen: dict[str, PredDecl] = {}
     used_preds: set[str] = set()
@@ -339,14 +341,14 @@ def parse_rule_file(text: str, consts: dict[str, str] | None = None, file: str =
                     f"predicate {decl.name} declared after use", file, first.line, first.col
                 )
             pred_seen[decl.name] = decl
-            prog.pred_decls.append(decl)
+            pred_decls.append(decl)
         elif first.kind == "ident" and first.value == "var":
             vdecl = _parse_var_decl(_Cursor(stmt, file), var_types, used_consts)
-            prog.var_decls.append(vdecl)
+            var_decls.append(vdecl)
         else:
             parser = _ClauseParser(stmt, file, var_types, pred_seen, used_preds, used_consts)
-            prog.clauses.append(parser.parse())
-    return prog
+            clauses.append(parser.parse())
+    return Program(pred_decls, var_decls, clauses)
 
 
 def _parse_pred_decl(cur):

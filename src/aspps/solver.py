@@ -71,6 +71,7 @@ from __future__ import annotations
 
 from collections import deque
 from collections.abc import Iterator, Sequence
+from typing import NamedTuple
 
 from .theory import GroundTheory, card_error, clause_error
 
@@ -79,48 +80,20 @@ from .theory import GroundTheory, card_error, clause_error
 CONFLICT = -1
 
 
-class SolveStats:
-    """The search counters, which the solver updates in place."""
+class SolveStats(NamedTuple):
+    """The search counters."""
 
-    __slots__ = ("decisions", "propagations", "conflicts")
-
-    def __init__(self, decisions: int = 0, propagations: int = 0, conflicts: int = 0):
-        self.decisions = decisions
-        self.propagations = propagations
-        self.conflicts = conflicts
-
-    def _values(self):
-        return self.decisions, self.propagations, self.conflicts
-
-    def __eq__(self, other):
-        if isinstance(other, SolveStats):
-            return self._values() == other._values()
-        return NotImplemented
-
-    def __repr__(self):
-        return "SolveStats(decisions={}, propagations={}, conflicts={})".format(*self._values())
+    decisions: int = 0
+    propagations: int = 0
+    conflicts: int = 0
 
 
-class SolveResult:
+class SolveResult(NamedTuple):
     """The verdict of a search, the models it found and its counters."""
 
-    __slots__ = ("sat", "models", "stats")
-
-    def __init__(self, sat: bool, models: list[dict[int, bool]], stats: SolveStats | None = None):
-        self.sat = sat
-        self.models = models
-        self.stats = SolveStats() if stats is None else stats
-
-    def _values(self):
-        return self.sat, self.models, self.stats
-
-    def __eq__(self, other):
-        if isinstance(other, SolveResult):
-            return self._values() == other._values()
-        return NotImplemented
-
-    def __repr__(self):
-        return "SolveResult(sat={!r}, models={!r}, stats={!r})".format(*self._values())
+    sat: bool
+    models: list[dict[int, bool]]
+    stats: SolveStats = SolveStats()
 
 
 class Solver:
@@ -164,7 +137,7 @@ class Solver:
         # decision_pos, the bound that holds once that decision is flipped.
         self.low_atom = 1
         self.decision_low: list[int] = []
-        self.stats = SolveStats()
+        self.decisions = self.propagations = self.conflicts = 0
         # queue: ids whose value was just set; dirty_cards: card ids.
         self.queue: deque[int] = deque()
         self.dirty_cards: deque[int] = deque()
@@ -204,6 +177,11 @@ class Solver:
                 self.score[aid] += 1
             self.branch_atoms.append(atoms)
 
+    @property
+    def stats(self) -> SolveStats:
+        """A snapshot of the search counters."""
+        return SolveStats(self.decisions, self.propagations, self.conflicts)
+
     # -- plumbing ---------------------------------------------------------
 
     def card_status(self, cid: int) -> bool | None:
@@ -225,9 +203,9 @@ class Solver:
             self.decision_pos.append(len(self.trail))
             low = self.low_atom
             self.decision_low.append(low + 1 if ref == low else low)
-            self.stats.decisions += 1
+            self.decisions += 1
         elif ref <= self.n_atoms:
-            self.stats.propagations += 1
+            self.propagations += 1
         self.trail.append(ref)
         sat_by = self.sat_by[ref]
         if sat_by[not value]:
@@ -412,7 +390,7 @@ class Solver:
                 card_undec[cid] = tu - tc - forced
                 if force:
                     card_true[cid] = tc + forced
-                self.stats.propagations += forced
+                self.propagations += forced
                 continue
             if v is None:
                 self.assign(cid, st)
@@ -511,7 +489,7 @@ class Solver:
         conflict = self._initial_propagate()
         while True:
             if conflict is not None:
-                self.stats.conflicts += 1
+                self.conflicts += 1
                 if not self._backtrack_flip():
                     return
                 conflict = self.propagate()

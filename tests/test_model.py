@@ -76,31 +76,24 @@ def test_record_repr_unchanged(record, text):
 
 
 def test_frozen_records_refuse_assignment_and_hash_as_their_fields():
-    frozen = [r for r, _ in RECORD_REPRS if not isinstance(r, (Program, SolveResult))]
-    for record in frozen:
+    for record in [r for r, _ in RECORD_REPRS] + [SolveStats(5, 33, 0)]:
         with pytest.raises(AttributeError):
             record.line = 1  # a field of some records, an attribute of none
         with pytest.raises(AttributeError):
             setattr(record, record._fields[0], None)
-        if not isinstance(record, Clause):
+        if isinstance(record, (Program, SolveResult)):  # they hold lists
+            with pytest.raises(TypeError):
+                hash(record)
+        else:
             assert hash(record) == hash(tuple(record))
     pred, args = P  # records are tuples of their fields
     assert (pred, args) == P and GROUND.n_atoms == 1 and GROUND.card_by_id(2).hi == -1
-
-
-def test_clause_equality_and_hash_ignore_line():
-    a, b = Clause((P,), (), 3), Clause(body=(P,), head=(), line=9)
-    assert a == b and not a != b and hash(a) == hash(b) == hash(((P,), ()))
-    assert a != Clause((), (P,), 3) and not a == Clause((), (P,), 3)
-    assert len({a, b}) == 1
+    assert Clause((P,), (), 3) != Clause((P,), (), 9)  # line is a field like any other
 
 
 def test_solve_stats_compare_by_counters():
     assert SolveStats(5, 33, 0) == SolveStats(decisions=5, propagations=33, conflicts=0)
     assert SolveStats(5, 33, 0) != SolveStats(5, 33, 1)
-    stats = SolveStats()
-    stats.conflicts += 1
-    assert stats == SolveStats(0, 0, 1)
 
 
 def test_term_variables_in_occurrence_order():
