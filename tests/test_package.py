@@ -2,7 +2,8 @@
 name in src/aspps is used by another statement of the package, exported
 in aspps.__all__, named as a console script in pyproject.toml, or used
 by perfbench/ or scripts/, and every private one by another statement
-of the package. Code that only the tests use lives in tests/."""
+of the package. Code that only the tests use lives in tests/. Records
+are NamedTuples, so no class writes its own comparison, hash or repr."""
 
 import ast
 import re
@@ -69,3 +70,17 @@ def test_every_public_name_in_src_has_a_user():
 def test_every_private_name_in_src_is_used_in_src():
     """A private helper that only tests or tools reach is dead code."""
     assert _names_without_a_user(private=True) == []
+
+
+def test_no_class_in_src_writes_its_own_comparison_hash_or_repr():
+    methods = {"__eq__", "__ne__", "__hash__", "__repr__"}
+    written = [
+        f"{path.name}:{stmt.lineno} {node.name}.{name}"
+        for path in sorted((ROOT / "src" / "aspps").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ClassDef)
+        for stmt in node.body
+        for name in _defined_names(stmt)
+        if name in methods
+    ]
+    assert written == []
