@@ -15,6 +15,7 @@ import aspps
 from aspps.cli import OUTPUT_CHUNK, STAT_FILE, aspps_main, psgrnd_main
 from aspps.grounder import MAX_CLAUSE_VARS
 from aspps.parser import MAX_RANGE_LEN, MAX_TERM_DEPTH
+from aspps.solver import solve
 from aspps.tdc import read_tdc
 from aspps.theory import GroundAtom, GroundTheory
 
@@ -421,6 +422,26 @@ def _ground_pigeons(workdir, n):
     dt = _write(workdir, "pigeon.dt", PIGEON_DATA)
     assert psgrnd_main(["-c", f"p={n}", "-c", f"h={n}", "-r", rl, "-d", dt]) == 0
     return f"p={n}-h={n}-pigeon-pigeon.tdc"
+
+
+@pytest.mark.parametrize(
+    "problem,flags,max_models",
+    [("pigeon", ["-C"], None), ("queens", [], 1)],
+    ids=["pigeon-4-all-models", "queens-6-first-model"],
+)
+def test_aspps_stat_counters_are_the_solvers(workdir, capsys, problem, flags, max_models):
+    if problem == "pigeon":
+        tdc = _ground_pigeons(workdir, 4)
+    else:
+        assert _ground_queens(workdir, "n=6") == 0
+        tdc = "n=6-queens-board.tdc"
+    assert aspps_main(["-f", tdc, *flags]) == 0
+    capsys.readouterr()
+    line = (workdir / STAT_FILE).read_text(encoding="utf-8")
+    written = [int(v) for v in re.findall(r" (?:decisions|propagations|conflicts)=(\d+)", line)]
+    stats = solve(read_tdc((workdir / tdc).read_text(encoding="utf-8")), max_models).stats
+    assert written == list(stats)
+    assert stats.decisions > 0 and stats.propagations > 0
 
 
 def test_aspps_closed_pipe_exit_3(workdir):
