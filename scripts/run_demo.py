@@ -14,6 +14,7 @@ import tempfile
 from pathlib import Path
 
 from aspps.cli import aspps_main, psgrnd_main
+from aspps.grounder import output_name
 from aspps.solver import model_lines, solve
 from aspps.tdc import read_tdc
 
@@ -22,13 +23,12 @@ PROBLEMS = Path(__file__).resolve().parent / "problems"
 
 def run(name, rule, data, consts, expect_sat):
     argv = []
-    for c in consts:
-        argv += ["-c", c]
+    for k, v in consts.items():
+        argv += ["-c", f"{k}={v}"]
     argv += ["-r", str(PROBLEMS / rule), "-d", str(PROBLEMS / data)]
     if psgrnd_main(argv) != 0:
         raise SystemExit(f"{name}: grounding failed")
-    stem = "-".join(consts + [Path(rule).stem, Path(data).stem])
-    tdc = f"{stem}.tdc"
+    tdc = output_name(consts, rule, [data])
     theory = read_tdc(Path(tdc).read_text(encoding="utf-8"), file=tdc)
     print(f"{name}: {theory.n_atoms} atoms, {len(theory.cards)} cards, "
           f"{len(theory.clauses)} clauses -> {tdc}")
@@ -58,13 +58,13 @@ def main():
 
     with tempfile.TemporaryDirectory(prefix="aspps-demo-") as scratch:
         os.chdir(scratch)
-        run("triangle coloring", "color.rl", "graph.dt", [f"k={args.colors}"], True)
-        run("n-queens", "queens.rl", "board.dt", [f"n={args.queens}"], True)
+        run("triangle coloring", "color.rl", "graph.dt", {"k": args.colors}, True)
+        run("n-queens", "queens.rl", "board.dt", {"n": args.queens}, True)
         run(
             "pigeonhole",
             "pigeon.rl",
             "pigeon.dt",
-            [f"p={args.pigeons}", f"h={args.holes}"],
+            {"p": args.pigeons, "h": args.holes},
             args.pigeons <= args.holes,
         )
 
