@@ -169,10 +169,10 @@ def test_max_models_caps_enumeration():
     assert len(solve(t, max_models=None).models) == 8
 
 
-@pytest.mark.parametrize("max_models", [0, -5])
+@pytest.mark.parametrize("max_models", [0, -5, 1.5, 2.0, True, "3"])
 def test_max_models_below_one_is_refused(max_models):
     t = _theory(2)
-    message = f"max_models must be None or at least 1, got {max_models}"
+    message = re.escape(f"max_models must be None or at least 1, got {max_models!r}")
     with pytest.raises(ValueError, match=message):
         solve(t, max_models)
     with pytest.raises(ValueError, match=message):
