@@ -1,11 +1,16 @@
 """Model search over ground theories with cardinality constructs.
 
 Three-valued DPLL with chronological backtracking. Each cardinality
-construct keeps a pair of counters (true members, undetermined members)
+construct keeps a pair of counters (true members, members not false)
 from which its status is read off:
 
-  true  when true >= lo and, bounded above, true + undetermined <= hi
-  false when true + undetermined < lo, or true > hi
+  true  when true >= lo and, bounded above, not false <= hi
+  false when not false < lo, or true > hi
+
+Setting a member moves exactly one counter (true up when it is set true,
+not false down when it is set false), and undoing it moves that counter
+back; the members a committed card still has to force number not false
+minus true.
 
 A construct may also be committed to a value by clause propagation
 before its status is determined; the member-forcing rules then drive the
@@ -111,13 +116,13 @@ class Solver:
         self.assignment: list[bool | None] = [None] * (size + 1)
         # Per card id (slots 0..n unused): bounds (an unbounded hi is the
         # member count, which no count exceeds), members, and the counts
-        # of true and undetermined members.
+        # of true members and of members not false.
         pad = [0] * (n + 1)
         self.card_lo = pad + [c.lo for c in theory.cards]
         self.card_hi = pad + [len(c.members) if c.hi == -1 else c.hi for c in theory.cards]
         self.card_members = [()] * (n + 1) + [c.members for c in theory.cards]
         self.card_true = [0] * size
-        self.card_undec = pad + [len(c.members) for c in theory.cards]
+        self.card_live = pad + [len(c.members) for c in theory.cards]
         # member_of[ref]: ids of the cards with ref as a member. Ids in no
         # card share one empty tuple; an entry becomes a list when first
         # appended to, so an id that occurs nowhere costs no list.
@@ -143,7 +148,7 @@ class Solver:
         self.dirty_cards: deque[int] = deque()
         # sat_by[ref][value]: clauses whose literal on ref that value makes
         # true; sat_by[ref][not value] are those it makes false. Ids in no
-        # clause share one pair of empty tuples.
+        # clause share one empty, false entry, so one test skips them.
         # branch_atoms[ci]: the atoms clause ci mentions, card literals
         # expanded into their members, repeats kept.
         # pending: trail entries with a make-true list, not yet counted.
@@ -151,8 +156,8 @@ class Solver:
         # trail entries; open_clauses: the clauses with sat_count 0.
         # score[aid]: occurrences of aid in branch_atoms of the clauses
         # with sat_count 0.
-        unused: tuple[Sequence[int], Sequence[int]] = ((), ())
-        sat_by = self.sat_by = [unused] * size
+        sat_by: list[tuple[list[int], list[int]] | tuple[()]] = [()] * size
+        self.sat_by = sat_by
         self.clause_lits = theory.clauses
         self.pending: list[int] = []
         self.branch_atoms: list[list[int]] = []
@@ -166,7 +171,7 @@ class Solver:
             atoms: list[int] = []
             for lit in lits:
                 ref = abs(lit)
-                if sat_by[ref] is unused:
+                if not sat_by[ref]:
                     sat_by[ref] = ([], [])
                 sat_by[ref][lit > 0].append(ci)
                 if ref <= n:
@@ -187,7 +192,7 @@ class Solver:
     def card_status(self, cid: int) -> bool | None:
         """Status of card cid read off its counts."""
         tc, lo, hi = self.card_true[cid], self.card_lo[cid], self.card_hi[cid]
-        tu = tc + self.card_undec[cid]
+        tu = self.card_live[cid]
         if tc >= lo and tu <= hi:
             return True
         if tu < lo or tc > hi:
@@ -207,32 +212,35 @@ class Solver:
         elif ref <= self.n_atoms:
             self.propagations += 1
         self.trail.append(ref)
-        sat_by = self.sat_by[ref]
-        if sat_by[not value]:
-            self.queue.append(ref)
-        if sat_by[value]:
-            self.pending.append(ref)
+        sat = self.sat_by[ref]
+        if sat:
+            if sat[not value]:
+                self.queue.append(ref)
+            if sat[value]:
+                self.pending.append(ref)
         cards = self.member_of[ref]
         if cards:
             # Count ref in each card it is a member of, and queue the card
             # unless it is settled: its committed value equals its
             # determined status, which no further assignment can change.
-            dirty, card_true, card_undec = self.dirty_cards, self.card_true, self.card_undec
+            dirty, card_true, card_live = self.dirty_cards, self.card_true, self.card_live
             card_lo, card_hi = self.card_lo, self.card_hi
             for cid in cards:
-                uc = card_undec[cid] - 1
-                card_undec[cid] = uc
-                tc = card_true[cid]
                 if value:
-                    tc += 1
+                    tc = card_true[cid] + 1
                     card_true[cid] = tc
+                    tu = card_live[cid]
+                else:
+                    tc = card_true[cid]
+                    tu = card_live[cid] - 1
+                    card_live[cid] = tu
                 v = assignment[cid]
                 if v is None:
                     dirty.append(cid)
                 elif v:
-                    if tc < card_lo[cid] or tc + uc > card_hi[cid]:
+                    if tc < card_lo[cid] or tu > card_hi[cid]:
                         dirty.append(cid)
-                elif tc + uc >= card_lo[cid] and tc <= card_hi[cid]:
+                elif tu >= card_lo[cid] and tc <= card_hi[cid]:
                     dirty.append(cid)
 
     def _count_pending(self) -> None:
@@ -303,8 +311,8 @@ class Solver:
         contradicts, or forces members toward the committed value."""
         dirty, queue = self.dirty_cards, self.queue
         assignment, sat_by, sat_count = self.assignment, self.sat_by, self.sat_count
-        card_true, card_undec, card_lo, card_hi = (
-            self.card_true, self.card_undec, self.card_lo, self.card_hi
+        card_true, card_live, card_lo, card_hi = (
+            self.card_true, self.card_live, self.card_lo, self.card_hi
         )
         trail, member_of, card_members = self.trail, self.member_of, self.card_members
         pending = self.pending
@@ -326,8 +334,7 @@ class Solver:
                     continue
                 else:
                     return None
-            tc, lo, hi = card_true[cid], card_lo[cid], card_hi[cid]
-            tu = tc + card_undec[cid]
+            tc, tu, lo, hi = card_true[cid], card_live[cid], card_lo[cid], card_hi[cid]
             v = assignment[cid]
             # card_status's rule, written out: calling it here made the
             # enum solve 12 % slower, and forcing reads tc and tu anyway.
@@ -336,13 +343,14 @@ class Solver:
             elif tu < lo or tc > hi:
                 st = False
             else:
-                # Status open: a committed card forces its members when a
-                # bound leaves one way to reach its value. Needs lo <= hi
-                # and distinct members, which __init__ checks. Each member
-                # is set as assign would, but without queueing cid, whose
-                # status then equals v; cid's counts move once at the end.
-                # Calling assign per member, or one setter shared with
-                # assign, made the enum solve 14-15 % slower.
+                # Status open: a committed card forces its tu - tc
+                # undetermined members when a bound leaves one way to reach
+                # its value. Needs lo <= hi and distinct members, which
+                # __init__ checks. Each member is set as assign would, but
+                # without queueing cid, whose status then equals v; cid's
+                # count moves once at the end. Calling assign per member, or
+                # one setter shared with assign, made the enum solve 14-15 %
+                # slower.
                 if v is None:
                     continue
                 if v:
@@ -358,38 +366,44 @@ class Solver:
                     force = False
                 else:
                     continue
-                forced = 0
+                left = forced = tu - tc
                 for m in card_members[cid]:
                     if assignment[m] is not None:
                         continue
                     assignment[m] = force
                     trail.append(m)
                     sat = sat_by[m]
-                    if sat[not force]:
-                        queue.append(m)
-                    if sat[force]:
-                        pending.append(m)
-                    forced += 1
+                    if sat:
+                        if sat[not force]:
+                            queue.append(m)
+                        if sat[force]:
+                            pending.append(m)
                     for c in member_of[m]:  # as in assign, skipping cid
                         if c == cid:
                             continue
-                        uc = card_undec[c] - 1
-                        card_undec[c] = uc
-                        t = card_true[c]
                         if force:
-                            t += 1
+                            t = card_true[c] + 1
                             card_true[c] = t
+                            u = card_live[c]
+                        else:
+                            t = card_true[c]
+                            u = card_live[c] - 1
+                            card_live[c] = u
                         w = assignment[c]
                         if w is None:
                             dirty.append(c)
                         elif w:
-                            if t < card_lo[c] or t + uc > card_hi[c]:
+                            if t < card_lo[c] or u > card_hi[c]:
                                 dirty.append(c)
-                        elif t + uc >= card_lo[c] and t <= card_hi[c]:
+                        elif u >= card_lo[c] and t <= card_hi[c]:
                             dirty.append(c)
-                card_undec[cid] = tu - tc - forced
+                    left -= 1
+                    if not left:
+                        break
                 if force:
-                    card_true[cid] = tc + forced
+                    card_true[cid] = tu
+                else:
+                    card_live[cid] = tc
                 self.propagations += forced
                 continue
             if v is None:
@@ -443,7 +457,7 @@ class Solver:
         self.queue.clear()
         self.dirty_cards.clear()
         trail, assignment, sat_by = self.trail, self.assignment, self.sat_by
-        member_of, card_true, card_undec = self.member_of, self.card_true, self.card_undec
+        member_of, card_true, card_live = self.member_of, self.card_true, self.card_live
         # The pending ids were never counted. They are the last trail
         # entries with a make-true list, and all lie past the cut, since
         # pending is empty at every decision.
@@ -459,16 +473,22 @@ class Solver:
         for ref in reversed(trail[pos:]):
             value = assignment[ref]
             assignment[ref] = None
-            sat = sat_by[ref][value]
+            sat = sat_by[ref]
             if sat:
-                if uncounted:
-                    uncounted -= 1
-                else:
-                    self._unsatisfy(sat)
-            for cid in member_of[ref]:
-                card_undec[cid] += 1
+                sat = sat[value]
+                if sat:
+                    if uncounted:
+                        uncounted -= 1
+                    else:
+                        self._unsatisfy(sat)
+            cards = member_of[ref]
+            if cards:
                 if value:
-                    card_true[cid] -= 1
+                    for cid in cards:
+                        card_true[cid] -= 1
+                else:
+                    for cid in cards:
+                        card_live[cid] += 1
         del trail[pos:]
         if pending:
             pending.clear()

@@ -631,7 +631,7 @@ class ReferenceSolver(Solver):
 
     def _update_card(self, cid: int) -> Conflict | None:
         tc, lo, hi = self.card_true[cid], self.card_lo[cid], self.card_hi[cid]
-        tu = tc + self.card_undec[cid]
+        tu = self.card_live[cid]
         if tc >= lo and tu <= hi:
             st: bool | None = True
         elif tu < lo or tc > hi:
@@ -679,8 +679,9 @@ class CheckedSolver(Solver):
     scores match a rescan of the counted trail entries right after every
     backtrack and at every branch, the
     branch itself against a full rescan, that propagation left no clause
-    unit or falsified, that every card's true and undetermined counts
-    match its members' values, that every card with a determined status
+    unit or falsified, that every card's counts of true members and of
+    members not false match its members' values, right after every
+    backtrack and at every branch, that every card with a determined status
     has that value committed, that no committed card with an open status
     has members left to force (forced_value), that the count of open
     clauses is exact, that no atom below low_atom is undetermined, and
@@ -702,17 +703,24 @@ class CheckedSolver(Solver):
     def _backtrack_flip(self):
         more = super()._backtrack_flip()
         assert (self.sat_count, self.score, self.open_clauses) == counted_scores(self)
+        self._check_card_counts()
         # the flipped decision is now the last trail entry, not a decision
         self.decided = [(pos, ref) for pos, ref in self.decided if pos < len(self.trail) - 1]
         return more
 
+    def _check_card_counts(self):
+        """Every card's true and not-false counts against its members."""
+        for cid in range(self.n_atoms + 1, self.n_atoms + 1 + len(self.theory.cards)):
+            values = [self.assignment[m] for m in self.card_members[cid]]
+            counts = (self.card_true[cid], self.card_live[cid])
+            want = (values.count(True), len(values) - values.count(False))
+            assert counts == want, (cid, counts, values)
+
     def choose_branch(self):
         assert not self.pending, self.pending
         assert (self.sat_count, self.score, self.open_clauses) == counted_scores(self)
+        self._check_card_counts()
         for cid in range(self.n_atoms + 1, self.n_atoms + 1 + len(self.theory.cards)):
-            values = [self.assignment[m] for m in self.card_members[cid]]
-            counts = (self.card_true[cid], self.card_undec[cid])
-            assert counts == (values.count(True), values.count(None)), (cid, counts, values)
             status = self.card_status(cid)
             assert status is None or self.assignment[cid] == status, (cid, status)
             assert forced_value(self, cid) is None, (cid, "forcing left undone")

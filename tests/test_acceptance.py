@@ -298,10 +298,10 @@ def test_acceptance_8_propagation_and_status_invariants(capsys):
         for card in theory.cards:
             values = [s.assignment[m] for m in card.members]
             want = status_by_completion(card.lo, card.hi, values)
-            tc, uc = s.card_true[card.id], s.card_undec[card.id]
+            tc, tu = s.card_true[card.id], s.card_live[card.id]
             if s.card_status(card.id) is not want:
                 status_bad += 1
-            elif tc != sum(v is True for v in values) or uc != sum(v is None for v in values):
+            elif tc != sum(v is True for v in values) or tu != sum(v is not False for v in values):
                 status_bad += 1
     elapsed = time.perf_counter() - t0
     ok = not flaws and status_bad == 0 and elapsed < 30.0
