@@ -62,7 +62,8 @@ the clauses with no true literal lets the branch pick skip the scan once
 every clause holds; it then takes the lowest undetermined atom,
 searching up from a bound below which every atom is set. Each decision
 keeps the bound that holds once it is flipped, since flipping restores
-the state before it plus the decided atom.
+the state before it plus the decided atom. A trail that holds every id
+ends the search for a model without that scan.
 
 Atoms and cards share one id space: atoms are 1..n_atoms and cards
 follow them, and every per-id table is indexed by the id itself. A
@@ -110,7 +111,8 @@ class Solver:
             error = card_error(c, n + i + 1, n)
             if error:
                 raise ValueError(error)
-        size = n + len(theory.cards) + 1
+        self.n_ids = n + len(theory.cards)  # atoms and cards: ids 1..n_ids
+        size = self.n_ids + 1
         # assignment[ref]: an atom's value or a card's committed value,
         # then one slot that stays None, so index(None, k) always finds one.
         self.assignment: list[bool | None] = [None] * (size + 1)
@@ -334,86 +336,102 @@ class Solver:
                     continue
                 else:
                     return None
-            tc, tu, lo, hi = card_true[cid], card_live[cid], card_lo[cid], card_hi[cid]
+            # The status rule, split by the committed value v and written
+            # out (calling card_status here made the enum solve 12 %
+            # slower). Committed true, the common case, reads only the
+            # counts it tests: tc > hi or tu < lo is a conflict, and a
+            # bound met exactly with tu - tc members undetermined forces
+            # them; any other count leaves nothing to do.
             v = assignment[cid]
-            # card_status's rule, written out: calling it here made the
-            # enum solve 12 % slower, and forcing reads tc and tu anyway.
-            if tc >= lo and tu <= hi:
-                st = True
-            elif tu < lo or tc > hi:
-                st = False
+            tc, hi = card_true[cid], card_hi[cid]
+            if v:
+                if tc >= hi:
+                    if tc > hi:
+                        return CONFLICT
+                    tu = card_live[cid]
+                    if tu == tc:
+                        continue
+                    force = False
+                else:
+                    tu, lo = card_live[cid], card_lo[cid]
+                    if tu > lo:
+                        continue
+                    if tu < lo:
+                        return CONFLICT
+                    if tu == tc:
+                        continue
+                    force = True
             else:
-                # Status open: a committed card forces its tu - tc
-                # undetermined members when a bound leaves one way to reach
-                # its value. Needs lo <= hi and distinct members, which
-                # __init__ checks. Each member is set as assign would, but
-                # without queueing cid, whose status then equals v; cid's
-                # count moves once at the end. Calling assign per member, or
-                # one setter shared with assign, made the enum solve 14-15 %
-                # slower.
+                tu, lo = card_live[cid], card_lo[cid]
+                if tc >= lo and tu <= hi:
+                    if v is None:
+                        self.assign(cid, True)
+                        continue
+                    return CONFLICT
+                if tu < lo or tc > hi:
+                    if v is None:
+                        self.assign(cid, False)
+                    continue
+                # Status open. A card committed false forces its members
+                # when setting any one of them one way would make its
+                # status true: they all go the other way.
                 if v is None:
                     continue
-                if v:
-                    if tc == hi:
-                        force = False
-                    elif tu == lo:
-                        force = True
-                    else:
-                        continue
-                elif tu == hi + 1 and tc >= lo:
+                if tu == hi + 1 and tc >= lo:
                     force = True
                 elif tc == lo - 1 and tu <= hi:
                     force = False
                 else:
                     continue
-                left = forced = tu - tc
-                for m in card_members[cid]:
-                    if assignment[m] is not None:
+            # Force the card's tu - tc undetermined members. Needs lo <= hi
+            # and distinct members, which __init__ checks. Each member is
+            # set as assign would, but without queueing cid, whose status
+            # then equals v; cid's count moves once at the end. Calling
+            # assign per member, or one setter shared with assign, made the
+            # enum solve 14-15 % slower.
+            left = forced = tu - tc
+            for m in card_members[cid]:
+                if assignment[m] is not None:
+                    continue
+                assignment[m] = force
+                trail.append(m)
+                sat = sat_by[m]
+                if sat:
+                    if sat[not force]:
+                        queue.append(m)
+                    if sat[force]:
+                        pending.append(m)
+                for c in member_of[m]:  # as in assign, skipping cid
+                    if c == cid:
                         continue
-                    assignment[m] = force
-                    trail.append(m)
-                    sat = sat_by[m]
-                    if sat:
-                        if sat[not force]:
-                            queue.append(m)
-                        if sat[force]:
-                            pending.append(m)
-                    for c in member_of[m]:  # as in assign, skipping cid
-                        if c == cid:
-                            continue
-                        if force:
-                            t = card_true[c] + 1
-                            card_true[c] = t
-                            u = card_live[c]
-                        else:
-                            t = card_true[c]
-                            u = card_live[c] - 1
-                            card_live[c] = u
-                        w = assignment[c]
-                        if w is None:
+                    if force:
+                        t = card_true[c] + 1
+                        card_true[c] = t
+                        u = card_live[c]
+                    else:
+                        t = card_true[c]
+                        u = card_live[c] - 1
+                        card_live[c] = u
+                    w = assignment[c]
+                    if w is None:
+                        dirty.append(c)
+                    elif w:
+                        if t < card_lo[c] or u > card_hi[c]:
                             dirty.append(c)
-                        elif w:
-                            if t < card_lo[c] or u > card_hi[c]:
-                                dirty.append(c)
-                        elif u >= card_lo[c] and t <= card_hi[c]:
-                            dirty.append(c)
-                    left -= 1
-                    if not left:
-                        break
-                if force:
-                    card_true[cid] = tu
-                else:
-                    card_live[cid] = tc
-                self.propagations += forced
-                continue
-            if v is None:
-                self.assign(cid, st)
-            elif v != st:
-                return CONFLICT
+                    elif u >= card_lo[c] and t <= card_hi[c]:
+                        dirty.append(c)
+                left -= 1
+                if not left:
+                    break
+            if force:
+                card_true[cid] = tu
+            else:
+                card_live[cid] = tc
+            self.propagations += forced
 
     def _initial_propagate(self) -> int | None:
         dirty = self.dirty_cards
-        dirty.extend(range(self.n_atoms + 1, len(self.card_lo)))
+        dirty.extend(range(self.n_atoms + 1, self.n_ids + 1))
         conflict = self.propagate()
         for ci in range(len(self.clause_lits)):
             if conflict is not None:
@@ -440,8 +458,15 @@ class Solver:
         has that value committed: the scores are exact there. A count is
         undone only when backtracking removes a counted entry, so while
         entries are pending, a positive count still means a true literal,
-        which keeps propagation's skip of such clauses sound."""
+        which keeps propagation's skip of such clauses sound.
+
+        At a fixpoint every atom is set exactly when every id is: a card
+        with all members set has a determined status, which is committed.
+        So a total assignment is found from the trail's length, without a
+        scan."""
         if not self.open_clauses:  # every score is 0
+            if len(self.trail) == self.n_ids:
+                return None
             aid = self.low_atom = self.assignment.index(None, self.low_atom)
             return aid if aid <= self.n_atoms else None
         best, best_score = None, -1
@@ -453,9 +478,8 @@ class Solver:
 
     def _backtrack_flip(self) -> bool:
         """Undo through the most recent unflipped decision and assert its
-        opposite. False when the search space is exhausted."""
-        self.queue.clear()
-        self.dirty_cards.clear()
+        opposite. False when the search space is exhausted. The queues
+        are empty: search empties them after a conflict."""
         trail, assignment, sat_by = self.trail, self.assignment, self.sat_by
         member_of, card_true, card_live = self.member_of, self.card_true, self.card_live
         # The pending ids were never counted. They are the last trail
@@ -481,14 +505,12 @@ class Solver:
                         uncounted -= 1
                     else:
                         self._unsatisfy(sat)
-            cards = member_of[ref]
-            if cards:
-                if value:
-                    for cid in cards:
-                        card_true[cid] -= 1
-                else:
-                    for cid in cards:
-                        card_live[cid] += 1
+            if value:
+                for cid in member_of[ref]:
+                    card_true[cid] -= 1
+            else:
+                for cid in member_of[ref]:
+                    card_live[cid] += 1
         del trail[pos:]
         if pending:
             pending.clear()
@@ -512,6 +534,8 @@ class Solver:
         while True:
             if conflict is not None:
                 self.conflicts += 1
+                self.queue.clear()
+                self.dirty_cards.clear()
                 if not self._backtrack_flip():
                     return
                 conflict = self.propagate()

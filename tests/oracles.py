@@ -674,7 +674,8 @@ def counted_scores(solver) -> tuple[list[int], list[int], int]:
 
 
 class CheckedSolver(Solver):
-    """Checks that assign is only given an unset id, that no id is left
+    """Checks that assign is only given an unset id, that both queues are
+    empty when a backtrack starts, that no id is left
     pending when a branch is picked, that the counts behind the branch
     scores match a rescan of the counted trail entries right after every
     backtrack and at every branch, the
@@ -701,6 +702,7 @@ class CheckedSolver(Solver):
         super().assign(ref, value, decision)
 
     def _backtrack_flip(self):
+        assert not self.queue and not self.dirty_cards, "queues not emptied before a backtrack"
         more = super()._backtrack_flip()
         assert (self.sat_count, self.score, self.open_clauses) == counted_scores(self)
         self._check_card_counts()
