@@ -65,6 +65,12 @@ keeps the bound that holds once it is flipped, since flipping restores
 the state before it plus the decided atom. A trail that holds every id
 ends the search for a model without that scan.
 
+Set-up evaluates every card, then checks only the clauses of fewer than
+two literals. A longer clause is never unit there: nothing is counted
+before the first branch pick, so one with a false literal was checked
+when the last of them left the queue, and one with none has a true
+literal or two open ones.
+
 Atoms and cards share one id space: atoms are 1..n_atoms and cards
 follow them, and every per-id table is indexed by the id itself. A
 card's committed value lives in the assignment next to the atoms' values.
@@ -113,9 +119,8 @@ class Solver:
                 raise ValueError(error)
         self.n_ids = n + len(theory.cards)  # atoms and cards: ids 1..n_ids
         size = self.n_ids + 1
-        # assignment[ref]: an atom's value or a card's committed value,
-        # then one slot that stays None, so index(None, k) always finds one.
-        self.assignment: list[bool | None] = [None] * (size + 1)
+        # assignment[ref]: an atom's value or a card's committed value.
+        self.assignment: list[bool | None] = [None] * size
         # Per card id (slots 0..n unused): bounds (an unbounded hi is the
         # member count, which no count exceeds), members, and the counts
         # of true members and of members not false.
@@ -430,18 +435,20 @@ class Solver:
             self.propagations += forced
 
     def _initial_propagate(self) -> int | None:
+        """Evaluate every card, then check each clause of fewer than two literals."""
         dirty = self.dirty_cards
         dirty.extend(range(self.n_atoms + 1, self.n_ids + 1))
         conflict = self.propagate()
-        for ci in range(len(self.clause_lits)):
+        for ci, lits in enumerate(self.clause_lits):
             if conflict is not None:
                 return conflict
-            cid = self._check_clause(ci)
-            if cid == CONFLICT:
-                return cid
-            if cid is not None:
-                dirty.append(cid)  # the queue is empty after propagate
-            conflict = self.propagate()
+            if len(lits) < 2:
+                cid = self._check_clause(ci)
+                if cid == CONFLICT:
+                    return cid
+                if cid is not None:
+                    dirty.append(cid)  # the queue is empty after propagate
+                conflict = self.propagate()
         return conflict
 
     # -- search -----------------------------------------------------------
@@ -460,15 +467,16 @@ class Solver:
         entries are pending, a positive count still means a true literal,
         which keeps propagation's skip of such clauses sound.
 
-        At a fixpoint every atom is set exactly when every id is: a card
-        with all members set has a determined status, which is committed.
-        So a total assignment is found from the trail's length, without a
-        scan."""
+        The end-game rests on the fixpoint invariant that every card with
+        a determined status has it committed. A card with all members set
+        has one, so a full trail is a total assignment, found without a
+        scan; a shorter one leaves an atom unset, which index reaches
+        before any card."""
         if not self.open_clauses:  # every score is 0
             if len(self.trail) == self.n_ids:
                 return None
             aid = self.low_atom = self.assignment.index(None, self.low_atom)
-            return aid if aid <= self.n_atoms else None
+            return aid
         best, best_score = None, -1
         assignment, score = self.assignment, self.score
         for aid in range(1, self.n_atoms + 1):
@@ -522,9 +530,9 @@ class Solver:
     def search(self, max_models: int | None = 1) -> Iterator[list[bool | None]]:
         """Run the search, yielding the assignment list each time it is a
         model, until max_models (None: all of them). Index 0 is unused,
-        1..n_atoms hold the atoms' values, the card ids above n_atoms the
-        cards' committed values, and the last slot is always None. The
-        list is the solver's own: read it before resuming."""
+        1..n_atoms hold the atoms' values and the card ids above n_atoms
+        the cards' committed values. The list is the solver's own: read
+        it before resuming."""
         if max_models is not None and (
             isinstance(max_models, bool) or not isinstance(max_models, int) or max_models < 1
         ):
@@ -532,27 +540,24 @@ class Solver:
         found = 0
         conflict = self._initial_propagate()
         while True:
-            if conflict is not None:
+            if conflict is None:
+                if self.pending:
+                    self._count_pending()
+                aid = self.choose_branch()
+                if aid is not None:
+                    self.assign(aid, True, decision=True)
+                    conflict = self.propagate()
+                    continue
+                yield self.assignment
+                found += 1
+                if found == max_models:
+                    return
+            else:
                 self.conflicts += 1
                 self.queue.clear()
                 self.dirty_cards.clear()
-                if not self._backtrack_flip():
-                    return
-                conflict = self.propagate()
-                continue
-            if self.pending:
-                self._count_pending()
-            aid = self.choose_branch()
-            if aid is None:
-                yield self.assignment
-                found += 1
-                if max_models is not None and found >= max_models:
-                    return
-                if not self._backtrack_flip():
-                    return
-                conflict = self.propagate()
-                continue
-            self.assign(aid, True, decision=True)
+            if not self._backtrack_flip():
+                return
             conflict = self.propagate()
 
     def models(self, max_models: int | None = 1) -> Iterator[dict[int, bool]]:

@@ -6,8 +6,9 @@ re-derived from the definitions, the slow and obvious way. Five further
 references keep the package's own earlier, plainer algorithm next to the
 optimized one and reuse its primitives: branch selection by full rescan
 (reference_branch), propagation over every occurrence of an id with
-cards forced member by member through assign (ReferenceSolver, forcing
-by the rule of forced_value), model printing through model_lines
+cards forced member by member through assign, after a set-up pass that
+checks every clause (ReferenceSolver, forcing by the rule of
+forced_value), model printing through model_lines
 (reference_aspps_stdout), a clause's global and schema-local variables
 by per-atom-kind walks (reference_global_vars, reference_schema_locals)
 and grounding over the full product of the variable domains
@@ -600,7 +601,10 @@ class ReferenceSolver(Solver):
     by _update_card, which forces by forced_value and sets each member
     through assign, not by Solver.propagate's fused loop. assign then
     queues the forcing card for its own members too; those evaluations
-    find nothing to do."""
+    find nothing to do. Set-up is the full pass: it evaluates every card,
+    then checks every clause in order, not only those of fewer than two
+    literals, and propagates after each; a card a clause commits is
+    queued before that propagation."""
 
     def __init__(self, theory):
         super().__init__(theory)
@@ -628,6 +632,20 @@ class ReferenceSolver(Solver):
                 return None
             if conf is not None:
                 return conf
+
+    def _initial_propagate(self):
+        self.dirty_cards.extend(range(self.n_atoms + 1, self.n_ids + 1))
+        conflict = self.propagate()
+        for ci in range(len(self.clause_lits)):
+            if conflict is not None:
+                return conflict
+            cid = self._check_clause(ci)
+            if cid == CONFLICT:
+                return Conflict("clause", ci)
+            if cid is not None:  # a card the clause committed
+                self.dirty_cards.append(cid)
+            conflict = self.propagate()
+        return conflict
 
     def _update_card(self, cid: int) -> Conflict | None:
         tc, lo, hi = self.card_true[cid], self.card_lo[cid], self.card_hi[cid]

@@ -14,6 +14,7 @@ from aspps.theory import CardConstruct, GroundAtom, GroundTheory
 
 from generators import break_ground_theory, random_ground_theory
 from oracles import CheckedSolver, ReferenceSolver, counted_scores, enumerate_models
+from problems import QUEENS_DATA, QUEENS_RULES, ground_problem
 
 
 def _atoms(n):
@@ -230,6 +231,28 @@ def test_backtrack_skips_the_uncounted_round():
     assert s.sat_count == [1, 1, 0, 0, 0, 0, 0, 0]
 
 
+def test_setup_checks_only_short_clauses():
+    # Propagation checks every clause a false literal can make unit, so
+    # set-up checks just the clauses of fewer than two literals, in order:
+    # on queens8 the 8 unit card clauses. Committing a card sets no atom
+    # there, so propagation checks no clause.
+    t = ground_problem(QUEENS_RULES, QUEENS_DATA, {"n": "8"})
+    s = Solver(t)
+    checked = []
+    check = s._check_clause
+
+    def record(ci):
+        checked.append(ci)
+        return check(ci)
+
+    s._check_clause = record
+    assert s._initial_propagate() is None
+    short = [ci for ci, cl in enumerate(t.clauses) if len(cl) < 2]
+    assert len(short) == 8 and all(t.clauses[ci][0] > t.n_atoms for ci in short)
+    assert checked == short
+    assert all(ref > t.n_atoms for ref in s.trail)
+
+
 def test_unused_ids_share_empty_tables():
     # 200 000 atoms in no clause and no card: each costs its slots in the
     # flat tables, and no list of its own
@@ -324,3 +347,23 @@ def test_incremental_branch_matches_rescan():
             got = CheckedSolver(t).run(max_models)
             want = ReferenceSolver(t).run(max_models)
             assert (got.models, got.stats) == (want.models, want.stats), seed
+
+
+def test_large_theories_match_reference():
+    # 100-300 atoms, past the small theories of the other differentials
+    # and past 64, one machine word of atoms: the first three models and
+    # the counters equal the reference's, whose set-up checks every
+    # clause and whose branch pick rescans them.
+    kept = sat = 0
+    for seed in range(20):
+        t = random_ground_theory(
+            random.Random(seed), max_atoms=300, max_cards=6, bias_small=False, empty_clause_rate=0
+        )
+        if t.n_atoms < 100:
+            continue
+        got = CheckedSolver(t).run(3)
+        want = ReferenceSolver(t).run(3)
+        assert (got.models, got.stats) == (want.models, want.stats), seed
+        kept += 1
+        sat += got.sat
+    assert (kept, sat) == (15, 5)
