@@ -13,7 +13,8 @@ forced_value), model printing through model_lines
 by per-atom-kind walks (reference_global_vars, reference_schema_locals)
 and grounding over the full product of the variable domains
 (reference_ground). counted_scores recounts the branch scores from the
-trail, and CheckedSolver checks them, with the rest of the solver's
+trail, check_scores compares what the branch pick reads with it, and
+CheckedSolver runs that check, with the rest of the solver's
 state, forcing left undone included, at every branch and backtrack.
 eval_arith, eval_ground_term and eval_predefined evaluate a term or
 comparison under a dict binding through compile_term and
@@ -671,41 +672,56 @@ class ReferenceSolver(Solver):
         return None
 
 
-def counted_scores(solver) -> tuple[list[int], list[int], int]:
-    """The solver's sat_count, score and open_clauses recomputed from the
-    trail entries it has counted, which are all but the pending ones: per
-    clause its literals those entries make true, per atom its occurrences
-    in the clauses with none, a card literal counting through its
-    members, and the number of such clauses."""
+def counted_scores(solver) -> tuple[list[int], list[int]]:
+    """The branch-score counts recomputed from the trail entries the
+    solver has counted, which are all but the pending ones: per clause it
+    keeps a count of (clause_lits), its literals those entries make true,
+    and per atom its occurrences in the clauses of the theory with none,
+    a card literal counting through its members."""
     counted = set(solver.trail) - set(solver.pending)
     members = {c.id: c.members for c in solver.theory.cards}
-    sat_count = []
+
+    def true_lits(cl):
+        return sum(abs(l) in counted and solver.assignment[abs(l)] == (l > 0) for l in cl)
+
     score = [0] * (solver.n_atoms + 1)
     for cl in solver.theory.clauses:
-        true_lits = sum(abs(l) in counted and solver.assignment[abs(l)] == (l > 0) for l in cl)
-        sat_count.append(true_lits)
-        if not true_lits:
+        if not true_lits(cl):
             for lit in cl:
                 for aid in members.get(abs(lit), (abs(lit),)):
                     score[aid] += 1
-    return sat_count, score, sat_count.count(0)
+    return [true_lits(cl) for cl in solver.clause_lits], score
+
+
+def check_scores(solver) -> None:
+    """The counts behind the branch scores against counted_scores: every
+    clause count the solver keeps, the number of clauses with none
+    (open_clauses), and the score of every unset atom. The score of an
+    assigned atom is representation, which the pick never reads; a wrong
+    one shows only once the atom is unset and read at a later pick."""
+    sat_count, score = counted_scores(solver)
+    assert solver.sat_count == sat_count, (solver.sat_count, sat_count)
+    assert solver.open_clauses == sat_count.count(0), solver.open_clauses
+    unset = [aid for aid in range(1, solver.n_atoms + 1) if solver.assignment[aid] is None]
+    got = {aid: solver.score[aid] for aid in unset}
+    assert got == {aid: score[aid] for aid in unset}, got
 
 
 class CheckedSolver(Solver):
     """Checks that assign is only given an unset id, that both queues are
-    empty when a backtrack starts, that no id is left
-    pending when a branch is picked, that the counts behind the branch
-    scores match a rescan of the counted trail entries right after every
-    backtrack and at every branch, the
-    branch itself against a full rescan, that propagation left no clause
-    unit or falsified, that every card's counts of true members and of
-    members not false match its members' values, right after every
-    backtrack and at every branch, that every card with a determined status
-    has that value committed, that no committed card with an open status
-    has members left to force (forced_value), that the count of open
-    clauses is exact, that no atom below low_atom is undetermined, and
-    that the decision stack holds exactly the trail positions of the
-    decisions not undone. Members a card forces are set without going
+    empty when a backtrack starts, that no id is left pending when a
+    branch is picked, that the clause counts the solver keeps and the
+    scores of the unset atoms match a rescan of the counted trail entries
+    (check_scores) right after every backtrack and at every branch, the
+    branch itself against a full rescan (reference_branch), that
+    propagation left no clause unit or falsified, that every card's
+    counts of true members and of members not false match its members'
+    values, right after every backtrack and at every branch, that every
+    card with a determined status has that value committed, that no
+    committed card with an open status has members left to force
+    (forced_value), that no atom below low_atom is undetermined, and that
+    the decision stack holds exactly the trail positions of the decisions
+    not undone. Members a card forces are set without going
     through assign, so decisions are recorded where assign makes them
     and dropped where a backtrack cuts the trail below them."""
 
@@ -722,7 +738,7 @@ class CheckedSolver(Solver):
     def _backtrack_flip(self):
         assert not self.queue and not self.dirty_cards, "queues not emptied before a backtrack"
         more = super()._backtrack_flip()
-        assert (self.sat_count, self.score, self.open_clauses) == counted_scores(self)
+        check_scores(self)
         self._check_card_counts()
         # the flipped decision is now the last trail entry, not a decision
         self.decided = [(pos, ref) for pos, ref in self.decided if pos < len(self.trail) - 1]
@@ -738,21 +754,21 @@ class CheckedSolver(Solver):
 
     def choose_branch(self):
         assert not self.pending, self.pending
-        assert (self.sat_count, self.score, self.open_clauses) == counted_scores(self)
+        check_scores(self)
         self._check_card_counts()
         for cid in range(self.n_atoms + 1, self.n_atoms + 1 + len(self.theory.cards)):
             status = self.card_status(cid)
             assert status is None or self.assignment[cid] == status, (cid, status)
             assert forced_value(self, cid) is None, (cid, "forcing left undone")
-        for ci, cl in enumerate(self.theory.clauses):
+        for ci, cl in enumerate(self.clause_lits):  # every entry is counted here
             true_lits = 0
             for lit in cl:
                 v = self.assignment[abs(lit)]
                 true_lits += v is not None and v == (lit > 0)
             assert self.sat_count[ci] == true_lits
+        for ci, cl in enumerate(self.theory.clauses):
             values = [lit_value(self, lit) for lit in cl]
             assert True in values or values.count(None) >= 2, (ci, cl, values)
-        assert self.open_clauses == self.sat_count.count(0)
         assert None not in self.assignment[1 : min(self.low_atom, self.n_atoms + 1)], self.low_atom
         assert all(self.trail[pos] == ref for pos, ref in self.decided), (self.decided, self.trail)
         decided = [pos for pos, _ in self.decided]
