@@ -22,22 +22,25 @@ Cards are evaluated at one site, in propagate: only there is a card's
 status committed, checked against its committed value, or used to force
 members. A card is evaluated when it leaves the queue, and a card that a
 clause has just committed as its unit literal at once, before the next
-clause is checked. That fixes the order of propagation the counters
-record: queueing the card reaches the same fixpoint, but a round that
-ends in a conflict can then set other atoms first. A card is queued each
-time one of its members is set; two kinds of entry are never made,
-because their evaluation is a no-op. When a committed card forces its
-undetermined members, it is not queued for them: once they are set its
-status equals its committed value. Nor is a card queued whose committed
-value already equals its determined status. Counts only move toward a
-determined status while the trail grows, so a determined status stays so
-until backtracking, and such an evaluation finds nothing to do whenever
-it would run. Every other entry keeps its place in the queue, so the
-order of the effective steps, and with it every counter, is the same as
-if every entry were made. Forcing needs lo <= hi and distinct members;
-Solver checks every rule read_tdc checks, by the same two functions:
-theory.card_error (dense ids, bounds, members that are distinct atom
-ids) and theory.clause_error (every literal names an atom or a card).
+clause is checked. The order of propagation shows in one counter only,
+propagations, and only on a round that ends in a conflict: every order
+reaches the same fixpoint, or a conflict and the same backtrack, but it
+decides which atoms are set before the conflict is noticed. Models,
+model order, decisions and conflicts do not depend on it. A card is
+queued each time one of its members is set; two kinds of entry are never
+made, because their evaluation is a no-op. When a committed card forces
+its undetermined members, it is not queued for them: once they are set
+its status equals its committed value. Nor is a card queued whose
+committed value already equals its determined status. Counts only move
+toward a determined status while the trail grows, so a determined status
+stays so until backtracking, and such an evaluation finds nothing to do
+whenever it would run. Every other entry keeps its place in the queue,
+so the order of the effective steps, and with it every counter, is the
+same as if every entry were made. Forcing needs lo <= hi and distinct
+members; Solver checks every rule read_tdc checks, by the same two
+functions: theory.card_error (dense ids, bounds, members that are
+distinct atom ids) and theory.clause_error (every literal names an atom
+or a card).
 
 Branch scores are kept along the trail rather than recomputed per
 decision, and counted only when a branch is picked. A trail entry whose

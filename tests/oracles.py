@@ -595,10 +595,12 @@ class Conflict:
 
 class ReferenceSolver(Solver):
     """The solver with full-occurrence propagation: a queued id checks
-    every clause that mentions it with either sign, satisfied or not.
-    Clauses its value made true, or that are already satisfied, check as
-    not unit, so models, model order and every counter must equal the
-    solver's. A card, queued or just committed by a clause, is evaluated
+    every clause that mentions it with either sign, satisfied or not, in
+    clause order. Clauses its value made true, or that are already
+    satisfied, check as not unit, so models, model order, decisions and
+    conflicts must equal the solver's, and propagations too on a run
+    without conflicts (search_outcome). It keeps the order of propagation
+    that the pinned counters record. A card, queued or just committed by a clause, is evaluated
     by _update_card, which forces by forced_value and sets each member
     through assign, not by Solver.propagate's fused loop. assign then
     queues the forcing card for its own members too; those evaluations
@@ -670,6 +672,17 @@ class ReferenceSolver(Solver):
                 if self.assignment[m] is None:
                     self.assign(m, force)
         return None
+
+
+def search_outcome(result) -> tuple:
+    """What the differentials require equal between two solvers: the
+    models in order, decisions and conflicts, and propagations on a run
+    without conflicts. Unit propagation reaches one fixpoint whatever the
+    order it visits clauses in, so only the atoms set before a conflict is
+    noticed depend on that order: propagations may differ on a run with
+    conflicts, and nothing else may."""
+    s = result.stats
+    return result.models, s.decisions, s.conflicts, None if s.conflicts else s.propagations
 
 
 def counted_scores(solver) -> tuple[list[int], list[int]]:

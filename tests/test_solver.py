@@ -13,7 +13,7 @@ from aspps.tdc import check_model, read_tdc, write_tdc
 from aspps.theory import CardConstruct, GroundAtom, GroundTheory
 
 from generators import break_ground_theory, random_ground_theory
-from oracles import CheckedSolver, ReferenceSolver, check_scores, enumerate_models
+from oracles import CheckedSolver, ReferenceSolver, check_scores, enumerate_models, search_outcome
 from problems import QUEENS_DATA, QUEENS_RULES, ground_problem
 
 
@@ -338,22 +338,24 @@ def test_first_model_valid_and_counted(seed):
 
 
 def test_incremental_branch_matches_rescan():
-    # Fixed seeds, so a change of propagation order fails on every run:
-    # evaluating a clause-committed card later instead of at once changes
-    # the counters on ten of them, 15648 among them.
+    # Fixed seeds, so the check is the same on every run. Propagation
+    # order may move propagations on a run with conflicts, and nothing
+    # else (search_outcome); its pins are on ReferenceSolver. Evaluating
+    # a clause-committed card later instead of at once moves it on ten of
+    # these seeds, 15648 among them.
     for seed in [*range(1000), 15648]:
         t = random_ground_theory(random.Random(seed), max_atoms=10, max_cards=4)
         for max_models in (None, 1):
             got = CheckedSolver(t).run(max_models)
             want = ReferenceSolver(t).run(max_models)
-            assert (got.models, got.stats) == (want.models, want.stats), seed
+            assert search_outcome(got) == search_outcome(want), seed
 
 
 def test_large_theories_match_reference():
     # 100-300 atoms, past the small theories of the other differentials
     # and past 64, one machine word of atoms: the first three models and
-    # the counters equal the reference's, whose set-up checks every
-    # clause and whose branch pick rescans them.
+    # the counters equal the reference's (search_outcome), whose set-up
+    # checks every clause and whose propagation visits them in order.
     kept = sat = 0
     for seed in range(20):
         t = random_ground_theory(
@@ -363,7 +365,7 @@ def test_large_theories_match_reference():
             continue
         got = CheckedSolver(t).run(3)
         want = ReferenceSolver(t).run(3)
-        assert (got.models, got.stats) == (want.models, want.stats), seed
+        assert search_outcome(got) == search_outcome(want), seed
         kept += 1
         sat += got.sat
     assert (kept, sat) == (15, 5)
