@@ -45,28 +45,45 @@ or a card).
 Branch scores are kept along the trail rather than recomputed per
 decision, and counted only when a branch is picked. A trail entry whose
 value makes some literal true goes on a pending list. Just before each
-branch pick, search counts the pending entries: each bumps the count of
-true literals of the clauses its value makes true, and a clause whose
-count leaves zero takes every atom it mentions out of the scores.
-Backtracking undoes the counts of the entries it removes and skips the
-pending ones, which were never counted; pending is empty at every
-decision, so they all lie past the cut. A propagation round that ends in
-a conflict is undone before any branch pick, so its entries are neither
-counted nor uncounted. The count reads a card's committed value, not its
-status, so the scores are exact at a propagation fixpoint, where every
-card with a determined status has that value committed.
+branch pick, search counts the pending entries. Backtracking undoes the
+counts of the entries it removes and skips the pending ones, which were
+never counted; pending is empty at every decision, so they all lie past
+the cut. A propagation round that ends in a conflict is undone before
+any branch pick, so its entries are neither counted nor uncounted. The
+count reads a card's committed value, not its status, so the scores of
+the unset atoms, the only ones a pick reads, are exact at a propagation
+fixpoint, where every card with a determined status has that value
+committed.
 
-Propagation reads the same counts: an id whose value was just set visits
-only the clauses it made false whose count is 0. A positive count comes
-only from counted entries still on the trail, so every clause skipped
-has a true literal and would check as not unit; a clause that only
-pending entries satisfy is visited and checks as not unit. A count of
-the clauses with no true literal lets the branch pick skip the scan once
-every clause holds; it then takes the lowest undetermined atom,
-searching up from a bound below which every atom is set. Each decision
-keeps the bound that holds once it is flipped, since flipping restores
-the state before it plus the decided atom. A trail that holds every id
-ends the search for a model without that scan.
+A pair is a clause of two atom literals on two different atoms; it keeps
+no count. At a fixpoint, a pair (la | lb) whose atom a is unset has lb
+not false, or la would have been forced. So it is open exactly when lb
+is not true, and its share of a's score moves from b's side: counting a
+value of b that makes lb true takes one from a's score, and undoing that
+count gives it back. Every other clause, a card literal or one atom
+twice (a | a, a | -a) included, is counted: each entry bumps the count
+of true literals of the clauses its value makes true, and a clause whose
+count leaves zero takes every atom it mentions out of the scores.
+
+Propagation checks a pair's other literal in place. An id whose value
+was just set first walks the other literals of the pairs it made false:
+a true one needs nothing, an unset one is set, and a false one is a
+conflict. It then visits the counted clauses it made false whose count
+is 0. A positive count comes only from counted entries still on the
+trail, so every clause skipped has a true literal and would check as not
+unit; a clause that only pending entries satisfy is visited and checks
+as not unit.
+
+The branch scan marks the trail length at which it finds no unset atom
+with a positive score. Every clause then holds, since at a fixpoint an
+open clause has two undetermined literals, each of which scores an unset
+atom; and a clause that holds at a fixpoint holds in every extension of
+it. So until a backtrack cuts the trail below the mark, the pick skips
+the scan and takes the lowest undetermined atom, searching up from a
+bound below which every atom is set. Each decision keeps the bound that
+holds once it is flipped, since flipping restores the state before it
+plus the decided atom. A trail that holds every id ends the search for a
+model without that scan.
 
 Set-up evaluates every card, then checks only the clauses of fewer than
 two literals. A longer clause is never unit there: nothing is counted
@@ -156,41 +173,67 @@ class Solver:
         # queue: ids whose value was just set; dirty_cards: card ids.
         self.queue: deque[int] = deque()
         self.dirty_cards: deque[int] = deque()
-        # sat_by[ref][value]: clauses whose literal on ref that value makes
-        # true; sat_by[ref][not value] are those it makes false. Ids in no
-        # clause share one empty, false entry, so one test skips them.
+        # A pair is a clause of two atom literals on different atoms; the
+        # other clauses are counted (clause_lits), each by its index ci.
+        # sat_by[ref], per value of ref (0 false, 1 true): [value] the
+        # counted clauses that value makes true, [not value] those it
+        # makes false; [2 + value] the other literals of the pairs it
+        # makes false, which become necessary; [4 + value] the other
+        # atoms of the pairs it makes true, whose score it lowers. Ids in
+        # no clause share one empty, false entry, so one test skips them.
         # branch_atoms[ci]: the atoms clause ci mentions, card literals
         # expanded into their members, repeats kept.
-        # pending: trail entries with a make-true list, not yet counted.
+        # pending: trail entries whose value makes a clause true, not yet
+        # counted.
         # sat_count[ci]: true literals of clause ci among the counted
-        # trail entries; open_clauses: the clauses with sat_count 0.
+        # trail entries.
         # score[aid]: occurrences of aid in branch_atoms of the clauses
-        # with sat_count 0.
-        sat_by: list[tuple[list[int], list[int]] | tuple[()]] = [()] * size
+        # with sat_count 0, plus the pairs of aid whose other literal no
+        # counted entry makes true.
+        # closed_at: a trail length at which every clause holds, set by
+        # the branch scan, or the size of assignment, longer than any
+        # trail, while there is none.
+        sat_by: list[tuple[list[int], ...] | tuple[()]] = [()] * size
         self.sat_by = sat_by
-        self.clause_lits = theory.clauses
+        self.clause_lits: list[tuple[int, ...]] = []
         self.pending: list[int] = []
         self.branch_atoms: list[list[int]] = []
-        self.sat_count = [0] * len(theory.clauses)
-        self.open_clauses = len(theory.clauses)
-        self.score = [0] * (n + 1)
-        for ci, lits in enumerate(self.clause_lits):
+        score = self.score = [0] * (n + 1)
+        self.closed_at = size
+
+        def entry(ref):
+            if not sat_by[ref]:
+                sat_by[ref] = ([], [], [], [], [], [])
+            return sat_by[ref]
+
+        for lits in theory.clauses:
             error = clause_error(lits, size - 1)
             if error:
                 raise ValueError(error)
+            if len(lits) == 2:
+                la, lb = lits
+                a, b = abs(la), abs(lb)
+                if a != b and a <= n and b <= n:
+                    for ref, lit, other, other_atom in ((a, la, lb, b), (b, lb, la, a)):
+                        sat = entry(ref)
+                        sat[2 + (lit < 0)].append(other)
+                        sat[4 + (lit > 0)].append(other_atom)
+                        score[ref] += 1
+                    continue
+            ci = len(self.clause_lits)
+            self.clause_lits.append(lits)
             atoms: list[int] = []
             for lit in lits:
                 ref = abs(lit)
-                if not sat_by[ref]:
-                    sat_by[ref] = ([], [])
-                sat_by[ref][lit > 0].append(ci)
+                entry(ref)[lit > 0].append(ci)
                 if ref <= n:
                     atoms.append(ref)
                 else:
                     atoms.extend(self.card_members[ref])
             for aid in atoms:
-                self.score[aid] += 1
+                score[aid] += 1
             self.branch_atoms.append(atoms)
+        self.sat_count = [0] * len(self.clause_lits)
 
     @property
     def stats(self) -> SolveStats:
@@ -224,9 +267,9 @@ class Solver:
         self.trail.append(ref)
         sat = self.sat_by[ref]
         if sat:
-            if sat[not value]:
+            if sat[2 + value] or sat[not value]:
                 self.queue.append(ref)
-            if sat[value]:
+            if sat[4 + value] or sat[value]:
                 self.pending.append(ref)
         cards = self.member_of[ref]
         if cards:
@@ -254,34 +297,34 @@ class Solver:
                     dirty.append(cid)
 
     def _count_pending(self) -> None:
-        """Count the pending ids' true literals, in trail order: one more
-        in each clause an id's value makes true; a clause leaving zero is
-        no longer open and takes its atoms' occurrences out of the branch
-        scores."""
+        """Count the pending ids' true literals, in trail order: one less
+        in the score of the other atom of each pair an id's value makes
+        true, and one more in the count of each counted clause it makes
+        true; a clause whose count leaves zero takes its atoms'
+        occurrences out of the scores."""
         sat_count, score, branch_atoms = self.sat_count, self.score, self.branch_atoms
         assignment, sat_by = self.assignment, self.sat_by
-        closed = 0
         for ref in self.pending:
-            for ci in sat_by[ref][assignment[ref]]:
+            sat = sat_by[ref]
+            value = assignment[ref]
+            for aid in sat[4 + value]:
+                score[aid] -= 1
+            for ci in sat[value]:
                 sat_count[ci] += 1
                 if sat_count[ci] == 1:
-                    closed += 1
                     for aid in branch_atoms[ci]:
                         score[aid] -= 1
-        self.open_clauses -= closed
         self.pending.clear()
 
     def _unsatisfy(self, clauses: list[int]) -> None:
-        """Undo _count_pending's count of one id's true literals."""
+        """Undo _count_pending's count of one id's true literals in the
+        counted clauses."""
         sat_count, score, branch_atoms = self.sat_count, self.score, self.branch_atoms
-        opened = 0
         for ci in clauses:
             sat_count[ci] -= 1
             if sat_count[ci] == 0:
-                opened += 1
                 for aid in branch_atoms[ci]:
                     score[aid] += 1
-        self.open_clauses += opened
 
     def _check_clause(self, ci: int) -> int | None:
         """Check clause ci: CONFLICT when every literal is false. With
@@ -310,15 +353,16 @@ class Solver:
         return ref if ref > n else None
 
     def propagate(self) -> int | None:
-        """Run the queues to a fixpoint, returning None, or to a conflict,
-        returning CONFLICT. A queued id visits only the clauses its value
-        made false and that no counted trail entry satisfies: every other
-        clause would check as not unit. This is the one site that
-        evaluates cards: one off the queue, and one a clause just
-        committed, before the id's next clause, which keeps the
-        propagation order the counters record. An evaluation commits a
-        determined status, conflicts with a committed value it
-        contradicts, or forces members toward the committed value."""
+        """Run the queues to a fixpoint, returning None, or to a
+        conflict, returning CONFLICT. A queued id first checks the other
+        literal of each pair its value made false, then visits only the
+        counted clauses its value made false and that no counted trail
+        entry satisfies: every other clause would check as not unit.
+        This is the one site that evaluates cards: one off the queue,
+        and one a clause just committed, before the id's next clause. An
+        evaluation commits a determined status, conflicts with a
+        committed value it contradicts, or forces members toward the
+        committed value."""
         dirty, queue = self.dirty_cards, self.queue
         assignment, sat_by, sat_count = self.assignment, self.sat_by, self.sat_count
         card_true, card_live, card_lo, card_hi = (
@@ -340,7 +384,23 @@ class Solver:
                     cid = dirty.popleft()
                 elif queue:
                     ref = queue.popleft()
-                    clauses = iter(sat_by[ref][not assignment[ref]])
+                    sat = sat_by[ref]
+                    value = assignment[ref]
+                    # The other literal of each pair value made false.
+                    for lit in sat[2 + value]:
+                        if lit > 0:
+                            v = assignment[lit]
+                            if v is None:
+                                self.assign(lit, True)
+                            elif not v:
+                                return CONFLICT
+                        else:
+                            v = assignment[-lit]
+                            if v is None:
+                                self.assign(-lit, False)
+                            elif v:
+                                return CONFLICT
+                    clauses = iter(sat[not value])
                     continue
                 else:
                     return None
@@ -405,9 +465,9 @@ class Solver:
                 trail.append(m)
                 sat = sat_by[m]
                 if sat:
-                    if sat[not force]:
+                    if sat[2 + force] or sat[not force]:
                         queue.append(m)
-                    if sat[force]:
+                    if sat[4 + force] or sat[force]:
                         pending.append(m)
                 for c in member_of[m]:  # as in assign, skipping cid
                     if c == cid:
@@ -465,18 +525,22 @@ class Solver:
         Reads the scores kept along the trail. Search counts the pending
         trail entries right before calling it, at a propagation fixpoint,
         so every entry is counted and every card with a determined status
-        has that value committed: the scores are exact there. A count is
-        undone only when backtracking removes a counted entry, so while
-        entries are pending, a positive count still means a true literal,
-        which keeps propagation's skip of such clauses sound.
+        has that value committed: the unset atoms' scores are exact there.
+        A count is undone only when backtracking removes a counted entry,
+        so while entries are pending, a positive count still means a true
+        literal, which keeps propagation's skip of such clauses sound.
 
-        The end-game rests on the fixpoint invariant that every card with
-        a determined status has it committed. A card with all members set
-        has one, so a full trail is a total assignment, found without a
-        scan; a shorter one leaves an atom unset, which index reaches
-        before any card."""
-        if not self.open_clauses:  # every score is 0
-            if len(self.trail) == self.n_ids:
+        A scan that finds no unset atom with a positive score marks the
+        trail length: every clause holds there, and so in every extension,
+        and later picks skip the scan until a backtrack cuts the trail
+        below the mark. The end-game rests on the fixpoint invariant that
+        every card with a determined status has it committed. A card with
+        all members set has one, so a full trail is a total assignment,
+        found without a scan; a shorter one leaves an atom unset, which
+        index reaches before any card."""
+        depth = len(self.trail)
+        if depth >= self.closed_at:  # every clause holds
+            if depth == self.n_ids:
                 return None
             aid = self.low_atom = self.assignment.index(None, self.low_atom)
             return aid
@@ -485,6 +549,8 @@ class Solver:
         for aid in range(1, self.n_atoms + 1):
             if assignment[aid] is None and score[aid] > best_score:
                 best, best_score = aid, score[aid]
+        if best_score < 1:
+            self.closed_at = depth
         return best
 
     def _backtrack_flip(self) -> bool:
@@ -493,9 +559,10 @@ class Solver:
         are empty: search empties them after a conflict."""
         trail, assignment, sat_by = self.trail, self.assignment, self.sat_by
         member_of, card_true, card_live = self.member_of, self.card_true, self.card_live
+        score = self.score
         # The pending ids were never counted. They are the last trail
-        # entries with a make-true list, and all lie past the cut, since
-        # pending is empty at every decision.
+        # entries whose value makes a clause true, and all lie past the
+        # cut, since pending is empty at every decision.
         pending = self.pending
         uncounted = len(pending)
         if self.decision_pos:
@@ -505,17 +572,20 @@ class Solver:
             flipped = not assignment[aid]
         else:
             pos, aid = 0, None
+        if pos < self.closed_at:
+            self.closed_at = len(assignment)
         for ref in reversed(trail[pos:]):
             value = assignment[ref]
             assignment[ref] = None
             sat = sat_by[ref]
-            if sat:
-                sat = sat[value]
-                if sat:
-                    if uncounted:
-                        uncounted -= 1
-                    else:
-                        self._unsatisfy(sat)
+            if sat and (sat[4 + value] or sat[value]):
+                if uncounted:
+                    uncounted -= 1
+                else:
+                    for partner in sat[4 + value]:
+                        score[partner] += 1
+                    if sat[value]:
+                        self._unsatisfy(sat[value])
             if value:
                 for cid in member_of[ref]:
                     card_true[cid] -= 1

@@ -616,6 +616,20 @@ class ReferenceSolver(Solver):
             for lit in cl:
                 self.occ[abs(lit)].append(ci)
 
+    def _check(self, ci: int) -> int | None:
+        """Check clause ci of the theory, pairs included, by lit_value:
+        CONFLICT when every literal is false; with one literal open and
+        none true, set that literal's id, returning it when a card."""
+        cl = self.theory.clauses[ci]
+        values = [lit_value(self, lit) for lit in cl]
+        if True in values or values.count(None) > 1:
+            return None
+        if None not in values:
+            return CONFLICT
+        lit = cl[values.index(None)]
+        self.assign(abs(lit), lit > 0)
+        return abs(lit) if abs(lit) > self.n_atoms else None
+
     def propagate(self):
         while True:
             if self.dirty_cards:
@@ -624,7 +638,7 @@ class ReferenceSolver(Solver):
                 qid = self.queue.popleft()
                 conf = None
                 for ci in self.occ[qid]:
-                    cid = self._check_clause(ci)
+                    cid = self._check(ci)
                     if cid == CONFLICT:
                         conf = Conflict("clause", ci)
                     elif cid is not None:  # a card the clause committed
@@ -639,10 +653,10 @@ class ReferenceSolver(Solver):
     def _initial_propagate(self):
         self.dirty_cards.extend(range(self.n_atoms + 1, self.n_ids + 1))
         conflict = self.propagate()
-        for ci in range(len(self.clause_lits)):
+        for ci in range(len(self.theory.clauses)):
             if conflict is not None:
                 return conflict
-            cid = self._check_clause(ci)
+            cid = self._check(ci)
             if cid == CONFLICT:
                 return Conflict("clause", ci)
             if cid is not None:  # a card the clause committed
@@ -708,13 +722,12 @@ def counted_scores(solver) -> tuple[list[int], list[int]]:
 
 def check_scores(solver) -> None:
     """The counts behind the branch scores against counted_scores: every
-    clause count the solver keeps, the number of clauses with none
-    (open_clauses), and the score of every unset atom. The score of an
-    assigned atom is representation, which the pick never reads; a wrong
-    one shows only once the atom is unset and read at a later pick."""
+    clause count the solver keeps and the score of every unset atom. The
+    score of an assigned atom is representation, which the pick never
+    reads; a wrong one shows only once the atom is unset and read at a
+    later pick."""
     sat_count, score = counted_scores(solver)
     assert solver.sat_count == sat_count, (solver.sat_count, sat_count)
-    assert solver.open_clauses == sat_count.count(0), solver.open_clauses
     unset = [aid for aid in range(1, solver.n_atoms + 1) if solver.assignment[aid] is None]
     got = {aid: solver.score[aid] for aid in unset}
     assert got == {aid: score[aid] for aid in unset}, got
@@ -732,9 +745,10 @@ class CheckedSolver(Solver):
     values, right after every backtrack and at every branch, that every
     card with a determined status has that value committed, that no
     committed card with an open status has members left to force
-    (forced_value), that no atom below low_atom is undetermined, and that
-    the decision stack holds exactly the trail positions of the decisions
-    not undone. Members a card forces are set without going
+    (forced_value), that the closure mark is absent or a trail position
+    up to which every clause holds, that no atom below low_atom is
+    undetermined, and that the decision stack holds exactly the trail
+    positions of the decisions not undone. Members a card forces are set without going
     through assign, so decisions are recorded where assign makes them
     and dropped where a backtrack cuts the trail below them."""
 
@@ -782,6 +796,15 @@ class CheckedSolver(Solver):
         for ci, cl in enumerate(self.theory.clauses):
             values = [lit_value(self, lit) for lit in cl]
             assert True in values or values.count(None) >= 2, (ci, cl, values)
+        # The closure mark: absent, or a trail position up to which every
+        # clause holds.
+        closed_at = self.closed_at
+        if closed_at <= len(self.trail):
+            held = set(self.trail[:closed_at])
+            for ci, cl in enumerate(self.theory.clauses):
+                assert any(abs(l) in held and self.assignment[abs(l)] == (l > 0) for l in cl), ci
+        else:
+            assert closed_at == len(self.assignment), closed_at
         assert None not in self.assignment[1 : min(self.low_atom, self.n_atoms + 1)], self.low_atom
         assert all(self.trail[pos] == ref for pos, ref in self.decided), (self.decided, self.trail)
         decided = [pos for pos, _ in self.decided]

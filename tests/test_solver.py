@@ -228,14 +228,17 @@ def test_backtrack_skips_the_uncounted_round():
     assert s._backtrack_flip()
     assert (s.trail, s.pending) == ([5, 1], [1])
     check_scores(s)
-    assert s.sat_count == [1, 1, 0, 0, 0, 0, 0, 0]
+    # a5 closes (5) and the pair (5 | 6), which leaves a6 in (3 | 6) only
+    assert s.sat_count == [1]
+    assert [s.score[aid] for aid in (2, 3, 4, 6)] == [3, 3, 2, 1]
 
 
 def test_setup_checks_only_short_clauses():
     # Propagation checks every clause a false literal can make unit, so
     # set-up checks just the clauses of fewer than two literals, in order:
-    # on queens8 the 8 unit card clauses. Committing a card sets no atom
-    # there, so propagation checks no clause.
+    # on queens8 the 8 unit card clauses, the only ones not pairs.
+    # Committing a card sets no atom there, so propagation checks no
+    # clause.
     t = ground_problem(QUEENS_RULES, QUEENS_DATA, {"n": "8"})
     s = Solver(t)
     checked = []
@@ -247,9 +250,10 @@ def test_setup_checks_only_short_clauses():
 
     s._check_clause = record
     assert s._initial_propagate() is None
-    short = [ci for ci, cl in enumerate(t.clauses) if len(cl) < 2]
-    assert len(short) == 8 and all(t.clauses[ci][0] > t.n_atoms for ci in short)
-    assert checked == short
+    short = [cl for cl in t.clauses if len(cl) < 2]
+    assert len(short) == 8 and all(cl[0] > t.n_atoms for cl in short)
+    assert s.clause_lits == short
+    assert checked == list(range(8))
     assert all(ref > t.n_atoms for ref in s.trail)
 
 
