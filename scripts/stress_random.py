@@ -3,17 +3,17 @@
 
 Grounds random typed programs and compares against the brute-force
 substitution oracle and, byte for byte, against grounding by full
-substitution; solves random ground theories and compares against model
-enumeration over all assignments and, model order and search counters
-included, against a reference solver (propagations only on runs without
-conflicts, since the order propagation visits clauses in may move it
-there) and against a solver that checks its own state, branch scores
-included, at every branch pick and backtrack, among them that no
-committed card is left with members it should have forced. The reference
-propagates over every occurrence of an id and keeps the full set-up
-pass, which checks every clause. Last, it checks that what aspps prints
-under -A -C, -S <pred> -C and -A -C 3 equals those models rendered
-through model_lines:
+substitution; solves random ground theories, every third one of mostly
+two-literal clauses, and compares against model enumeration over all
+assignments and, model order and search counters included, against a
+reference solver (propagations only on runs without conflicts, since the
+order propagation visits clauses in may move it there) and against a
+solver that checks its own state, branch scores included, at every
+branch pick and backtrack, among them that no committed card is left
+with members it should have forced. The reference propagates over every
+occurrence of an id and keeps the full set-up pass, which checks every
+clause. Last, it checks that what aspps prints under -A -C, -S <pred> -C
+and -A -C 3 equals those models rendered through model_lines:
 
     python3 scripts/stress_random.py -n 2000 --seed 7
 """
@@ -34,7 +34,7 @@ from aspps.solver import solve
 from aspps.tdc import check_model, read_tdc, write_tdc
 from aspps.theory import GroundAtom, GroundTheory
 
-from generators import random_ground_theory, random_program
+from generators import random_ground_theory, random_pair_theory, random_program
 from oracles import (
     CheckedSolver,
     ReferenceSolver,
@@ -79,7 +79,10 @@ def stress_grounder(n, rng):
 def stress_solver(n, rng, max_atoms):
     t0 = time.perf_counter()
     for i in range(n):
-        theory = random_ground_theory(rng, max_atoms=max_atoms)
+        if i % 3 == 2:
+            theory = random_pair_theory(rng, 2, max(2, max_atoms))
+        else:
+            theory = random_ground_theory(rng, max_atoms=max_atoms)
         res = solve(theory, max_models=None)
         found = {frozenset(a for a, v in m.items() if v) for m in res.models}
         want = enumerate_models(theory)

@@ -1,10 +1,12 @@
 """Seeded random inputs for the differential tests.
 
 random_program emits rule/data *text*, so the parser is exercised on the
-way to the grounder; random_ground_theory builds ground theories
-directly; mutate_text garbles a text a little, and mutate_terms edits
-the terms of a rule text's clauses token by token. All are deterministic
-functions of the supplied rng.
+way to the grounder; random_ground_theory and random_pair_theory build
+ground theories directly, and planted_coloring grounds a random
+3-colorable graph through scripts/problems/color.rl; mutate_text garbles
+a text a little, and mutate_terms edits the terms of a rule text's
+clauses token by token. All are deterministic functions of the supplied
+rng or seed.
 """
 
 from __future__ import annotations
@@ -13,6 +15,8 @@ import random
 import re
 
 from aspps.theory import CardConstruct, GroundAtom, GroundTheory
+
+from problems import COLOR_RULES, ground_problem
 
 # ---------------------------------------------------------------------------
 # Typed micro-programs: at most 3 data predicates (2 unary types plus one
@@ -257,6 +261,61 @@ def random_ground_theory(
         picked = rng.sample(refs, length)
         clauses.append(tuple(r if rng.random() < 0.5 else -r for r in picked))
     return GroundTheory(atoms, tuple(cards), tuple(clauses))
+
+
+def random_pair_theory(
+    rng: random.Random, min_atoms: int = 100, max_atoms: int = 300, max_cards: int = 4
+) -> GroundTheory:
+    """A theory of mostly pairs, two atom literals of random signs on
+    different atoms, 0.8 to 1.2 per atom, with a few unit clauses, a few
+    clauses of three or four literals, and the two-literal clauses that
+    are not pairs: a | a, a | -a and an atom literal with a card literal.
+    Clauses come in random order, so an id's pairs and longer clauses mix
+    on either side. Needs min_atoms >= 2; with fewer than three atoms the
+    longer clauses have two literals."""
+    n = rng.randint(min_atoms, max_atoms)
+    atoms = tuple(GroundAtom(i + 1, f"a{i + 1}", (), f"a{i + 1}") for i in range(n))
+    cards = []
+    for j in range(rng.randint(0, max_cards)):
+        k = rng.randint(1, min(n, 6))
+        members = tuple(sorted(rng.sample(range(1, n + 1), k)))
+        lo = rng.randint(0, k)
+        hi = -1 if rng.random() < 0.4 else rng.randint(lo, k)
+        cards.append(CardConstruct(n + 1 + j, lo, hi, members))
+
+    def lit(ref):
+        return ref if rng.random() < 0.5 else -ref
+
+    pairs = n * rng.randint(8, 12) // 10
+    clauses = [tuple(lit(a) for a in rng.sample(range(1, n + 1), 2)) for _ in range(pairs)]
+    for _ in range(rng.randint(0, 3)):
+        clauses.append((lit(rng.randint(1, n)),))
+    for _ in range(rng.randint(1, n // 10 + 1)):
+        length = rng.randint(min(3, n), min(4, n))
+        clauses.append(tuple(lit(a) for a in rng.sample(range(1, n + 1), length)))
+    for _ in range(rng.randint(1, 3)):
+        a = rng.randint(1, n)
+        clauses.append((lit(a), lit(a)))
+    for c in cards:
+        clauses.append((lit(rng.randint(1, n)), lit(c.id)))
+    rng.shuffle(clauses)
+    return GroundTheory(atoms, tuple(cards), tuple(clauses))
+
+
+def planted_coloring(v: int, d: float, seed: int) -> GroundTheory:
+    """The 3-coloring theory of scripts/problems/color.rl on a graph of v
+    vertices and int(v * d) distinct edges, each joining two classes of a
+    3-coloring drawn from random.Random(seed): the graph is colorable by
+    construction. Needs int(v * d) below the number of such edges."""
+    rng = random.Random(seed)
+    planted = [rng.randrange(3) for _ in range(v + 1)]
+    edges: dict[tuple[int, int], None] = {}
+    while len(edges) < int(v * d):
+        x, y = sorted(rng.sample(range(1, v + 1), 2))
+        if planted[x] != planted[y]:
+            edges[x, y] = None
+    data = f"vtx[1..{v}].\ncolor[1..3].\n" + "".join(f"edge({x},{y}).\n" for x, y in edges)
+    return ground_problem(COLOR_RULES, data, {})
 
 
 # ---------------------------------------------------------------------------

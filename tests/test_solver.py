@@ -8,11 +8,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from aspps.errors import TdcError
-from aspps.solver import Solver, model_lines, solve, stat_line
+from aspps.solver import Solver, SolveStats, model_lines, solve, stat_line
 from aspps.tdc import check_model, read_tdc, write_tdc
 from aspps.theory import CardConstruct, GroundAtom, GroundTheory
 
-from generators import break_ground_theory, random_ground_theory
+from generators import (
+    break_ground_theory,
+    planted_coloring,
+    random_ground_theory,
+    random_pair_theory,
+)
 from oracles import CheckedSolver, ReferenceSolver, check_scores, enumerate_models, search_outcome
 from problems import QUEENS_DATA, QUEENS_RULES, ground_problem
 
@@ -233,6 +238,53 @@ def test_backtrack_skips_the_uncounted_round():
     assert [s.score[aid] for aid in (2, 3, 4, 6)] == [3, 3, 2, 1]
 
 
+def test_two_literal_clauses_that_are_not_pairs_are_counted():
+    # A pair is two atom literals on two different atoms. A card literal,
+    # a | -a and a | a keep the clause path: a clause count, and a check
+    # that reads a card's status.
+    t = _theory(3, cards=[(1, 1, (2, 3))], clauses=[(1, 4), (1, -1), (2, 2), (-1, 3)])
+    s = Solver(t)
+    assert s.clause_lits == [(1, 4), (1, -1), (2, 2)]
+    # sat_by[ref][2:]: the partner lists, here only those of (-a1 | a3)
+    assert s.sat_by[1][2:] == ([], [3], [3], [])
+    assert s.sat_by[2][2:] == s.sat_by[4][2:] == ([], [], [], [])
+    res = solve(t, max_models=None)
+    assert _model_sets(res) == enumerate_models(t) == {frozenset({1, 2, 3}), frozenset({2})}
+
+
+def test_pairs_made_unit_at_setup():
+    # The unit clause a1 and the card 1 {a3} 1, which forces its member,
+    # make the pairs (-a1 | a2) and (-a3 | -a4) unit during set-up, and
+    # a4 false makes (a4 | a5) unit: five propagations, no decision.
+    t = _theory(5, cards=[(1, 1, (3,))], clauses=[(1,), (6,), (-1, 2), (-3, -4), (4, 5)])
+    res = solve(t)
+    assert res.models == [{1: True, 2: True, 3: True, 4: False, 5: True}]
+    assert res.stats == SolveStats(decisions=0, propagations=5, conflicts=0)
+
+
+def test_backtrack_below_the_closure_mark_drops_it():
+    # Deciding a1 closes both clauses, so the scan at the next pick marks
+    # the trail there, and a2, a3 and a4 are then taken without a scan.
+    # Flipping a1 cuts the trail below the mark and reopens both clauses:
+    # a3 and a4 score 2 and a2 0, so the scan picks a3, not a2.
+    t = _theory(4, clauses=[(1, 3, 4), (1, -3, 4)])
+    s = CheckedSolver(t)
+    picks = []
+    pick = s.choose_branch
+
+    def record():
+        trail = list(s.trail)
+        picks.append((trail, pick()))
+        return picks[-1][1]
+
+    s.choose_branch = record
+    assert sum(1 for _ in s.models(None)) == 12
+    assert [aid for _, aid in picks[:4]] == [1, 2, 3, 4]
+    flipped = [i for i, (trail, _) in enumerate(picks) if trail == [1]]
+    assert len(flipped) == 2  # a1 true, then a1 flipped to false
+    assert picks[flipped[1]][1] == 3
+
+
 def test_setup_checks_only_short_clauses():
     # Propagation checks every clause a false literal can make unit, so
     # set-up checks just the clauses of fewer than two literals, in order:
@@ -373,3 +425,24 @@ def test_large_theories_match_reference():
         kept += 1
         sat += got.sat
     assert (kept, sat) == (15, 5)
+
+
+def test_pair_theories_match_reference():
+    # Theories of mostly pairs of both signs (random_pair_theory, 100-300
+    # atoms) and planted 3-colorings grounded through color.rl, whose
+    # pairs all force false: the first three models and the counters equal
+    # the reference's (search_outcome), under the solver's state checks.
+    # The reference visits each id's clauses in order, the solver its
+    # pairs first, so propagations moves on some conflict rounds.
+    theories = [random_pair_theory(random.Random(seed)) for seed in range(30)]
+    theories += [planted_coloring(v, 2.25, seed) for v in (40, 80) for seed in (1, 2, 3)]
+    searched = sat = moved = 0
+    for i, t in enumerate(theories):
+        got = CheckedSolver(t).run(3)
+        want = ReferenceSolver(t).run(3)
+        assert search_outcome(got) == search_outcome(want), i
+        searched += got.stats.decisions > 0
+        sat += got.sat
+        moved += got.stats.propagations != want.stats.propagations
+    assert (searched, sat) == (32, 31)
+    assert moved
