@@ -180,7 +180,8 @@ class Solver:
         # makes false; [2 + value] the other literals of the pairs it
         # makes false, which become necessary; [4 + value] the other
         # atoms of the pairs it makes true, whose score it lowers. Ids in
-        # no clause share one empty, false entry, so one test skips them.
+        # no clause share one empty, false entry, so one test skips them,
+        # and the lists an entry leaves empty share one empty tuple.
         # branch_atoms[ci]: the atoms clause ci mentions, card literals
         # expanded into their members, repeats kept.
         # pending: trail entries whose value makes a clause true, not yet
@@ -193,7 +194,7 @@ class Solver:
         # closed_at: a trail length at which every clause holds, set by
         # the branch scan, or the size of assignment, longer than any
         # trail, while there is none.
-        sat_by: list[tuple[list[int], ...] | tuple[()]] = [()] * size
+        sat_by: list[list[Sequence[int]] | tuple[()]] = [()] * size
         self.sat_by = sat_by
         self.clause_lits: list[tuple[int, ...]] = []
         self.pending: list[int] = []
@@ -201,10 +202,14 @@ class Solver:
         score = self.score = [0] * (n + 1)
         self.closed_at = size
 
-        def entry(ref):
-            if not sat_by[ref]:
-                sat_by[ref] = ([], [], [], [], [], [])
-            return sat_by[ref]
+        def add(ref, k, item):
+            sat = sat_by[ref]
+            if not sat:
+                sat = sat_by[ref] = [(), (), (), (), (), ()]
+            if sat[k]:
+                sat[k].append(item)
+            else:
+                sat[k] = [item]
 
         for lits in theory.clauses:
             error = clause_error(lits, size - 1)
@@ -214,18 +219,19 @@ class Solver:
                 la, lb = lits
                 a, b = abs(la), abs(lb)
                 if a != b and a <= n and b <= n:
-                    for ref, lit, other, other_atom in ((a, la, lb, b), (b, lb, la, a)):
-                        sat = entry(ref)
-                        sat[2 + (lit < 0)].append(other)
-                        sat[4 + (lit > 0)].append(other_atom)
-                        score[ref] += 1
+                    add(a, 2 + (la < 0), lb)
+                    add(a, 4 + (la > 0), b)
+                    add(b, 2 + (lb < 0), la)
+                    add(b, 4 + (lb > 0), a)
+                    score[a] += 1
+                    score[b] += 1
                     continue
             ci = len(self.clause_lits)
             self.clause_lits.append(lits)
             atoms: list[int] = []
             for lit in lits:
                 ref = abs(lit)
-                entry(ref)[lit > 0].append(ci)
+                add(ref, lit > 0, ci)
                 if ref <= n:
                     atoms.append(ref)
                 else:
