@@ -192,15 +192,15 @@ class Solver:
         # with sat_count 0, plus the pairs of aid whose other literal no
         # counted entry makes true.
         # closed_at: a trail length at which every clause holds, set by
-        # the branch scan, or the size of assignment, longer than any
-        # trail, while there is none.
+        # the branch scan, or -1 while there is none. The trail is never
+        # shorter than it: a backtrack that cuts below it drops it.
         sat_by: list[list[Sequence[int]] | tuple[()]] = [()] * size
         self.sat_by = sat_by
         self.clause_lits: list[tuple[int, ...]] = []
         self.pending: list[int] = []
         self.branch_atoms: list[list[int]] = []
         score = self.score = [0] * (n + 1)
-        self.closed_at = size
+        self.closed_at = -1
 
         def add(ref, k, item):
             sat = sat_by[ref]
@@ -544,9 +544,8 @@ class Solver:
         all members set has one, so a full trail is a total assignment,
         found without a scan; a shorter one leaves an atom unset, which
         index reaches before any card."""
-        depth = len(self.trail)
-        if depth >= self.closed_at:  # every clause holds
-            if depth == self.n_ids:
+        if self.closed_at >= 0:  # every clause holds
+            if len(self.trail) == self.n_ids:
                 return None
             aid = self.low_atom = self.assignment.index(None, self.low_atom)
             return aid
@@ -556,7 +555,7 @@ class Solver:
             if assignment[aid] is None and score[aid] > best_score:
                 best, best_score = aid, score[aid]
         if best_score < 1:
-            self.closed_at = depth
+            self.closed_at = len(self.trail)
         return best
 
     def _backtrack_flip(self) -> bool:
@@ -579,7 +578,7 @@ class Solver:
         else:
             pos, aid = 0, None
         if pos < self.closed_at:
-            self.closed_at = len(assignment)
+            self.closed_at = -1
         for ref in reversed(trail[pos:]):
             value = assignment[ref]
             assignment[ref] = None

@@ -14,12 +14,12 @@ by per-atom-kind walks (reference_global_vars, reference_schema_locals)
 and grounding over the full product of the variable domains
 (reference_ground). counted_scores recounts the branch scores from the
 trail, check_scores compares what the branch pick reads with it, and
-CheckedSolver runs that check, with the rest of the solver's
-state, forcing left undone included, at every branch and backtrack.
-eval_arith, eval_ground_term and eval_predefined evaluate a term or
-comparison under a dict binding through compile_term and
-compile_comparison, the grounder's earlier evaluator: each term becomes
-a tree of closures over a flat value list, with every check at its node.
+CheckedSolver runs that check, with the rest of the solver's state,
+forcing left undone included, at every branch and backtrack. eval_arith,
+eval_ground_term and eval_predefined evaluate a term or comparison under
+a dict binding through compile_term and compile_comparison, the
+grounder's earlier evaluator: each term becomes a tree of closures over
+a flat value list, with every check at its node.
 """
 
 from __future__ import annotations
@@ -599,15 +599,16 @@ class ReferenceSolver(Solver):
     clause order. Clauses its value made true, or that are already
     satisfied, check as not unit, so models, model order, decisions and
     conflicts must equal the solver's, and propagations too on a run
-    without conflicts (search_outcome). It keeps the order of propagation
-    that the pinned counters record. A card, queued or just committed by a clause, is evaluated
-    by _update_card, which forces by forced_value and sets each member
-    through assign, not by Solver.propagate's fused loop. assign then
-    queues the forcing card for its own members too; those evaluations
-    find nothing to do. Set-up is the full pass: it evaluates every card,
-    then checks every clause in order, not only those of fewer than two
-    literals, and propagates after each; a card a clause commits is
-    queued before that propagation."""
+    without conflicts (search_outcome). It keeps the order of
+    propagation that the pinned counters record. A card, queued or just
+    committed by a clause, is evaluated by _update_card, which forces by
+    forced_value and sets each member through assign, not by
+    Solver.propagate's fused loop. assign then queues the forcing card
+    for its own members too; those evaluations find nothing to do.
+    Set-up is the full pass: it evaluates every card, then checks every
+    clause in order, not only those of fewer than two literals, and
+    propagates after each; a card a clause commits is queued before that
+    propagation."""
 
     def __init__(self, theory):
         super().__init__(theory)
@@ -701,10 +702,10 @@ def search_outcome(result) -> tuple:
 
 def counted_scores(solver) -> tuple[list[int], list[int]]:
     """The branch-score counts recomputed from the trail entries the
-    solver has counted, which are all but the pending ones: per clause it
-    keeps a count of (clause_lits), its literals those entries make true,
-    and per atom its occurrences in the clauses of the theory with none,
-    a card literal counting through its members."""
+    solver has counted, which are all but the pending ones: per clause the
+    solver counts (clause_lits), its literals those entries make true, and
+    per atom its occurrences in the clauses of the theory with none, a
+    card literal counting through its members."""
     counted = set(solver.trail) - set(solver.pending)
     members = {c.id: c.members for c in solver.theory.cards}
 
@@ -748,9 +749,9 @@ class CheckedSolver(Solver):
     (forced_value), that the closure mark is absent or a trail position
     up to which every clause holds, that no atom below low_atom is
     undetermined, and that the decision stack holds exactly the trail
-    positions of the decisions not undone. Members a card forces are set without going
-    through assign, so decisions are recorded where assign makes them
-    and dropped where a backtrack cuts the trail below them."""
+    positions of the decisions not undone. Members a card forces are set
+    without going through assign, so decisions are recorded where assign
+    makes them and dropped where a backtrack cuts the trail below them."""
 
     def __init__(self, theory):
         super().__init__(theory)
@@ -799,12 +800,13 @@ class CheckedSolver(Solver):
         # The closure mark: absent, or a trail position up to which every
         # clause holds.
         closed_at = self.closed_at
-        if closed_at <= len(self.trail):
+        if closed_at >= 0:
+            assert closed_at <= len(self.trail), closed_at
             held = set(self.trail[:closed_at])
             for ci, cl in enumerate(self.theory.clauses):
                 assert any(abs(l) in held and self.assignment[abs(l)] == (l > 0) for l in cl), ci
         else:
-            assert closed_at == len(self.assignment), closed_at
+            assert closed_at == -1, closed_at
         assert None not in self.assignment[1 : min(self.low_atom, self.n_atoms + 1)], self.low_atom
         assert all(self.trail[pos] == ref for pos, ref in self.decided), (self.decided, self.trail)
         decided = [pos for pos, _ in self.decided]
