@@ -10,9 +10,10 @@ reference solver (propagations only on runs without conflicts, since the
 order propagation visits clauses in may move it there) and against a
 solver that checks its own state, branch scores included, at every
 branch pick and backtrack, among them that no committed card is left
-with members it should have forced. The reference propagates over every
-occurrence of an id and keeps the full set-up pass, which checks every
-clause. Last, it checks that what aspps prints under -A -C, -S <pred> -C
+with members it should have forced; the last also runs each theory
+with its cards' members reversed and shuffled, which must not change the
+outcome. The reference propagates over every occurrence of an id and
+keeps the full set-up pass, which checks every clause. Last, it checks that what aspps prints under -A -C, -S <pred> -C
 and -A -C 3 equals those models rendered through model_lines:
 
     python3 scripts/stress_random.py -n 2000 --seed 7
@@ -34,7 +35,7 @@ from aspps.solver import solve
 from aspps.tdc import check_model, read_tdc, write_tdc
 from aspps.theory import GroundAtom, GroundTheory
 
-from generators import random_ground_theory, random_pair_theory, random_program
+from generators import random_ground_theory, random_pair_theory, random_program, reorder_members
 from oracles import (
     CheckedSolver,
     ReferenceSolver,
@@ -101,6 +102,10 @@ def stress_solver(n, rng, max_atoms):
             return False
         try:
             checked = CheckedSolver(theory).run(None)
+            reordered = [
+                CheckedSolver(reorder_members(theory, order)).run(None)
+                for order in (None, random.Random(i))
+            ]
         except AssertionError as exc:
             print(f"[solver {i}] solver state check failed: {exc!r}")
             print(write_tdc(theory))
@@ -108,6 +113,10 @@ def stress_solver(n, rng, max_atoms):
         if res.models != checked.models or res.stats != checked.stats:
             print(f"[solver {i}] models, model order or counters differ under"
                   f" the state checks: {res.stats} vs {checked.stats}")
+            print(write_tdc(theory))
+            return False
+        if any(search_outcome(r) != search_outcome(res) for r in reordered):
+            print(f"[solver {i}] reversing or shuffling card members changed the search outcome")
             print(write_tdc(theory))
             return False
     print(f"solver: {n} theories agree ({time.perf_counter() - t0:.2f}s)")

@@ -27,20 +27,27 @@ propagations, and only on a round that ends in a conflict: every order
 reaches the same fixpoint, or a conflict and the same backtrack, but it
 decides which atoms are set before the conflict is noticed. Models,
 model order, decisions and conflicts do not depend on it. A card is
-queued each time one of its members is set; two kinds of entry are never
-made, because their evaluation is a no-op. When a committed card forces
-its undetermined members, it is not queued for them: once they are set
-its status equals its committed value. Nor is a card queued whose
-committed value already equals its determined status. Counts only move
-toward a determined status while the trail grows, so a determined status
-stays so until backtracking, and such an evaluation finds nothing to do
-whenever it would run. Every other entry keeps its place in the queue,
-so the order of the effective steps, and with it every counter, is the
-same as if every entry were made. Forcing needs lo <= hi and distinct
-members; Solver checks every rule read_tdc checks, by the same two
-functions: theory.card_error (dense ids, bounds, members that are
-distinct atom ids) and theory.clause_error (every literal names an atom
-or a card).
+queued when one of its members is set, except in three cases where its
+evaluation would do nothing. When a committed card forces its
+undetermined members, it is not queued for them: once they are set its
+status equals its committed value. Nor is a card queued whose committed
+value already equals its determined status: counts only move toward a
+determined status while the trail grows, so it stays so until
+backtracking. And a card committed true is queued only when the count
+that moved meets the bound it approaches with members left to set: on a
+true member when tc >= hi < tu, on a false one when tu <= lo > tc. At
+every fixpoint no card acts, and a card can start to act only through
+the count that just moved, past the bound that count approaches; so
+every card that acts is still queued before the next pick, and
+propagation reaches the same fixpoint or the same conflict. The entries
+left out change only where in the queue an acting card is evaluated,
+which shows, like the clause order, only in propagations on a round
+that ends in a conflict. Forcing scans a card's members from the high
+end, where the undetermined ones usually are, since picks break ties by
+the lowest id. Forcing needs lo <= hi and distinct members; Solver
+checks every rule read_tdc checks, by the same two functions:
+theory.card_error (dense ids, bounds, members that are distinct atom
+ids) and theory.clause_error (every literal names an atom or a card).
 
 Branch scores are kept along the trail rather than recomputed per
 decision, and counted only when a branch is picked. A trail entry whose
@@ -280,26 +287,33 @@ class Solver:
         cards = self.member_of[ref]
         if cards:
             # Count ref in each card it is a member of, and queue the card
-            # unless it is settled: its committed value equals its
-            # determined status, which no further assignment can change.
+            # unless its evaluation would do nothing. A card committed true
+            # acts only once the count that moved meets the bound it
+            # approaches with members left to set: tc reaches hi below tu,
+            # or tu falls to lo above tc. A card committed false is queued
+            # unless settled: its committed value equals its determined
+            # status, which no further assignment can change.
             dirty, card_true, card_live = self.dirty_cards, self.card_true, self.card_live
             card_lo, card_hi = self.card_lo, self.card_hi
             for cid in cards:
+                v = assignment[cid]
                 if value:
                     tc = card_true[cid] + 1
                     card_true[cid] = tc
+                    if v:
+                        if tc >= card_hi[cid] < card_live[cid]:
+                            dirty.append(cid)
+                        continue
                     tu = card_live[cid]
                 else:
                     tc = card_true[cid]
                     tu = card_live[cid] - 1
                     card_live[cid] = tu
-                v = assignment[cid]
-                if v is None:
-                    dirty.append(cid)
-                elif v:
-                    if tc < card_lo[cid] or tu > card_hi[cid]:
-                        dirty.append(cid)
-                elif tu >= card_lo[cid] and tc <= card_hi[cid]:
+                    if v:
+                        if tu <= card_lo[cid] > tc:
+                            dirty.append(cid)
+                        continue
+                if v is None or (tu >= card_lo[cid] and tc <= card_hi[cid]):
                     dirty.append(cid)
 
     def _count_pending(self) -> None:
@@ -457,14 +471,15 @@ class Solver:
                     force = False
                 else:
                     continue
-            # Force the card's tu - tc undetermined members. Needs lo <= hi
+            # Force the card's tu - tc undetermined members, scanning from
+            # the high end, where they usually are. Needs lo <= hi
             # and distinct members, which __init__ checks. Each member is
             # set as assign would, but without queueing cid, whose status
             # then equals v; cid's count moves once at the end. Calling
             # assign per member, or one setter shared with assign, made the
             # enum solve 14-15 % slower.
             left = forced = tu - tc
-            for m in card_members[cid]:
+            for m in reversed(card_members[cid]):
                 if assignment[m] is not None:
                     continue
                 assignment[m] = force
@@ -478,21 +493,24 @@ class Solver:
                 for c in member_of[m]:  # as in assign, skipping cid
                     if c == cid:
                         continue
+                    w = assignment[c]
                     if force:
                         t = card_true[c] + 1
                         card_true[c] = t
+                        if w:
+                            if t >= card_hi[c] < card_live[c]:
+                                dirty.append(c)
+                            continue
                         u = card_live[c]
                     else:
                         t = card_true[c]
                         u = card_live[c] - 1
                         card_live[c] = u
-                    w = assignment[c]
-                    if w is None:
-                        dirty.append(c)
-                    elif w:
-                        if t < card_lo[c] or u > card_hi[c]:
-                            dirty.append(c)
-                    elif u >= card_lo[c] and t <= card_hi[c]:
+                        if w:
+                            if u <= card_lo[c] > t:
+                                dirty.append(c)
+                            continue
+                    if w is None or (u >= card_lo[c] and t <= card_hi[c]):
                         dirty.append(c)
                 left -= 1
                 if not left:

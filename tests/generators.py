@@ -263,6 +263,19 @@ def random_ground_theory(
     return GroundTheory(atoms, tuple(cards), tuple(clauses))
 
 
+def reorder_members(theory: GroundTheory, rng: random.Random | None = None) -> GroundTheory:
+    """theory with every card's members in another order: reversed, or
+    shuffled by rng. A .tdc need not list them sorted, though every
+    generator here does."""
+    cards = []
+    for c in theory.cards:
+        members = list(reversed(c.members))
+        if rng is not None:
+            rng.shuffle(members)
+        cards.append(c._replace(members=tuple(members)))
+    return theory._replace(cards=tuple(cards))
+
+
 def random_pair_theory(
     rng: random.Random, min_atoms: int = 100, max_atoms: int = 300, max_cards: int = 4
 ) -> GroundTheory:

@@ -603,8 +603,11 @@ class ReferenceSolver(Solver):
     propagation that the pinned counters record. A card, queued or just
     committed by a clause, is evaluated by _update_card, which forces by
     forced_value and sets each member through assign, not by
-    Solver.propagate's fused loop. assign then queues the forcing card
-    for its own members too; those evaluations find nothing to do.
+    Solver.propagate's fused loop. assign keeps the queue rule the pins
+    record: it queues every card of the id it sets unless the card is
+    settled, the forcing card for its own members too, where Solver
+    queues a committed-true card only when its evaluation will act;
+    the entries only the reference makes find nothing to do.
     Set-up is the full pass: it evaluates every card, then checks every
     clause in order, not only those of fewer than two literals, and
     propagates after each; a card a clause commits is queued before that
@@ -616,6 +619,20 @@ class ReferenceSolver(Solver):
         for ci, cl in enumerate(theory.clauses):
             for lit in cl:
                 self.occ[abs(lit)].append(ci)
+
+    def assign(self, ref, value, decision=False):
+        """Solver.assign, but queueing every card of ref that is not
+        settled (committed, with that value as its determined status),
+        whether or not its evaluation will act."""
+        dirty = self.dirty_cards
+        queued = len(dirty)
+        super().assign(ref, value, decision)
+        while len(dirty) > queued:
+            dirty.pop()
+        for cid in self.member_of[ref]:
+            v = self.assignment[cid]
+            if v is None or self.card_status(cid) != v:
+                dirty.append(cid)
 
     def _check(self, ci: int) -> int | None:
         """Check clause ci of the theory, pairs included, by lit_value:

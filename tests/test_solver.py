@@ -17,9 +17,10 @@ from generators import (
     planted_coloring,
     random_ground_theory,
     random_pair_theory,
+    reorder_members,
 )
 from oracles import CheckedSolver, ReferenceSolver, check_scores, enumerate_models, search_outcome
-from problems import QUEENS_DATA, QUEENS_RULES, ground_problem
+from problems import PIGEON_DATA, PIGEON_RULES, QUEENS_DATA, QUEENS_RULES, ground_problem
 
 
 def _atoms(n):
@@ -307,6 +308,39 @@ def test_setup_checks_only_short_clauses():
     assert s.clause_lits == short
     assert checked == list(range(8))
     assert all(ref > t.n_atoms for ref in s.trail)
+
+
+def test_committed_true_card_queued_only_when_it_acts():
+    # pigeon 3/3: each pigeon's card 1 {in(p,H) : hole(H)} 1 is committed
+    # true at set-up. A first false member leaves its not-false count
+    # above lo, where an evaluation would do nothing, so no card is
+    # queued; a second brings that count to lo with a member unset, which
+    # the card must force.
+    t = ground_problem(PIGEON_RULES, PIGEON_DATA, {"p": "3", "h": "3"})
+    s = Solver(t)
+    assert s._initial_propagate() is None
+    ids = {a.text: a.id for a in t.atoms}
+    a11, a12 = ids["in(1,1)"], ids["in(1,2)"]
+    (pigeon1,) = [c.id for c in t.cards if a11 in c.members and a12 in c.members]
+    assert s.assignment[pigeon1] is True
+    s.assign(a11, False)
+    assert not s.dirty_cards
+    s.assign(a12, False)
+    assert list(s.dirty_cards) == [pigeon1]
+    assert s.propagate() is None
+    assert s.assignment[ids["in(1,3)"]] is True
+
+
+def test_member_order_does_not_matter():
+    # Forcing scans a card's members from the high end, so reversed or
+    # shuffled members are set in another order; the search outcome
+    # (search_outcome) stays, under the solver's state checks.
+    theories = [random_ground_theory(random.Random(seed), max_atoms=10, max_cards=4) for seed in range(200)]
+    theories.append(ground_problem(PIGEON_RULES, PIGEON_DATA, {"p": "5", "h": "5"}))
+    for i, t in enumerate(theories):
+        want = search_outcome(CheckedSolver(t).run(None))
+        for other in (reorder_members(t), reorder_members(t, random.Random(i))):
+            assert search_outcome(CheckedSolver(other).run(None)) == want, i
 
 
 def test_unused_ids_share_empty_tables():
