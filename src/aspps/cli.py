@@ -14,7 +14,7 @@ from __future__ import annotations
 import sys
 
 STAT_FILE = "aspps.stat"
-OUTPUT_CHUNK = 1 << 16  # characters of model text per write to standard output
+OUTPUT_CHUNK = 1 << 13  # pieces per write to standard output: one per true atom, one per blank line
 
 
 class _Failure(Exception):
@@ -185,21 +185,21 @@ def aspps_main(argv: list[str]) -> int:
         ]
         found = 0
         writing = 0.0
-        # Model texts collect in chunk: one write per model would be one
-        # system call per model when standard output is unbuffered.
+        # Model texts collect in chunk as pieces, a "\n" before every
+        # model after the first: one write per model would be one system
+        # call per model when standard output is unbuffered.
         chunk: list[str] = []
-        pending = 0
         start = perf_counter()
         solver = Solver(theory)
         for assignment in solver.search(args.C):
             if show:
                 t = perf_counter()
-                text = ("\n" if found else "") + "".join(compress(shown, assignment))
-                chunk.append(text)
-                pending += len(text)
-                if pending >= OUTPUT_CHUNK:
+                if found:
+                    chunk.append("\n")
+                chunk.extend(compress(shown, assignment))
+                if len(chunk) >= OUTPUT_CHUNK:
                     sys.stdout.write("".join(chunk))
-                    chunk, pending = [], 0
+                    chunk.clear()
                 writing += perf_counter() - t
             found += 1
         elapsed = int((perf_counter() - start - writing) * 1000)
