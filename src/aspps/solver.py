@@ -290,9 +290,9 @@ class Solver:
             # unless its evaluation would do nothing. A card committed true
             # acts only once the count that moved meets the bound it
             # approaches with members left to set: tc reaches hi below tu,
-            # or tu falls to lo above tc. A card committed false is queued
-            # unless settled: its committed value equals its determined
-            # status, which no further assignment can change.
+            # or tu falls to lo above tc. Any other card is queued unless
+            # settled: its committed value equals its determined status,
+            # which no further assignment can change.
             dirty, card_true, card_live = self.dirty_cards, self.card_true, self.card_live
             card_lo, card_hi = self.card_lo, self.card_hi
             for cid in cards:
