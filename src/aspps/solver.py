@@ -18,36 +18,35 @@ counters toward that value, and a determined status that contradicts a
 committed value is a conflict. All choices are deterministic (lowest id
 wins ties), so identical inputs yield identical statistics.
 
-Cards are evaluated at one site, in propagate: only there is a card's
-status committed, checked against its committed value, or used to force
-members. A card is evaluated when it leaves the queue, and a card that a
-clause has just committed as its unit literal at once, before the next
-clause is checked. The order of propagation shows in one counter only,
-propagations, and only on a round that ends in a conflict: every order
-reaches the same fixpoint, or a conflict and the same backtrack, but it
-decides which atoms are set before the conflict is noticed. Models,
-model order, decisions and conflicts do not depend on it. A card is
-queued when one of its members is set, except in three cases where its
-evaluation would do nothing. When a committed card forces its
-undetermined members, it is not queued for them: once they are set its
-status equals its committed value. Nor is a card queued whose committed
-value already equals its determined status: counts only move toward a
-determined status while the trail grows, so it stays so until
-backtracking. And a card committed true is queued only when the count
-that moved meets the bound it approaches with members left to set: on a
-true member when tc >= hi < tu, on a false one when tu <= lo > tc. At
-every fixpoint no card acts, and a card can start to act only through
+Cards are evaluated at one site, in propagate, as they leave the card
+queue: only there is a card's status committed, checked against its
+committed value, or used to force members. A card that a clause commits
+as its unit literal is queued there too. The order of propagation shows
+in one counter only, propagations, and only on a round that ends in a
+conflict: every order reaches the same fixpoint, or a conflict and the
+same backtrack, but it decides which atoms are set before the conflict
+is noticed. Models, model order, decisions and conflicts do not depend
+on it. A card is queued when one of its members is set, except in three
+cases where its evaluation would do nothing. When a committed card
+forces its undetermined members, it is not queued for them: once they
+are set its status equals its committed value. Nor is a card queued
+whose committed value already equals its determined status: counts only
+move toward a determined status while the trail grows, so it stays so
+until backtracking. And a card committed true is queued only when the
+count that moved meets the bound it approaches with members left to set:
+on a true member when tc >= hi < tu, on a false one when tu <= lo > tc.
+At every fixpoint no card acts, and a card can start to act only through
 the count that just moved, past the bound that count approaches; so
 every card that acts is still queued before the next pick, and
 propagation reaches the same fixpoint or the same conflict. The entries
 left out change only where in the queue an acting card is evaluated,
-which shows, like the clause order, only in propagations on a round
-that ends in a conflict. Forcing scans a card's members from the high
-end, where the undetermined ones usually are, since picks break ties by
-the lowest id. Forcing needs lo <= hi and distinct members; Solver
-checks every rule read_tdc checks, by the same two functions:
-theory.card_error (dense ids, bounds, members that are distinct atom
-ids) and theory.clause_error (every literal names an atom or a card).
+which shows, like the clause order, only in propagations on a round that
+ends in a conflict. Forcing scans a card's members from the high end,
+where the undetermined ones usually are, since picks break ties by the
+lowest id. Forcing needs lo <= hi and distinct members; Solver checks
+every rule read_tdc checks, by the same two functions: theory.card_error
+(dense ids, bounds, members that are distinct atom ids) and
+theory.clause_error (every literal names an atom or a card).
 
 Branch scores are kept along the trail rather than recomputed per
 decision, and counted only when a branch is picked. A trail entry whose
@@ -92,11 +91,12 @@ holds once it is flipped, since flipping restores the state before it
 plus the decided atom. A trail that holds every id ends the search for a
 model without that scan.
 
-Set-up evaluates every card, then checks only the clauses of fewer than
-two literals. A longer clause is never unit there: nothing is counted
-before the first branch pick, so one with a false literal was checked
-when the last of them left the queue, and one with none has a true
-literal or two open ones.
+Set-up queues every card, checks the clauses of fewer than two literals,
+and then propagates once; unit propagation reaches one fixpoint in any
+order. A longer clause needs no check there: nothing is counted before
+the first branch pick, so one with a false literal is checked when the
+last of them leaves the queue, and one with none has a true literal or
+two open ones.
 
 Atoms and cards share one id space: atoms are 1..n_atoms and cards
 follow them, and every per-id table is indexed by the id itself. A
@@ -115,7 +115,7 @@ from typing import NamedTuple
 from .theory import GroundTheory, card_error, clause_error
 
 # What propagate returns on a conflict, and _check_clause on a clause
-# with every literal false; every id is positive.
+# with every literal false.
 CONFLICT = -1
 
 
@@ -347,9 +347,9 @@ class Solver:
                     score[aid] += 1
 
     def _check_clause(self, ci: int) -> int | None:
-        """Check clause ci: CONFLICT when every literal is false. With
-        one literal open and none true, set that literal's id; when it is
-        a card, return its id, for propagate to evaluate at once."""
+        """Check clause ci: CONFLICT when every literal is false, else
+        None. With one literal open and none true, set that literal's id;
+        a card committed so is queued, for propagate to evaluate."""
         n, assignment = self.n_atoms, self.assignment
         unit = None
         open_count = 0
@@ -370,7 +370,9 @@ class Solver:
         # unit is undetermined (a card: uncommitted, status open): no conflict.
         ref = abs(unit)
         self.assign(ref, unit > 0)
-        return ref if ref > n else None
+        if ref > n:
+            self.dirty_cards.append(ref)
+        return None
 
     def propagate(self) -> int | None:
         """Run the queues to a fixpoint, returning None, or to a
@@ -378,8 +380,8 @@ class Solver:
         literal of each pair its value made false, then visits only the
         counted clauses its value made false and that no counted trail
         entry satisfies: every other clause would check as not unit.
-        This is the one site that evaluates cards: one off the queue,
-        and one a clause just committed, before the id's next clause. An
+        This is the one site that evaluates cards, each as it leaves the
+        card queue, where a card a clause commits waits too. An
         evaluation commits a determined status, conflicts with a
         committed value it contradicts, or forces members toward the
         committed value."""
@@ -390,40 +392,33 @@ class Solver:
         )
         trail, member_of, card_members = self.trail, self.member_of, self.card_members
         pending = self.pending
-        clauses: Iterator[int] = iter(())  # the rest of the visited id's clauses
         while True:
-            for ci in clauses:
-                if not sat_count[ci]:
-                    cid = self._check_clause(ci)
-                    if cid is not None:
-                        if cid == CONFLICT:
-                            return cid
-                        break
+            if dirty:
+                cid = dirty.popleft()
+            elif queue:
+                ref = queue.popleft()
+                sat = sat_by[ref]
+                value = assignment[ref]
+                # The other literal of each pair value made false.
+                for lit in sat[2 + value]:
+                    if lit > 0:
+                        v = assignment[lit]
+                        if v is None:
+                            self.assign(lit, True)
+                        elif not v:
+                            return CONFLICT
+                    else:
+                        v = assignment[-lit]
+                        if v is None:
+                            self.assign(-lit, False)
+                        elif v:
+                            return CONFLICT
+                for ci in sat[not value]:
+                    if not sat_count[ci] and self._check_clause(ci) == CONFLICT:
+                        return CONFLICT
+                continue
             else:
-                if dirty:
-                    cid = dirty.popleft()
-                elif queue:
-                    ref = queue.popleft()
-                    sat = sat_by[ref]
-                    value = assignment[ref]
-                    # The other literal of each pair value made false.
-                    for lit in sat[2 + value]:
-                        if lit > 0:
-                            v = assignment[lit]
-                            if v is None:
-                                self.assign(lit, True)
-                            elif not v:
-                                return CONFLICT
-                        else:
-                            v = assignment[-lit]
-                            if v is None:
-                                self.assign(-lit, False)
-                            elif v:
-                                return CONFLICT
-                    clauses = iter(sat[not value])
-                    continue
-                else:
-                    return None
+                return None
             # The status rule, split by the committed value v and written
             # out (calling card_status here made the enum solve 12 %
             # slower). Committed true, the common case, reads only the
@@ -522,21 +517,13 @@ class Solver:
             self.propagations += forced
 
     def _initial_propagate(self) -> int | None:
-        """Evaluate every card, then check each clause of fewer than two literals."""
-        dirty = self.dirty_cards
-        dirty.extend(range(self.n_atoms + 1, self.n_ids + 1))
-        conflict = self.propagate()
+        """Queue every card, check each clause of fewer than two literals,
+        then propagate once."""
+        self.dirty_cards.extend(range(self.n_atoms + 1, self.n_ids + 1))
         for ci, lits in enumerate(self.clause_lits):
-            if conflict is not None:
-                return conflict
-            if len(lits) < 2:
-                cid = self._check_clause(ci)
-                if cid == CONFLICT:
-                    return cid
-                if cid is not None:
-                    dirty.append(cid)  # the queue is empty after propagate
-                conflict = self.propagate()
-        return conflict
+            if len(lits) < 2 and self._check_clause(ci) == CONFLICT:
+                return CONFLICT
+        return self.propagate()
 
     # -- search -----------------------------------------------------------
 

@@ -600,18 +600,20 @@ class ReferenceSolver(Solver):
     satisfied, check as not unit, so models, model order, decisions and
     conflicts must equal the solver's, and propagations too on a run
     without conflicts (search_outcome). It keeps the order of
-    propagation that the pinned counters record. A card, queued or just
-    committed by a clause, is evaluated by _update_card, which forces by
-    forced_value and sets each member through assign, not by
-    Solver.propagate's fused loop. assign keeps the queue rule the pins
-    record: it queues every card of the id it sets unless the card is
-    settled, the forcing card for its own members too, where Solver
-    queues a committed-true card only when its evaluation will act;
-    the entries only the reference makes find nothing to do.
-    Set-up is the full pass: it evaluates every card, then checks every
-    clause in order, not only those of fewer than two literals, and
-    propagates after each; a card a clause commits is queued before that
-    propagation."""
+    propagation that the pinned counters record. A card is evaluated by
+    _update_card, which forces by forced_value and sets each member
+    through assign, not by Solver.propagate's fused loop. A card that a
+    clause commits is evaluated at once, before the id's next clause,
+    where Solver queues it on dirty_cards like any other card. assign
+    keeps the queue rule the pins record: it queues every card of the id
+    it sets unless the card is settled, the forcing card for its own
+    members too, where Solver queues a committed-true card only when its
+    evaluation will act; the entries only the reference makes find
+    nothing to do. Set-up is the full pass: it evaluates every card,
+    then checks every clause in order, not only those of fewer than two
+    literals, queues a card the clause commits and propagates after each
+    clause, where Solver checks only the short clauses and propagates
+    once."""
 
     def __init__(self, theory):
         super().__init__(theory)
