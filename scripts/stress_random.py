@@ -12,9 +12,12 @@ solver that checks its own state, branch scores included, at every
 branch pick and backtrack, among them that no committed card is left
 with members it should have forced; the last also runs each theory
 with its cards' members reversed and shuffled, which must not change the
-outcome. The reference propagates over every occurrence of an id and
-keeps the full set-up pass, which checks every clause. Last, it checks that what aspps prints under -A -C, -S <pred> -C
-and -A -C 3 equals those models rendered through model_lines:
+outcome. The reference shares no search code with the solver: it reads
+only the ground theory, rescans every clause for its branch pick,
+propagates over every occurrence of an id, reads a card's status off its
+members' values and backtracks chronologically. Last, it checks that
+what aspps prints under -A -C, -S <pred> -C and -A -C 3 equals those
+models rendered through model_lines:
 
     python3 scripts/stress_random.py -n 2000 --seed 7
 """
@@ -77,6 +80,15 @@ def stress_grounder(n, rng):
     return True
 
 
+def outcome_difference(a, b):
+    """The parts of search_outcome in which two results differ, by name."""
+    names = ("models", "decisions", "conflicts", "propagations")
+    differ = [name for name, x, y in zip(names, search_outcome(a), search_outcome(b)) if x != y]
+    if "models" in differ and sorted(map(repr, a.models)) == sorted(map(repr, b.models)):
+        differ[0] = "model order"
+    return ", ".join(differ)
+
+
 def stress_solver(n, rng, max_atoms):
     t0 = time.perf_counter()
     for i in range(n):
@@ -96,8 +108,8 @@ def stress_solver(n, rng, max_atoms):
             return False
         ref = ReferenceSolver(theory).run(None)
         if search_outcome(res) != search_outcome(ref):
-            print(f"[solver {i}] models, model order or counters differ from"
-                  f" full-occurrence propagation: {res.stats} vs {ref.stats}")
+            print(f"[solver {i}] differs from the reference solver in"
+                  f" {outcome_difference(res, ref)}: {res.stats} vs {ref.stats}")
             print(write_tdc(theory))
             return False
         try:

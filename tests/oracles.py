@@ -2,24 +2,25 @@
 
 The naive grounder, model enumeration and status computation share no
 logic with the package beyond the AST/theory data types: they are
-re-derived from the definitions, the slow and obvious way. Five further
-references keep the package's own earlier, plainer algorithm next to the
-optimized one and reuse its primitives: branch selection by full rescan
-(reference_branch), propagation over every occurrence of an id with
-cards forced member by member through assign, after a set-up pass that
-checks every clause (ReferenceSolver, forcing by the rule of
-forced_value), model printing through model_lines
-(reference_aspps_stdout), a clause's global and schema-local variables
-by per-atom-kind walks (reference_global_vars, reference_schema_locals)
-and grounding over the full product of the variable domains
-(reference_ground). counted_scores recounts the branch scores from the
-trail, check_scores compares what the branch pick reads with it, and
-CheckedSolver runs that check, with the rest of the solver's state,
-forcing left undone included, at every branch and backtrack. eval_arith,
-eval_ground_term and eval_predefined evaluate a term or comparison under
-a dict binding through compile_term and compile_comparison, the
-grounder's earlier evaluator: each term becomes a tree of closures over
-a flat value list, with every check at its node.
+re-derived from the definitions, the slow and obvious way. So is
+ReferenceSolver, a chronological DPLL search that reads only the ground
+theory and shares no search code with the solver: it checks clauses by
+rescanning their literals (lit_value), evaluates cards by
+status_by_completion and forced_value, and picks by a full rescan
+(reference_branch). Three further references keep the package's own
+earlier, plainer algorithm next to the optimized one and reuse its
+primitives: model printing through model_lines (reference_aspps_stdout),
+a clause's global and schema-local variables by per-atom-kind walks
+(reference_global_vars, reference_schema_locals) and grounding over the
+full product of the variable domains (reference_ground). counted_scores
+recounts the branch scores from the trail, check_scores compares what
+the branch pick reads with it, and CheckedSolver runs that check, with
+the rest of the solver's state, forcing left undone included, at every
+branch and backtrack. eval_arith, eval_ground_term and eval_predefined
+evaluate a term or comparison under a dict binding through compile_term
+and compile_comparison, the grounder's earlier evaluator: each term
+becomes a tree of closures over a flat value list, with every check at
+its node.
 """
 
 from __future__ import annotations
@@ -29,9 +30,8 @@ import itertools
 import operator
 import os
 import tempfile
-from collections import Counter
+from collections import Counter, deque
 from contextlib import redirect_stdout
-from dataclasses import dataclass
 
 from aspps.errors import GroundError
 from aspps.grounder import Grounder
@@ -48,7 +48,7 @@ from aspps.model import (
     term_variables,
 )
 from aspps.cli import aspps_main
-from aspps.solver import CONFLICT, Solver, model_lines
+from aspps.solver import SolveResult, SolveStats, Solver, model_lines
 from aspps.tdc import write_tdc
 
 # ---------------------------------------------------------------------------
@@ -518,16 +518,23 @@ def count_queens(n: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Branch selection by full rescan.
+# Values, branch pick and forcing, read off the ground theory and an
+# assignment list alone (solver.theory and solver.assignment).
+
+
+def card_status(solver, cid: int) -> bool | None:
+    """Card cid's status over its members' values (status_by_completion)."""
+    card = solver.theory.card_by_id(cid)
+    return status_by_completion(card.lo, card.hi, [solver.assignment[m] for m in card.members])
 
 
 def lit_value(solver, lit: int) -> bool | None:
-    """A literal's value under the solver's state: an atom's assignment,
-    or a card's committed value, else its status from the counters."""
+    """A literal's value under the solver's assignment: an atom's value,
+    or a card's committed value, else its status (card_status)."""
     ref = abs(lit)
     v = solver.assignment[ref]
-    if v is None and ref > solver.n_atoms:
-        v = solver.card_status(ref)
+    if v is None and ref > solver.theory.n_atoms:
+        v = card_status(solver, ref)
     if v is None:
         return None
     return v if lit > 0 else not v
@@ -539,23 +546,21 @@ def reference_branch(solver) -> int | None:
     breaks ties. With every clause satisfied, the lowest undetermined
     atom; None once the assignment is total. Recomputed from scratch by
     walking every clause under the solver's current assignment."""
+    theory, assignment = solver.theory, solver.assignment
+    n = theory.n_atoms
     score: dict[int, int] = {}
-    for cl in solver.theory.clauses:
+    for cl in theory.clauses:
         if any(lit_value(solver, l) is True for l in cl):
             continue
         for lit in cl:
             ref = abs(lit)
-            if ref <= solver.n_atoms:
-                if solver.assignment[ref] is None:
-                    score[ref] = score.get(ref, 0) + 1
-            else:
-                for m in solver.card_members[ref]:
-                    if solver.assignment[m] is None:
-                        score[m] = score.get(m, 0) + 1
+            for aid in (ref,) if ref <= n else theory.card_by_id(ref).members:
+                if assignment[aid] is None:
+                    score[aid] = score.get(aid, 0) + 1
     if score:
         return min(score.items(), key=lambda kv: (-kv[1], kv[0]))[0]
-    for aid in range(1, solver.n_atoms + 1):
-        if solver.assignment[aid] is None:
+    for aid in range(1, n + 1):
+        if assignment[aid] is None:
             return aid
     return None
 
@@ -584,128 +589,138 @@ def forced_value(solver, cid: int) -> bool | None:
     return None
 
 
-@dataclass(frozen=True)
-class Conflict:
-    """What ReferenceSolver.propagate returns on a conflict: the card or
-    clause found false."""
-
-    kind: str  # "card" or "clause"
-    ref: int
-
-
-class ReferenceSolver(Solver):
-    """The solver with full-occurrence propagation: a queued id checks
-    every clause that mentions it with either sign, satisfied or not, in
-    clause order. Clauses its value made true, or that are already
-    satisfied, check as not unit, so models, model order, decisions and
-    conflicts must equal the solver's, and propagations too on a run
-    without conflicts (search_outcome). It keeps the order of
-    propagation that the pinned counters record. A card is evaluated by
-    _update_card, which forces by forced_value and sets each member
-    through assign, not by Solver.propagate's fused loop. A card that a
-    clause commits is evaluated at once, before the id's next clause,
-    where Solver queues it on dirty_cards like any other card. assign
-    keeps the queue rule the pins record: it queues every card of the id
-    it sets unless the card is settled, the forcing card for its own
-    members too, where Solver queues a committed-true card only when its
-    evaluation will act; the entries only the reference makes find
-    nothing to do. Set-up is the full pass: it evaluates every card,
-    then checks every clause in order, not only those of fewer than two
-    literals, queues a card the clause commits and propagates after each
-    clause, where Solver checks only the short clauses and propagates
-    once."""
+class ReferenceSolver:
+    """Three-valued DPLL with chronological backtracking, read off the
+    ground theory by the definitions above and sharing no code with
+    Solver. Setting an id queues it when its value makes some literal
+    false, and queues each card it is a member of unless the card is
+    settled (committed, with that value as its status). Propagation
+    evaluates queued cards first: it commits a determined status, finds
+    a conflict with a committed value, or forces members one by one
+    (forced_value), in the card's member order. A queued id checks every
+    clause it occurs in, in clause order, and a card a clause commits is
+    evaluated at once. Set-up evaluates every card, then checks every
+    clause in order, propagating after each. The pick is
+    reference_branch, true first; a flip counts as a propagation."""
 
     def __init__(self, theory):
-        super().__init__(theory)
-        self.occ: list[list[int]] = [[] for _ in self.sat_by]
+        self.theory = theory
+        self.n_atoms = theory.n_atoms
+        size = self.n_atoms + len(theory.cards) + 1
+        self.assignment: list[bool | None] = [None] * size
+        self.trail: list[int] = []
+        self.decision_pos: list[int] = []  # trail positions of unflipped decisions
+        self.queue: deque[int] = deque()
+        self.dirty_cards: deque[int] = deque()
+        self.decisions = self.propagations = self.conflicts = 0
+        self.literals = {lit for cl in theory.clauses for lit in cl}
+        self.occ: list[list[int]] = [[] for _ in range(size)]
         for ci, cl in enumerate(theory.clauses):
             for lit in cl:
                 self.occ[abs(lit)].append(ci)
+        self.member_of: list[list[int]] = [[] for _ in range(size)]
+        for card in theory.cards:
+            for m in card.members:
+                self.member_of[m].append(card.id)
+
+    @property
+    def stats(self) -> SolveStats:
+        return SolveStats(self.decisions, self.propagations, self.conflicts)
 
     def assign(self, ref, value, decision=False):
-        """Solver.assign, but queueing every card of ref that is not
-        settled (committed, with that value as its determined status),
-        whether or not its evaluation will act."""
-        dirty = self.dirty_cards
-        queued = len(dirty)
-        super().assign(ref, value, decision)
-        while len(dirty) > queued:
-            dirty.pop()
+        self.assignment[ref] = value
+        if decision:
+            self.decision_pos.append(len(self.trail))
+            self.decisions += 1
+        elif ref <= self.n_atoms:
+            self.propagations += 1
+        self.trail.append(ref)
+        if (-ref if value else ref) in self.literals:
+            self.queue.append(ref)
         for cid in self.member_of[ref]:
             v = self.assignment[cid]
-            if v is None or self.card_status(cid) != v:
-                dirty.append(cid)
+            if v is None or card_status(self, cid) != v:
+                self.dirty_cards.append(cid)
 
-    def _check(self, ci: int) -> int | None:
-        """Check clause ci of the theory, pairs included, by lit_value:
-        CONFLICT when every literal is false; with one literal open and
-        none true, set that literal's id, returning it when a card."""
+    def _update_card(self, cid) -> bool:
+        """Evaluate card cid; True on a conflict."""
+        status, v = card_status(self, cid), self.assignment[cid]
+        if v is None:
+            if status is not None:
+                self.assign(cid, status)
+            return False
+        if status is not None:
+            return status != v
+        force = forced_value(self, cid)
+        if force is not None:
+            for m in self.theory.card_by_id(cid).members:
+                if self.assignment[m] is None:
+                    self.assign(m, force)
+        return False
+
+    def _check(self, ci) -> bool:
+        """Check clause ci; True when every literal is false. With one
+        literal open and none true, set that literal's id."""
         cl = self.theory.clauses[ci]
         values = [lit_value(self, lit) for lit in cl]
         if True in values or values.count(None) > 1:
-            return None
+            return False
         if None not in values:
-            return CONFLICT
+            return True
         lit = cl[values.index(None)]
         self.assign(abs(lit), lit > 0)
-        return abs(lit) if abs(lit) > self.n_atoms else None
+        return abs(lit) > self.n_atoms and self._update_card(abs(lit))
 
-    def propagate(self):
-        while True:
+    def propagate(self) -> bool:
+        """Run the queues to a fixpoint, False, or to a conflict, True."""
+        while self.dirty_cards or self.queue:
             if self.dirty_cards:
-                conf = self._update_card(self.dirty_cards.popleft())
-            elif self.queue:
-                qid = self.queue.popleft()
-                conf = None
-                for ci in self.occ[qid]:
-                    cid = self._check(ci)
-                    if cid == CONFLICT:
-                        conf = Conflict("clause", ci)
-                    elif cid is not None:  # a card the clause committed
-                        conf = self._update_card(cid)
-                    if conf is not None:
-                        break
+                if self._update_card(self.dirty_cards.popleft()):
+                    return True
+            elif any(self._check(ci) for ci in self.occ[self.queue.popleft()]):
+                return True
+        return False
+
+    def choose_branch(self) -> int | None:
+        return reference_branch(self)
+
+    def search(self, max_models=1):
+        """Yield the assignment list at each model, until max_models
+        (None: all of them)."""
+        self.dirty_cards.extend(range(self.n_atoms + 1, len(self.assignment)))
+        conflict = self.propagate() or any(
+            self._check(ci) or self.propagate() for ci in range(len(self.theory.clauses))
+        )
+        found = 0
+        while True:
+            if not conflict:
+                aid = self.choose_branch()
+                if aid is not None:
+                    self.assign(aid, True, decision=True)
+                    conflict = self.propagate()
+                    continue
+                yield self.assignment
+                found += 1
+                if found == max_models:
+                    return
             else:
-                return None
-            if conf is not None:
-                return conf
-
-    def _initial_propagate(self):
-        self.dirty_cards.extend(range(self.n_atoms + 1, self.n_ids + 1))
-        conflict = self.propagate()
-        for ci in range(len(self.theory.clauses)):
-            if conflict is not None:
-                return conflict
-            cid = self._check(ci)
-            if cid == CONFLICT:
-                return Conflict("clause", ci)
-            if cid is not None:  # a card the clause committed
-                self.dirty_cards.append(cid)
+                self.conflicts += 1
+                self.queue.clear()
+                self.dirty_cards.clear()
+            if not self.decision_pos:
+                return
+            pos = self.decision_pos.pop()
+            aid = self.trail[pos]
+            for ref in self.trail[pos:]:
+                self.assignment[ref] = None
+            del self.trail[pos:]
+            self.assign(aid, False)  # the flip of a decision set true
             conflict = self.propagate()
-        return conflict
 
-    def _update_card(self, cid: int) -> Conflict | None:
-        tc, lo, hi = self.card_true[cid], self.card_lo[cid], self.card_hi[cid]
-        tu = self.card_live[cid]
-        if tc >= lo and tu <= hi:
-            st: bool | None = True
-        elif tu < lo or tc > hi:
-            st = False
-        else:
-            st = None
-        v = self.assignment[cid]
-        if v is None:
-            if st is not None:
-                self.assign(cid, st)
-            return None
-        if st is not None:
-            return None if st == v else Conflict("card", cid)
-        force = forced_value(self, cid)
-        if force is not None:
-            for m in self.card_members[cid]:
-                if self.assignment[m] is None:
-                    self.assign(m, force)
-        return None
+    def run(self, max_models=1) -> SolveResult:
+        n = self.n_atoms
+        models = [dict(enumerate(a[1 : n + 1], 1)) for a in self.search(max_models)]
+        return SolveResult(bool(models), models, self.stats)
 
 
 def search_outcome(result) -> tuple:

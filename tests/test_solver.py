@@ -467,26 +467,29 @@ def test_first_model_valid_and_counted(seed):
 
 
 def test_incremental_branch_matches_rescan():
-    # Fixed seeds, so the check is the same on every run. Propagation
-    # order may move propagations on a run with conflicts, and nothing
-    # else (search_outcome); its pins are on ReferenceSolver. The solver
+    # Fixed seeds, so the check is the same on every run. The solver,
+    # plain and under its state checks, against the reference, which
+    # shares no search code with it. Propagation order may move
+    # propagations on a run with conflicts, and nothing else
+    # (search_outcome); its pins are on ReferenceSolver. The solver
     # queues a card that a clause commits, where the reference evaluates
-    # it at once; with the solver's other order changes, propagations
+    # it at once, and visits pairs before other clauses; propagations
     # differs from the reference's on 107 of these seeds, 15648 among
     # them.
     for seed in [*range(1000), 15648]:
         t = random_ground_theory(random.Random(seed), max_atoms=10, max_cards=4)
         for max_models in (None, 1):
-            got = CheckedSolver(t).run(max_models)
-            want = ReferenceSolver(t).run(max_models)
-            assert search_outcome(got) == search_outcome(want), seed
+            want = search_outcome(ReferenceSolver(t).run(max_models))
+            assert search_outcome(Solver(t).run(max_models)) == want, seed
+            assert search_outcome(CheckedSolver(t).run(max_models)) == want, seed
 
 
 def test_large_theories_match_reference():
     # 100-300 atoms, past the small theories of the other differentials
     # and past 64, one machine word of atoms: the first three models and
-    # the counters equal the reference's (search_outcome), whose set-up
-    # checks every clause and whose propagation visits them in order.
+    # the counters equal the reference's (search_outcome), plain and
+    # under the solver's state checks. The reference's set-up checks
+    # every clause and its propagation visits them in order.
     kept = sat = 0
     for seed in range(20):
         t = random_ground_theory(
@@ -494,9 +497,10 @@ def test_large_theories_match_reference():
         )
         if t.n_atoms < 100:
             continue
+        want = search_outcome(ReferenceSolver(t).run(3))
+        assert search_outcome(Solver(t).run(3)) == want, seed
         got = CheckedSolver(t).run(3)
-        want = ReferenceSolver(t).run(3)
-        assert search_outcome(got) == search_outcome(want), seed
+        assert search_outcome(got) == want, seed
         kept += 1
         sat += got.sat
     assert (kept, sat) == (15, 5)
@@ -506,15 +510,16 @@ def test_pair_theories_match_reference():
     # Theories of mostly pairs of both signs (random_pair_theory, 100-300
     # atoms) and planted 3-colorings grounded through color.rl, whose
     # pairs all force false: the first three models and the counters equal
-    # the reference's (search_outcome), under the solver's state checks.
-    # The reference visits each id's clauses in order, the solver its
-    # pairs first, so propagations moves on some conflict rounds.
+    # the reference's (search_outcome), plain and under the solver's state
+    # checks. The reference visits each id's clauses in order, the solver
+    # its pairs first, so propagations moves on some conflict rounds.
     theories = [random_pair_theory(random.Random(seed)) for seed in range(30)]
     theories += [planted_coloring(v, 2.25, seed) for v in (40, 80) for seed in (1, 2, 3)]
     searched = sat = moved = 0
     for i, t in enumerate(theories):
-        got = CheckedSolver(t).run(3)
         want = ReferenceSolver(t).run(3)
+        assert search_outcome(Solver(t).run(3)) == search_outcome(want), i
+        got = CheckedSolver(t).run(3)
         assert search_outcome(got) == search_outcome(want), i
         searched += got.stats.decisions > 0
         sat += got.sat

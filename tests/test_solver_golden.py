@@ -5,9 +5,10 @@ Branching, propagation order and backtracking all feed the counters, so
 any change to how the solver picks or undoes literals that is meant to
 keep its behaviour must leave these numbers exactly as they are. Only
 propagations depends on the order in which propagation visits clauses,
-and only on a run with conflicts: ReferenceSolver, which keeps one
-order, holds every pin, and the solver all but its propagations on runs
-with conflicts, which are pinned on their own for the encodings.
+and only on a run with conflicts. ReferenceSolver, which shares no
+search code with the solver and keeps one visiting order, holds every
+pin. The solver holds all but its propagations on runs with conflicts,
+which are pinned on their own for the encodings.
 """
 
 import hashlib
