@@ -2,7 +2,7 @@
 
 import sys
 
-from .cli import aspps_main, psgrnd_main
+from .cli import aspps_main, exit_process, psgrnd_main
 
 
 def main() -> int:
@@ -14,4 +14,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    exit_process(main())

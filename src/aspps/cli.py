@@ -6,11 +6,17 @@ shared: 0 success (an unsatisfiable theory is still success), 1 usage
 error, 2 unreadable or ill-formed input or running out of memory, 3
 output write failure (the .tdc file, aspps.stat or standard output).
 Each tool's main raises its failures; _reports_failures turns them into
-these codes and their diagnostics.
+these codes and their diagnostics, and returns the code.
+
+A tool run as a process (python -m aspps, or the psgrnd and aspps
+console scripts) ends through exit_process, which freezes the objects
+left at exit so that interpreter shutdown skips collecting them. Calling
+a tool's main in-process freezes nothing.
 """
 
 from __future__ import annotations
 
+import gc
 import sys
 
 STAT_FILE = "aspps.stat"
@@ -223,9 +229,20 @@ def aspps_main(argv: list[str]) -> int:
     return 0
 
 
+def exit_process(code: int) -> None:
+    """End the process with a tool's exit code, once its main has
+    returned: standard output is flushed and its files are closed by
+    then. gc.freeze() first moves every object still tracked out of the
+    collector's reach, so interpreter shutdown skips its full
+    collections over memory the OS reclaims anyway; atexit handlers, the
+    flush of the standard streams and SystemExit run as before."""
+    gc.freeze()
+    sys.exit(code)
+
+
 def psgrnd_entry() -> None:
-    sys.exit(psgrnd_main(sys.argv[1:]))
+    exit_process(psgrnd_main(sys.argv[1:]))
 
 
 def aspps_entry() -> None:
-    sys.exit(aspps_main(sys.argv[1:]))
+    exit_process(aspps_main(sys.argv[1:]))

@@ -32,7 +32,8 @@ last unbound argument of a data atom in the body draws its values from
 an index of that atom's extension. Otherwise each binding is still
 visited, so the atoms and cardinality constructs of dropped instances
 are interned and errors surface at the same binding as a plain walk
-over the product.
+over the product. Clauses of one shape share a kernel source, which a
+Grounder compiles once.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ from collections import Counter
 from itertools import product
 from math import prod
 from pathlib import PurePath
+from types import CodeType
 
 from .database import DataDatabase
 from .errors import GroundError
@@ -158,6 +160,9 @@ class Grounder:
         self.interned = dict.fromkeys(self.pred_decls, 0)  # atoms per predicate
         self._sizes: dict[str, int] = {}
         self._indexes: dict[tuple, dict] = {}
+        # kernel source -> its code object: clauses of one shape share a
+        # source, since their constants reach the kernel through make()
+        self._kernels: dict[str, CodeType] = {}
 
     # -- atoms ------------------------------------------------------------
 
@@ -275,7 +280,8 @@ class Grounder:
         return self._assemble()
 
     def _ground_clause(self, clause: Clause, gvars, domains):
-        """Generate the clause's kernel, compile it and run it once."""
+        """Generate the clause's kernel, compile it unless a clause of
+        the same shape has, and run it once."""
         kernel = _Kernel(self, clause, gvars, domains)
         atom_keys = self.atom_keys
         saturated, checked_at = False, -1
@@ -289,8 +295,12 @@ class Grounder:
                 saturated = all(self.interned[p] == self._size(p) for p in kernel.preds)
             return saturated
 
+        source = kernel.source()
+        code = self._kernels.get(source)
+        if code is None:
+            code = self._kernels[source] = compile(source, "<kernel>", "exec")
         namespace = dict(NAMESPACE)
-        exec(compile(kernel.source(), "<kernel>", "exec"), namespace)
+        exec(code, namespace)
         namespace.pop("make")(
             self.atom_ids.get, self.resolve_program_atom, self.raw_clauses.append,
             can_prune, self._fold, self._eatom, product, *kernel.em.consts,

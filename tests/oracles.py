@@ -854,33 +854,40 @@ class CheckedSolver(Solver):
 # What aspps prints, rendered from ReferenceSolver's model dicts.
 
 
-def reference_aspps_stdout(theory, max_models, pred=None) -> str:
-    """Standard output of aspps -A (pred None) or -S pred: each model's
-    true atoms through model_lines, a blank line between models, UNSAT
-    when there is none."""
-    models = ReferenceSolver(theory).run(max_models).models
+def reference_aspps_stdout(theory, models, pred=None) -> str:
+    """Standard output of aspps -A (pred None) or -S pred for these model
+    dicts: each model's true atoms through model_lines, a blank line
+    between models, UNSAT when there is none."""
     if not models:
         return "UNSAT\n"
     return "\n".join("".join(line + "\n" for line in model_lines(theory, m, pred)) for m in models)
 
 
-def aspps_stdout_mismatch(theory, workdir, pred) -> str | None:
+def aspps_stdout_mismatch(theory, workdir, pred, models=None) -> str | None:
     """Runs aspps_main on the theory under -A -C, -S pred -C and -A -C 3
     inside workdir, where it appends its stat line; describes the first
     run whose exit code or standard output differs from
-    reference_aspps_stdout, None when all agree."""
+    reference_aspps_stdout, None when all agree. models is every model
+    of the theory in ReferenceSolver's order, searched for when None;
+    -C 3 expects the first three."""
+    if models is None:
+        models = ReferenceSolver(theory).run(None).models
     fd, path = tempfile.mkstemp(suffix=".tdc", dir=workdir)
     with open(fd, "w", encoding="utf-8") as fh:
         fh.write(write_tdc(theory))
-    runs = ((["-A", "-C"], None, None), (["-S", pred, "-C"], None, pred), (["-A", "-C", "3"], 3, None))
+    runs = (
+        (["-A", "-C"], models, None),
+        (["-S", pred, "-C"], models, pred),
+        (["-A", "-C", "3"], models[:3], None),
+    )
     cwd = os.getcwd()
     os.chdir(workdir)
     try:
-        for flags, max_models, shown_pred in runs:
+        for flags, shown_models, shown_pred in runs:
             out = io.StringIO()
             with redirect_stdout(out):
                 code = aspps_main(["-f", path, *flags])
-            want = reference_aspps_stdout(theory, max_models, shown_pred)
+            want = reference_aspps_stdout(theory, shown_models, shown_pred)
             if code != 0 or out.getvalue() != want:
                 return f"aspps {' '.join(flags)}: exit {code}, printed {out.getvalue()!r}, expected {want!r}"
     finally:

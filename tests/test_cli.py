@@ -1,5 +1,6 @@
 """psgrnd / aspps command-line behaviour, run in-process."""
 
+import gc
 import importlib.util
 import json
 import os
@@ -20,7 +21,7 @@ from aspps.tdc import read_tdc
 from aspps.theory import GroundAtom, GroundTheory
 
 from generators import random_ground_theory
-from oracles import aspps_stdout_mismatch, reference_aspps_stdout
+from oracles import ReferenceSolver, aspps_stdout_mismatch, reference_aspps_stdout
 from problems import COLOR_RULES, PIGEON_DATA, PIGEON_RULES, QUEENS_DATA, QUEENS_RULES, TRIANGLE_DATA
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -582,35 +583,38 @@ def test_aspps_output_past_one_chunk_matches_reference(workdir):
     # pigeon 7/7: 5 040 models, several chunks of output; each printed
     # line, a blank one included, is one piece of a chunk
     theory = read_tdc((workdir / _ground_pigeons(workdir, 7)).read_text(encoding="utf-8"))
-    assert reference_aspps_stdout(theory, None).count("\n") > 4 * OUTPUT_CHUNK
-    assert aspps_stdout_mismatch(theory, str(workdir), "in") is None
+    models = ReferenceSolver(theory).run(None).models
+    assert reference_aspps_stdout(theory, models).count("\n") > 4 * OUTPUT_CHUNK
+    assert aspps_stdout_mismatch(theory, str(workdir), "in", models) is None
 
 
-# Each tool runs in a fresh interpreter that reports the modules it loaded
-# once the tool returns.
+# Each tool runs in a fresh interpreter that reports, once the tool
+# returns, how many objects it froze and the modules it loaded. (Some
+# interpreters start with objects frozen already.)
 _LOADED = """
-import json, runpy, sys
+import gc, json, runpy, sys
 sys.argv = sys.argv[1:]
-code = None
+code, frozen = None, gc.get_freeze_count()
 try:
     {run}
 except SystemExit as exc:
     code = exc.code
-print(json.dumps([code, sorted(sys.modules)]))
+print(json.dumps([code, gc.get_freeze_count() - frozen, sorted(sys.modules)]))
 """
 _RUN_MODULE = 'runpy.run_module("aspps", run_name="__main__")'
 _RUN_ENTRY = "from aspps.cli import {tool}_entry; {tool}_entry()"
 _PARSER_SIDE = {"aspps.parser", "aspps.grounder", "aspps.terms", "aspps.database", "aspps.model"}
 
 
-def _loaded_modules(workdir, run, argv):
+def _run_loaded(workdir, run, argv):
+    """(objects the run froze, modules loaded) once it has exited 0."""
     proc = subprocess.run(
         [sys.executable, "-c", _LOADED.format(run=run), *argv],
         cwd=workdir, env=_child_env(), capture_output=True, text=True, check=True,
     )
-    code, modules = json.loads(proc.stdout.splitlines()[-1])
+    code, frozen, modules = json.loads(proc.stdout.splitlines()[-1])
     assert code == 0, proc.stderr
-    return set(modules)
+    return frozen, set(modules)
 
 
 def test_each_tool_imports_only_its_own_half(workdir):
@@ -620,13 +624,13 @@ def test_each_tool_imports_only_its_own_half(workdir):
         (_RUN_MODULE, ["aspps", "psgrnd", "-c", "k=3", "-r", rl, "-d", dt]),
         (_RUN_ENTRY.format(tool="psgrnd"), ["psgrnd", "-c", "k=3", "-r", rl, "-d", dt]),
     ):
-        grounding = _loaded_modules(workdir, run, argv)
+        _, grounding = _run_loaded(workdir, run, argv)
         assert "aspps.grounder" in grounding and "aspps.solver" not in grounding
     for run, argv in (
         (_RUN_MODULE, ["aspps", "aspps", "-f", "k=3-color-graph.tdc", "-A", "-C"]),
         (_RUN_ENTRY.format(tool="aspps"), ["aspps", "-f", "k=3-color-graph.tdc", "-S", "clr"]),
     ):
-        solving = _loaded_modules(workdir, run, argv)
+        _, solving = _run_loaded(workdir, run, argv)
         assert {"aspps.solver", "aspps.tdc"} <= solving
         assert not solving & _PARSER_SIDE, solving & _PARSER_SIDE
 
@@ -636,13 +640,85 @@ def test_neither_tool_loads_dataclasses_or_inspect(workdir):
     # them already (from a site hook), which is no tool's doing.
     rl = _write(workdir, "color.rl", COLOR_RULES)
     dt = _write(workdir, "graph.dt", TRIANGLE_DATA)
-    bare = _loaded_modules(workdir, "sys.exit(0)", [])
+    _, bare = _run_loaded(workdir, "sys.exit(0)", [])
     for tool, argv in (
         ("psgrnd", ["-c", "k=3", "-r", rl, "-d", dt]),
         ("aspps", ["-f", "k=3-color-graph.tdc", "-A", "-C"]),
     ):
-        loaded = _loaded_modules(workdir, _RUN_ENTRY.format(tool=tool), [tool, *argv])
+        _, loaded = _run_loaded(workdir, _RUN_ENTRY.format(tool=tool), [tool, *argv])
         assert {"dataclasses", "inspect"} & (loaded - bare) == set(), tool
+
+
+def test_each_tool_process_freezes_at_exit(workdir):
+    # The freeze spares interpreter shutdown its collections; the bare
+    # run shows that the harness itself freezes nothing.
+    rl = _write(workdir, "color.rl", COLOR_RULES)
+    dt = _write(workdir, "graph.dt", TRIANGLE_DATA)
+    assert _run_loaded(workdir, "sys.exit(0)", [])[0] == 0
+    for run, argv in (
+        (_RUN_MODULE, ["aspps", "psgrnd", "-c", "k=3", "-r", rl, "-d", dt]),
+        (_RUN_ENTRY.format(tool="psgrnd"), ["psgrnd", "-c", "k=3", "-r", rl, "-d", dt]),
+        (_RUN_MODULE, ["aspps", "aspps", "-f", "k=3-color-graph.tdc", "-A", "-C"]),
+        (_RUN_ENTRY.format(tool="aspps"), ["aspps", "-f", "k=3-color-graph.tdc"]),
+    ):
+        assert _run_loaded(workdir, run, argv)[0] > 0, run
+
+
+def test_in_process_calls_freeze_nothing(workdir, capsys):
+    frozen = gc.get_freeze_count()
+    assert _ground_triangle(workdir) == 0
+    assert psgrnd_main(["-r", "color.rl", "-d", "missing.dt"]) == 2
+    assert aspps_main(["-f", "k=3-color-graph.tdc", "-A", "-C"]) == 0
+    assert aspps_main(["-f", "missing.tdc"]) == 2
+    assert gc.get_freeze_count() == frozen
+
+
+# Both tools in-process, a success and a failure each, then a full
+# collection: whatever it finds must be freed without a warning or an
+# error, as interpreter shutdown would have freed it before the freeze.
+_COLLECTED = """
+import gc, json, sys
+from aspps.cli import aspps_main, psgrnd_main
+recorded = []
+sys.unraisablehook = lambda u: recorded.append(f"{u.exc_type.__name__}: {u.exc_value} ({u.err_msg})")
+codes = [
+    psgrnd_main(["-c", "k=3", "-r", "color.rl", "-d", "graph.dt"]),
+    psgrnd_main(["-r", "color.rl", "-d", "missing.dt"]),
+    aspps_main(["-f", "k=3-color-graph.tdc", "-A", "-C"]),
+    aspps_main(["-f", "missing.tdc"]),
+]
+gc.collect()
+print(json.dumps([codes, recorded]))
+"""
+
+
+def test_skipped_collections_would_free_nothing_that_reports(workdir):
+    _write(workdir, "color.rl", COLOR_RULES)
+    _write(workdir, "graph.dt", TRIANGLE_DATA)
+    proc = subprocess.run(
+        [sys.executable, "-X", "dev", "-W", "error", "-c", _COLLECTED],
+        cwd=workdir, env=_child_env(), capture_output=True, text=True, check=True,
+    )
+    assert json.loads(proc.stdout.splitlines()[-1]) == [[0, 2, 0, 2], []], proc.stderr
+
+
+def test_tool_processes_under_dev_mode_print_only_their_diagnostics(workdir):
+    rl = _write(workdir, "queens.rl", QUEENS_RULES)
+    dt = _write(workdir, "board.dt", QUEENS_DATA)
+
+    def run(*argv):
+        proc = subprocess.run(
+            [sys.executable, "-X", "dev", "-W", "error", "-m", "aspps", *argv],
+            cwd=workdir, env=_child_env(), capture_output=True, text=True,
+        )
+        return proc.returncode, proc.stderr
+
+    assert run("psgrnd", "-c", "n=6", "-r", rl, "-d", dt) == (0, "")
+    assert run("aspps", "-f", "n=6-queens-board.tdc", "-A", "-C") == (0, "")
+    missing = "cannot read missing.dt: No such file or directory"
+    assert run("psgrnd", "-c", "n=6", "-r", rl, "-d", "missing.dt") == (2, f"psgrnd: {missing}\n")
+    missing = "cannot read missing.tdc: No such file or directory"
+    assert run("aspps", "-f", "missing.tdc", "-A") == (2, f"aspps: {missing}\n")
 
 
 @pytest.mark.parametrize("argv", [[], ["solve"]], ids=["no-tool", "unknown-tool"])

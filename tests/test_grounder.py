@@ -6,6 +6,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from aspps import grounder
 from aspps.database import build_database
 from aspps.errors import GroundError, ParseError
 from aspps.grounder import Grounder, _Kernel, _schema_locals, check_program, ground_theory, output_name
@@ -598,6 +599,22 @@ def test_kernel_prunes_only_where_no_evaluation_can_raise():
     # a symbol in the domain of X meets the arithmetic
     assert _prunable(pred + "p(X), X + 1 > Y ->.", "t[1..3]. t(a).") == [False]
     assert _prunable(pred + "p(X), X + 1 > Y ->.", "t[1..3].") == [True]
+
+
+def test_clauses_of_one_shape_compile_once(monkeypatch):
+    """Constants reach a kernel through make(), so clauses that differ in
+    them alone share a source, which each Grounder compiles once."""
+    sources = []
+
+    def counting_compile(source, *args):
+        sources.append(source)
+        return compile(source, *args)
+
+    monkeypatch.setattr(grounder, "compile", counting_compile, raising=False)
+    rules = "pred q(p).\nvar p X.\nq(X), X == 1 ->.\nq(X), X == 3 ->.\nq(X), X > 3 ->.\n"
+    for _ in range(2):  # a library caller's second program compiles afresh
+        assert _clause_texts(_ground(rules, "p[1..4].")) == ["-q(1)", "-q(3)", "-q(4)"]
+    assert len(sources) == 4 and sources[0] == sources[2] != sources[1] == sources[3]
 
 
 # ---------------------------------------------------------------------------
