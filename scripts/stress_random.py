@@ -3,7 +3,8 @@
 
 Grounds random typed programs and compares against the brute-force
 substitution oracle and, byte for byte, against grounding by full
-substitution; solves random ground theories, every third one of mostly
+substitution and against the .tdc file psgrnd streams for the program
+(the first data range bound given as -c n=<bound>); solves random ground theories, every third one of mostly
 two-literal clauses, and compares against model enumeration over all
 assignments and, model order and search counters included, against a
 reference solver (propagations only on runs without conflicts, since the
@@ -23,7 +24,9 @@ models rendered through model_lines:
 """
 
 import argparse
+import os
 import random
+import re
 import sys
 import tempfile
 import time
@@ -32,7 +35,8 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 
 from aspps.database import build_database
-from aspps.grounder import check_program, ground_theory
+from aspps.cli import psgrnd_main
+from aspps.grounder import check_program, ground_theory, output_name
 from aspps.parser import parse_data_file, parse_rule_file
 from aspps.solver import solve
 from aspps.tdc import check_model, read_tdc, write_tdc
@@ -53,31 +57,62 @@ from oracles import (
 
 def stress_grounder(n, rng):
     t0 = time.perf_counter()
-    for i in range(n):
-        rules, data, _ = random_program(rng)
-        prog = parse_rule_file(rules)
-        db = build_database(parse_data_file(data))
-        diags = check_program(prog, db)
-        if diags:
-            print(f"[grounder {i}] generator produced a rejected program: {diags}")
-            print(rules)
-            return False
-        theory = ground_theory(prog, db)
-        if normalize_theory(theory) != naive_ground(prog, db):
-            print(f"[grounder {i}] mismatch with the substitution oracle")
-            print(rules)
-            print(data)
-            return False
-        if write_tdc(theory) != write_tdc(reference_ground(prog, db)):
-            print(f"[grounder {i}] .tdc differs from grounding by full substitution")
-            print(rules)
-            print(data)
-            return False
-        if write_tdc(read_tdc(write_tdc(theory))) != write_tdc(theory):
-            print(f"[grounder {i}] round-trip broke")
-            return False
+    with tempfile.TemporaryDirectory() as workdir:
+        for i in range(n):
+            rules, data, _ = random_program(rng)
+            # the first range's upper bound, when there is one, becomes -c n
+            consts = {}
+            bound = re.search(r"\[1\.\.(\d+)\]", data)
+            if bound:
+                consts["n"] = bound[1]
+                data = f"{data[:bound.start(1)]}n{data[bound.end(1):]}"
+            prog = parse_rule_file(rules, consts)
+            db = build_database(parse_data_file(data, consts))
+            diags = check_program(prog, db)
+            if diags:
+                print(f"[grounder {i}] generator produced a rejected program: {diags}")
+                print(rules)
+                return False
+            theory = ground_theory(prog, db)
+            if normalize_theory(theory) != naive_ground(prog, db):
+                print(f"[grounder {i}] mismatch with the substitution oracle")
+                print(rules)
+                print(data)
+                return False
+            if write_tdc(theory) != write_tdc(reference_ground(prog, db)):
+                print(f"[grounder {i}] .tdc differs from grounding by full substitution")
+                print(rules)
+                print(data)
+                return False
+            if write_tdc(read_tdc(write_tdc(theory))) != write_tdc(theory):
+                print(f"[grounder {i}] round-trip broke")
+                return False
+            if psgrnd_file(Path(workdir), rules, data, consts) != write_tdc(theory).encode():
+                print(f"[grounder {i}] psgrnd's streamed .tdc differs from write_tdc")
+                print(rules)
+                print(data)
+                return False
     print(f"grounder: {n} programs agree ({time.perf_counter() - t0:.2f}s)")
     return True
+
+
+def psgrnd_file(workdir, rules, data, consts):
+    """The bytes of the .tdc that psgrnd writes for a program, run in
+    workdir."""
+    (workdir / "rules.rl").write_text(rules, encoding="utf-8")
+    (workdir / "data.dt").write_text(data, encoding="utf-8")
+    argv = [a for k, v in consts.items() for a in ("-c", f"{k}={v}")]
+    cwd = os.getcwd()
+    os.chdir(workdir)
+    try:
+        if psgrnd_main([*argv, "-r", "rules.rl", "-d", "data.dt"]) != 0:
+            return None
+    finally:
+        os.chdir(cwd)
+    tdc = workdir / output_name(consts, "rules.rl", ["data.dt"])
+    text = tdc.read_bytes()
+    tdc.unlink()
+    return text
 
 
 def outcome_difference(a, b):

@@ -87,14 +87,10 @@ def _read_text(path: str) -> str:
 
 @_reports_failures("psgrnd")
 def psgrnd_main(argv: list[str]) -> int:
-    import os
-    from contextlib import suppress
-
     from .database import build_database
     from .errors import ToolchainError
-    from .grounder import Grounder, check_program, output_name
+    from .grounder import check_program, ground_to_file, output_name
     from .parser import CONST_VALUE_RE, IDENT_RE, parse_data_file, parse_rule_file
-    from .tdc import write_tdc
 
     parser = _arg_parser(
         "psgrnd", "Ground a typed rule file against data files into a .tdc theory."
@@ -126,18 +122,10 @@ def psgrnd_main(argv: list[str]) -> int:
     diags = check_program(prog, db)
     if diags:
         raise ToolchainError("\n".join(f"{rule_file}: {d}" for d in diags))
-    theory = Grounder(prog, db).ground()
-
     name = output_name(consts, rule_file, args.d)
-    text = write_tdc(theory)
-    fh = None
     try:
-        with open(name, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        ground_to_file(prog, db, name)
     except OSError as exc:
-        if fh is not None:  # this run opened it: leave no partial theory
-            with suppress(OSError):
-                os.remove(name)
         raise _Failure(3, f"cannot write {name}: {exc.strerror or exc}")
     return 0
 

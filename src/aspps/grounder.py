@@ -34,12 +34,21 @@ visited, so the atoms and cardinality constructs of dropped instances
 are interned and errors surface at the same binding as a plain walk
 over the product. Clauses of one shape share a kernel source, which a
 Grounder compiles once.
+
+A kernel appends the clauses it keeps to one list, which it hands to the
+sink of Grounder.run at the head of every loop but the innermost once the
+list holds CHUNK. Grounder.ground collects them into a GroundTheory;
+ground_to_file, psgrnd's path, writes their lines to a spool file as they
+come, so that its memory grows with the atoms and constructs, not with
+the clauses.
 """
 
 from __future__ import annotations
 
+import os
 from collections import Counter
-from itertools import product
+from contextlib import suppress
+from itertools import islice, product
 from math import prod
 from pathlib import PurePath
 from types import CodeType
@@ -58,6 +67,7 @@ from .model import (
     atom_variables,
     term_variables,
 )
+from .tdc import HEADER, atom_lines, card_lines, clause_lines, count_line, unchecked_clauses
 from .terms import NAMESPACE, Emitter, domain_range
 from .theory import CardConstruct, GroundAtom, GroundTheory, ground_atom_text
 
@@ -66,6 +76,12 @@ _EMPTY: frozenset = frozenset()
 # While grounding, a literal is a signed reference: an atom's id, or
 # _CARD plus a construct's index, renumbered once the atoms are counted.
 _CARD = 1 << 62
+
+# Kept clauses reach the sink of Grounder.run in lists of about this many:
+# a kernel hands them over at the head of each loop but its innermost.
+CHUNK = 512
+
+_BLOCK = 1 << 16  # bytes per read when copying the spool
 
 
 # ---------------------------------------------------------------------------
@@ -152,11 +168,6 @@ class Grounder:
         self.atom_keys: list[tuple] = []
         self.card_ids: dict[tuple, int] = {}
         self.card_list: list[tuple] = []
-        self.raw_clauses: list[tuple] = []
-        # (start, stop) of the runs of raw_clauses that may hold card
-        # literals: those from a rule clause with an e-atom or a
-        # cardinality atom, the atoms that fold into constructs
-        self.card_runs: list[tuple[int, int]] = []
         self.interned = dict.fromkeys(self.pred_decls, 0)  # atoms per predicate
         self._sizes: dict[str, int] = {}
         self._indexes: dict[tuple, dict] = {}
@@ -269,19 +280,59 @@ class Grounder:
 
     def ground(self) -> GroundTheory:
         """Ground a program that passes check_program."""
+        clauses: list[tuple] = []
+        card_runs: list[tuple[int, int]] = []  # (start, stop) in clauses
+
+        def collect(chunk, cards):
+            if cards:
+                card_runs.append((len(clauses), len(clauses) + len(chunk)))
+            clauses.extend(chunk)
+
+        self.run(collect)
+        n = len(self.atom_keys)
+        for start, stop in card_runs:
+            clauses[start:stop] = renumber_cards(clauses[start:stop], n)
+        atoms = tuple(
+            GroundAtom(i + 1, pred, args, ground_atom_text(pred, args))
+            for i, (pred, args) in enumerate(self.atom_keys)
+        )
+        return GroundTheory(atoms, tuple(map(CardConstruct._make, self.card_rows())), tuple(clauses))
+
+    def run(self, sink) -> None:
+        """Ground a program that passes check_program, handing its kept
+        clauses in order to sink(clauses, cards). clauses is a list that
+        is cleared once the sink returns, of about CHUNK clauses and at
+        most CHUNK plus one innermost loop's worth. cards is True when
+        they come from a rule clause with an e-atom or a cardinality
+        atom, alone: they may hold raw card references (_CARD + index),
+        which renumber_cards resolves once the atoms are counted."""
+        kept: list[tuple] = []
+        cards = False
+
+        def flush():
+            if kept:
+                sink(kept, cards)
+                kept.clear()
+
         for clause in self.prog.clauses:
             gvars = self.global_vars(clause)
             domains = [self.db.unary_domain(self.var_types[v]) for v in gvars]
             if all(domains):
-                start = len(self.raw_clauses)
-                self._ground_clause(clause, gvars, domains)
-                if not all(isinstance(a, PlainAtom) for a in clause.body + clause.head):
-                    self.card_runs.append((start, len(self.raw_clauses)))
-        return self._assemble()
+                has_cards = not all(isinstance(a, PlainAtom) for a in clause.body + clause.head)
+                if has_cards or cards or len(kept) >= CHUNK:
+                    flush()
+                cards = has_cards
+                self._ground_clause(clause, gvars, domains, kept, flush)
+        flush()
 
-    def _ground_clause(self, clause: Clause, gvars, domains):
+    def card_rows(self):
+        """(id, lo, hi, members) of each construct, in id order."""
+        n = len(self.atom_keys)
+        return ((n + 1 + i, lo, hi, members) for i, (lo, hi, members) in enumerate(self.card_list))
+
+    def _ground_clause(self, clause: Clause, gvars, domains, kept, flush):
         """Generate the clause's kernel, compile it unless a clause of
-        the same shape has, and run it once."""
+        the same shape has, and run it once, keeping clauses in kept."""
         kernel = _Kernel(self, clause, gvars, domains)
         atom_keys = self.atom_keys
         saturated, checked_at = False, -1
@@ -302,38 +353,28 @@ class Grounder:
         namespace = dict(NAMESPACE)
         exec(code, namespace)
         namespace.pop("make")(
-            self.atom_ids.get, self.resolve_program_atom, self.raw_clauses.append,
+            self.atom_ids.get, self.resolve_program_atom, kept.append, kept, flush,
             can_prune, self._fold, self._eatom, product, *kernel.em.consts,
         )()
 
-    def _assemble(self) -> GroundTheory:
-        n = len(self.atom_keys)
-        atoms = tuple(
-            GroundAtom(i + 1, pred, args, ground_atom_text(pred, args))
-            for i, (pred, args) in enumerate(self.atom_keys)
-        )
-        cards = tuple(
-            CardConstruct(n + 1 + i, lo, hi, members)
-            for i, (lo, hi, members) in enumerate(self.card_list)
-        )
 
-        shift = n + 1 - _CARD
+def renumber_cards(clauses, n_atoms: int) -> list[tuple]:
+    """The clauses with each raw card reference _CARD + i replaced by the
+    id n_atoms + 1 + i of construct i."""
+    shift = n_atoms + 1 - _CARD
 
-        def renumber(lit):
-            return lit + shift if lit >= _CARD else lit - shift if lit <= -_CARD else lit
+    def renumber(lit):
+        return lit + shift if lit >= _CARD else lit - shift if lit <= -_CARD else lit
 
-        clauses = self.raw_clauses
-        for start, stop in self.card_runs:
-            clauses[start:stop] = [tuple(map(renumber, lits)) for lits in clauses[start:stop]]
-        return GroundTheory(atoms, cards, tuple(clauses))
+    return [tuple(map(renumber, lits)) for lits in clauses]
 
 
 class _Kernel:
     """The source of one clause's kernel: make(...) takes the grounder's
     callbacks, then the constants k0, k1, ... of em, and returns nest0,
-    which keeps the clause's unsatisfied instances: body atoms contribute
-    negated literals, head atoms positive ones, and () is the empty
-    clause."""
+    which keeps the clause's unsatisfied instances in kept, flushing it
+    at a loop head once it holds CHUNK: body atoms contribute negated
+    literals, head atoms positive ones, and () is the empty clause."""
 
     def __init__(self, g: Grounder, clause: Clause, gvars, domains):
         self.g, self.gvars, self.domains = g, gvars, domains
@@ -393,7 +434,7 @@ class _Kernel:
             else:
                 self.body(depth, sat)
         consts = "".join(f", k{i}" for i in range(len(self.em.consts)))
-        head = f"def make(ids_get, resolve, raw_append, can_prune, fold, eatom, product{consts}):"
+        head = f"def make(ids_get, resolve, keep, kept, flush, can_prune, fold, eatom, product{consts}):"
         return "\n".join([head, *self.defs, *lines, " return nest0\n"])
 
     def test(self, atom: PlainAtom) -> str:
@@ -418,6 +459,8 @@ class _Kernel:
                     break
             self.lines.append(f"{' ' * depth}for v{i} in {values}:")
             depth += 1
+            if i < len(self.gvars) - 1:
+                self.lines.append(f"{' ' * depth}if len(kept) >= {CHUNK}: flush()")
             level = [e for _, _, e in self.tests[i + 1]]
             if level:
                 self.lines.append(f"{' ' * depth}s{i + 1} = {' or '.join([sat] + level)}")
@@ -438,7 +481,7 @@ class _Kernel:
             lines.append(f"{pad}if val is {not positive}: pass")
             lines.append(f"{pad}elif val is {positive} or {neg} in lits: sat = True")
             lines.append(f"{pad}elif {lit} not in lits: lits.append({lit})")
-        lines.append(f"{pad}if not sat: raw_append(tuple(lits))")
+        lines.append(f"{pad}if not sat: keep(tuple(lits))")
 
     def value(self, atom) -> list[str]:
         """Statements setting val to a program atom's, an e-atom's or a
@@ -485,6 +528,110 @@ def ground_theory(prog: Program, db: DataDatabase) -> GroundTheory:
     if diags:
         raise GroundError(diags[0])
     return Grounder(prog, db).ground()
+
+
+class _Spool:
+    """The .tdc lines of a Grounder.run's kept clauses, in an anonymous
+    file made in directory. take is the run's sink. The first OSError,
+    on making the file or on writing it, is held in error; the clauses
+    after it are only counted, and the run goes on."""
+
+    def __init__(self, directory: str):
+        import tempfile
+
+        self.count = 0
+        # [cards, bytes] of each stretch of the file: one per card chunk,
+        # one per run of other chunks
+        self.stretches: list[list] = []
+        self.file = self.error = None
+        try:
+            self.file = tempfile.TemporaryFile(dir=directory)
+        except OSError as exc:
+            self.error = exc
+
+    def take(self, clauses, cards) -> None:
+        self.count += len(clauses)
+        if self.error is None:
+            data = clause_lines(clauses).encode()
+            try:
+                self.file.write(data)
+            except OSError as exc:
+                self.error = exc
+                return
+            if cards or not self.stretches or self.stretches[-1][0]:
+                self.stretches.append([cards, len(data)])
+            else:
+                self.stretches[-1][1] += len(data)
+
+    def finish(self) -> None:
+        """Flush the file, then raise the error held, if any."""
+        if self.error is None:
+            try:
+                self.file.flush()
+            except OSError as exc:
+                self.error = exc
+        if self.error is not None:
+            raise self.error
+
+    def copy(self, write, n_atoms: int) -> None:
+        """Pass the clause lines to write, in blocks, with the card
+        references of card chunks renumbered."""
+        self.file.seek(0)
+        read = self.file.read
+        for cards, size in self.stretches:
+            if cards:
+                write(clause_lines(renumber_cards(unchecked_clauses(read(size)), n_atoms)).encode())
+                continue
+            for start in range(0, size, _BLOCK):
+                write(read(min(_BLOCK, size - start)))
+
+
+def ground_to_file(prog: Program, db: DataDatabase, path: str) -> None:
+    """Ground a program that passes check_program into the .tdc file
+    path, byte for byte what write_tdc(Grounder(prog, db).ground())
+    writes, while memory grows with the atoms and constructs alone: the
+    clause lines go to a spool next to path as they are kept, and path
+    gets the atom and construct lines, then a copy of the spool. An
+    error of grounding comes first; an OSError of the spool is raised
+    once grounding has succeeded, before path is opened. On any failure
+    no file of this call is left."""
+    g = Grounder(prog, db)
+    spool = _Spool(os.path.dirname(path) or os.curdir)
+    try:
+        g.run(spool.take)
+        spool.finish()
+        _write_theory(g, spool, path)
+    finally:
+        if spool.file is not None:
+            # closing flushes what is left: after a failure, let its
+            # error stand
+            with suppress(OSError):
+                spool.file.close()
+
+
+def _write_theory(g: Grounder, spool: _Spool, path: str) -> None:
+    """Write the theory whose clause lines spool holds to path, and
+    remove path again when that fails."""
+    n = len(g.atom_keys)
+    out = None
+    try:
+        with open(path, "wb") as out:
+            out.write((HEADER + count_line("atoms", n)).encode())
+            for start in range(0, n, CHUNK):
+                keys = g.atom_keys[start : start + CHUNK]
+                texts = (ground_atom_text(pred, args) for pred, args in keys)
+                out.write(atom_lines(enumerate(texts, start + 1)).encode())
+            out.write(count_line("cards", len(g.card_list)).encode())
+            cards = g.card_rows()
+            while chunk := list(islice(cards, CHUNK)):
+                out.write(card_lines(chunk).encode())
+            out.write(count_line("clauses", spool.count).encode())
+            spool.copy(out.write, n)
+    except BaseException:
+        if out is not None:  # this call made it: leave no partial theory
+            with suppress(OSError):
+                os.remove(path)
+        raise
 
 
 def output_name(consts: dict[str, str], rule_file: str, data_files: list[str]) -> str:

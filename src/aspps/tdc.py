@@ -22,6 +22,8 @@ p(), p(a,) or 'p q').
 
 from __future__ import annotations
 
+from collections.abc import Iterable
+
 from .errors import TdcError
 from .theory import CardConstruct, GroundAtom, GroundTheory, card_error, clause_error, parse_ground_atom_text
 
@@ -44,17 +46,49 @@ def _ints(text: str) -> list[int] | None:
     return nums if list(map(str, nums)) == parts else None
 
 
+HEADER = f"tdc {FORMAT_VERSION}\n"
+
+
+# One formatter per kind of line, shared by write_tdc and psgrnd's
+# streamed write (aspps.grounder.ground_to_file); each formats a batch.
+
+
+def count_line(keyword: str, count: int) -> str:
+    """The line opening a section: atoms, cards or clauses, then its count."""
+    return f"{keyword} {count}\n"
+
+
+def atom_lines(atoms: Iterable[tuple[int, str]]) -> str:
+    """The lines of (id, text) pairs."""
+    return "".join([f"{aid} {text}\n" for aid, text in atoms])
+
+
+def card_lines(cards: Iterable[tuple[int, int, int, tuple[int, ...]]]) -> str:
+    """The lines of (id, lo, hi, members) constructs."""
+    return "".join([" ".join(map(str, (cid, lo, hi, len(ms), *ms))) + "\n" for cid, lo, hi, ms in cards])
+
+
+def clause_lines(clauses: Iterable[tuple[int, ...]]) -> str:
+    """The lines of clauses, each a literal count and the literals."""
+    return "".join([" ".join(map(str, (len(lits), *lits))) + "\n" for lits in clauses])
+
+
+def unchecked_clauses(data: bytes) -> list[tuple[int, ...]]:
+    """The clauses of lines that clause_lines wrote, read back without
+    the checks of read_tdc."""
+    return [tuple(map(int, line.split()[1:])) for line in data.splitlines()]
+
+
 def write_tdc(theory: GroundTheory) -> str:
-    out = [f"tdc {FORMAT_VERSION}\n", f"atoms {len(theory.atoms)}\n"]
-    for a in theory.atoms:
-        out.append(f"{a.id} {a.text}\n")
-    out.append(f"cards {len(theory.cards)}\n")
-    for c in theory.cards:
-        out.append(" ".join(map(str, (c.id, c.lo, c.hi, len(c.members), *c.members))) + "\n")
-    out.append(f"clauses {len(theory.clauses)}\n")
-    for cl in theory.clauses:
-        out.append(" ".join(map(str, (len(cl), *cl))) + "\n")
-    return "".join(out)
+    return "".join([
+        HEADER,
+        count_line("atoms", len(theory.atoms)),
+        atom_lines((a.id, a.text) for a in theory.atoms),
+        count_line("cards", len(theory.cards)),
+        card_lines(theory.cards),
+        count_line("clauses", len(theory.clauses)),
+        clause_lines(theory.clauses),
+    ])
 
 
 def read_tdc(text: str, file: str = "<tdc>") -> GroundTheory:

@@ -1060,7 +1060,7 @@ class ReferenceGrounder(Grounder):
                 lits.append(lit)
         return None if sat else tuple(lits)
 
-    def ground(self):
+    def run(self, sink):
         for clause in self.prog.clauses:
             gvars = reference_global_vars(clause)
             domains = []
@@ -1069,12 +1069,12 @@ class ReferenceGrounder(Grounder):
                 if ty is None:
                     raise GroundError(f"variable {v} is not declared")
                 domains.append(self.db.unary_domain(ty))
+            kept = []
             for combo in itertools.product(*domains):
                 result = self.ground_clause(clause, dict(zip(gvars, combo)))
                 if result is not None:
-                    self.raw_clauses.append(result)
-        self.card_runs.append((0, len(self.raw_clauses)))  # renumber every clause
-        return self._assemble()
+                    kept.append(result)
+            sink(kept, True)  # renumber every clause
 
 
 def reference_ground(prog, db):

@@ -14,14 +14,15 @@ import pytest
 
 import aspps
 from aspps.cli import OUTPUT_CHUNK, STAT_FILE, aspps_main, psgrnd_main
-from aspps.grounder import MAX_CLAUSE_VARS
-from aspps.parser import MAX_RANGE_LEN, MAX_TERM_DEPTH
+from aspps.database import build_database
+from aspps.grounder import CHUNK, MAX_CLAUSE_VARS, ground_theory
+from aspps.parser import MAX_RANGE_LEN, MAX_TERM_DEPTH, parse_data_file, parse_rule_file
 from aspps.solver import solve
-from aspps.tdc import read_tdc
+from aspps.tdc import read_tdc, write_tdc
 from aspps.theory import GroundAtom, GroundTheory
 
 from generators import random_ground_theory
-from oracles import ReferenceSolver, aspps_stdout_mismatch, reference_aspps_stdout
+from oracles import ReferenceSolver, aspps_stdout_mismatch, reference_aspps_stdout, reference_ground
 from problems import COLOR_RULES, PIGEON_DATA, PIGEON_RULES, QUEENS_DATA, QUEENS_RULES, TRIANGLE_DATA
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -332,6 +333,57 @@ def test_psgrnd_failed_write_leaves_no_tdc(workdir):
     want = "psgrnd: cannot write n=12-queens-board.tdc: File too large\n"
     assert (proc.returncode, proc.stderr) == (3, want)
     assert not list(workdir.glob("*.tdc"))
+
+
+@_needs_resource
+def test_psgrnd_ground_error_outranks_a_failed_spool(workdir):
+    # The first clause keeps more than a chunk, so the spool write fails
+    # under a file size cap of 0 before the second clause divides by zero.
+    _write(workdir, "div.rl", "pred p(d).\nvar d X.\n-> p(X).\nX / 0 == 1 -> p(X).\n")
+    _write(workdir, "good.rl", "pred p(d).\nvar d X.\n-> p(X).\n")
+    _write(workdir, "d.dt", f"d[1..{CHUNK + 1}].\n")
+    inputs = sorted(workdir.iterdir())
+    proc = _run_capped(workdir, "psgrnd", ["-r", "div.rl", "-d", "d.dt"], limit="RLIMIT_FSIZE", cap=0)
+    assert (proc.returncode, proc.stderr) == (2, "psgrnd: division by zero\n")
+    assert sorted(workdir.iterdir()) == inputs
+    proc = _run_capped(workdir, "psgrnd", ["-r", "good.rl", "-d", "d.dt"], limit="RLIMIT_FSIZE", cap=0)
+    assert (proc.returncode, proc.stderr) == (3, "psgrnd: cannot write good-d.tdc: File too large\n")
+    assert sorted(workdir.iterdir()) == inputs
+
+
+@_needs_resource
+def test_psgrnd_memory_does_not_grow_with_the_clauses(workdir):
+    # 499 500 kept clauses over 1 000 atoms: holding them took more than
+    # 120 MB of address space, streaming them takes under 32 MB
+    _write(workdir, "pairs.rl", "pred q(p).\nvar p X, Y.\nq(X), q(Y), X < Y ->.\n")
+    _write(workdir, "p.dt", "p[1..1000].\n")
+    proc = _run_capped(workdir, "psgrnd", ["-r", "pairs.rl", "-d", "p.dt"], cap=64 * 2**20)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    with open(workdir / "pairs-p.tdc", encoding="utf-8") as fh:
+        assert "clauses 499500\n" in fh
+
+
+def test_psgrnd_card_clauses_past_a_chunk_match_the_references(workdir):
+    # the cardinality clause keeps 30 x 30 clauses, more than a chunk,
+    # after a run of plain clauses, then come an e-atom clause and a plain
+    # one; the spool renumbers the card literals of the middle two
+    rules = (
+        "pred q(d, d).\npred r(d).\nvar d X, Y, Z.\n"
+        "-> q(X, 1).\n"
+        "q(X, Y) -> 1 {r(Z) : d(Z) : Z >= X} 1 | r(Y).\n"
+        "-> q(X, Y) : d(Y).\n"
+        "-> q(X, Y) | q(Y, X).\n"
+    )
+    data = "d[1..n].\n"
+    _write(workdir, "cards.rl", rules)
+    _write(workdir, "d.dt", data)
+    assert psgrnd_main(["-c", "n=30", "-r", "cards.rl", "-d", "d.dt"]) == 0
+    consts = {"n": "30"}
+    prog, db = parse_rule_file(rules, consts), build_database(parse_data_file(data, consts))
+    theory = ground_theory(prog, db)
+    assert sum(any(abs(l) > theory.n_atoms for l in cl) for cl in theory.clauses) > CHUNK
+    text = (workdir / "n=30-cards-d.tdc").read_text(encoding="utf-8")
+    assert text == write_tdc(theory) == write_tdc(reference_ground(prog, db))
 
 
 @_needs_resource
